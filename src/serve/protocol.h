@@ -160,10 +160,8 @@ void encode_header(const FrameHeader& h, std::uint8_t out[kHeaderBytes]);
 FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]);
 
 /// Builds complete frames (header + payload, one contiguous buffer ready
-/// for send()) for one protocol version.  This replaces the former pattern
-/// of every call site pairing encode_header with one of four free payload
-/// encoders by hand — the version is stated once, at construction, and the
-/// header fields can no longer drift from the payload layout.  Streaming
+/// for send()) for one protocol version, stated once at construction so
+/// the header fields cannot drift from the payload layout.  Streaming
 /// frames require version >= 3 and throw below it, exactly like a nonzero
 /// deadline requires version >= 2.
 class RequestBuilder {
@@ -194,7 +192,7 @@ class RequestBuilder {
 };
 
 /// Canonical payload-only encoders (no header).  RequestBuilder composes
-/// these; the deprecated free functions below forward here.
+/// these; the server writes replies through them onto an open Connection.
 namespace detail {
 std::vector<std::uint8_t> encode_request_payload(const InferRequest& r,
                                                  std::uint32_t version);
@@ -208,24 +206,6 @@ std::vector<std::uint8_t> encode_stream_step_payload(
 std::vector<std::uint8_t> encode_stream_close_reply_payload(
     const StreamCloseReply& r);
 }  // namespace detail
-
-/// Deprecated payload encoders, kept as forwarding shims so existing call
-/// sites (and their byte-level golden tests) compile unchanged; new code
-/// should build complete frames through RequestBuilder.  These will be
-/// deleted once the tree has migrated.
-inline std::vector<std::uint8_t> encode_request(
-    const InferRequest& r, std::uint32_t version = kProtocolVersion) {
-  return detail::encode_request_payload(r, version);
-}
-inline std::vector<std::uint8_t> encode_response(const InferResponse& r) {
-  return detail::encode_response_payload(r);
-}
-inline std::vector<std::uint8_t> encode_error(const ErrorResponse& r) {
-  return detail::encode_error_payload(r);
-}
-inline std::vector<std::uint8_t> encode_stat(const std::string& json) {
-  return detail::encode_stat_payload(json);
-}
 
 /// Payload decoders; throw InvalidArgument on truncated or inconsistent
 /// payloads (e.g. num_steps * elems disagreeing with the payload size).

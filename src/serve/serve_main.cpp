@@ -254,49 +254,7 @@ int main(int argc, char** argv) {
   if (ledger.enabled()) {
     obs::LedgerFinal fin;
     fin.exit_kind = "drain";  // signal-requested cooperative shutdown
-    fin.values.emplace_back("connections",
-                            static_cast<double>(stats.connections));
-    fin.values.emplace_back("admitted", static_cast<double>(stats.admitted));
-    fin.values.emplace_back("served", static_cast<double>(stats.served));
-    fin.values.emplace_back("batches", static_cast<double>(stats.batches));
-    fin.values.emplace_back("rejected_overload",
-                            static_cast<double>(stats.rejected_overload));
-    fin.values.emplace_back("rejected_draining",
-                            static_cast<double>(stats.rejected_draining));
-    fin.values.emplace_back("bad_requests",
-                            static_cast<double>(stats.bad_requests));
-    fin.values.emplace_back("dropped_responses",
-                            static_cast<double>(stats.dropped_responses));
-    fin.values.emplace_back("deadline_requests",
-                            static_cast<double>(stats.deadline_requests));
-    fin.values.emplace_back("deadline_shed",
-                            static_cast<double>(stats.deadline_shed));
-    fin.values.emplace_back("internal_errors",
-                            static_cast<double>(stats.internal_errors));
-    fin.values.emplace_back("idle_reaped",
-                            static_cast<double>(stats.idle_reaped));
-    fin.values.emplace_back("send_timeouts",
-                            static_cast<double>(stats.send_timeouts));
-    fin.values.emplace_back("max_batch_seen",
-                            static_cast<double>(stats.max_batch_seen));
-    fin.values.emplace_back("stat_requests",
-                            static_cast<double>(stats.stat_requests));
-    fin.values.emplace_back("streams_opened",
-                            static_cast<double>(stats.streams_opened));
-    fin.values.emplace_back("streams_closed",
-                            static_cast<double>(stats.streams_closed));
-    fin.values.emplace_back("streams_evicted",
-                            static_cast<double>(stats.streams_evicted));
-    fin.values.emplace_back("streams_restored",
-                            static_cast<double>(stats.streams_restored));
-    fin.values.emplace_back("streams_checkpointed",
-                            static_cast<double>(stats.streams_checkpointed));
-    fin.values.emplace_back("stream_peak_live",
-                            static_cast<double>(stats.stream_peak_live));
-    fin.values.emplace_back("stream_steps",
-                            static_cast<double>(stats.stream_steps));
-    fin.values.emplace_back("stream_orphan_steps",
-                            static_cast<double>(stats.stream_orphan_steps));
+    fin.values = serve::ledger_values(stats);
     fin.values.emplace_back("spans_recorded",
                             static_cast<double>(server.spans().recorded()));
     if (server.slo().enabled()) {

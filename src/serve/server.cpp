@@ -43,6 +43,15 @@ JsonValue hist_json(const obs::LogHistogram& h) {
   return o;
 }
 
+/// The counter rows in one STAT section, under their section keys.
+JsonValue counter_section(const ServerStats& s, StatSection section) {
+  JsonValue o = JsonValue::make_object();
+  for (const CounterRow& r : kCounterRows)
+    if ((r.sections & section) != 0)
+      o.set(section == kTotals ? r.name : r.key, JsonValue(s.*r.field));
+  return o;
+}
+
 }  // namespace
 
 Server::Server(const infer::CompiledModel& model, ServerConfig config)
@@ -130,9 +139,9 @@ void Server::acceptor_main() {
       reap_finished_readers();
       continue;
     }
-    conn->set_send_timeout_ms(config_.send_timeout_ms, &send_timeouts_);
-    const std::int64_t conns =
-        connections_.fetch_add(1, std::memory_order_relaxed) + 1;
+    conn->set_send_timeout_ms(config_.send_timeout_ms,
+                              &counter(Counter::send_timeouts));
+    const std::int64_t conns = bump(Counter::connections);
     obs::flight_record(obs::FlightEventId::kConnAccept,
                        static_cast<std::uint64_t>(conns));
     reap_finished_readers();
@@ -170,8 +179,7 @@ void Server::reap_idle_connections() {
     // until that thread is joined.
     slot.conn->abort();
     slot.reaped = true;
-    idle_reaped_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) obs::add(serve_metric_ids().idle_reaped);
+    bump(Counter::idle_reaped);
     ST_LOG_INFO << "serve: reaping idle connection " << slot.conn->peer()
                 << " (no activity for " << (now - last) / 1'000'000 << "ms)";
   }
@@ -185,18 +193,17 @@ void Server::respond_error(const std::shared_ptr<Connection>& conn,
   err.request_id = request_id;
   err.code = code;
   err.message = message;
-  conn->write_frame(FrameKind::kError, request_id, encode_error(err), version);
+  conn->write_frame(FrameKind::kError, request_id,
+                    detail::encode_error_payload(err), version);
 }
 
 void Server::shed_expired(std::vector<PendingRequest>& expired) {
   if (expired.empty()) return;
-  const ServeMetricIds& ids = serve_metric_ids();
   for (PendingRequest& p : expired) {
-    deadline_shed_.fetch_add(1, std::memory_order_relaxed);
+    bump(Counter::deadline_shed);
     w_deadline_shed_.add();
     obs::flight_record(obs::FlightEventId::kDeadlineShed, p.server_id,
                        p.request.deadline_us);
-    if (obs::metrics_enabled()) obs::add(ids.deadline_shed);
     // The shed IS this request's one answer: it entered `admitted` and
     // leaves through `deadline_shed`, keeping the accounting invariant
     // whether or not the peer is still there to read it.
@@ -233,10 +240,10 @@ void Server::reader_main(ReaderSlot* slot) {
       if (header.kind == FrameKind::kStatRequest) {
         obs::flight_record(obs::FlightEventId::kStatRequest,
                            header.request_id);
-        stat_requests_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) obs::add(serve_metric_ids().stat_requests);
+        bump(Counter::stat_requests);
         conn->write_frame(FrameKind::kStatResponse, header.request_id,
-                          encode_stat(stat_json()), header.version);
+                          detail::encode_stat_payload(stat_json()),
+                          header.version);
         continue;
       }
       if (header.kind == FrameKind::kStreamOpen ||
@@ -249,14 +256,14 @@ void Server::reader_main(ReaderSlot* slot) {
         try {
           ctl = decode_stream_control(header.request_id, payload);
         } catch (const std::exception& e) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
+          bump(Counter::bad_requests);
           respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                         e.what(), header.version);
           continue;
         }
         if (header.kind == FrameKind::kStreamOpen) {
           if (batcher_.draining()) {
-            rejected_draining_.fetch_add(1, std::memory_order_relaxed);
+            bump(Counter::rejected_draining);
             respond_error(conn, header.request_id, ErrorCode::kShuttingDown,
                           "daemon is draining", header.version);
             continue;
@@ -269,22 +276,20 @@ void Server::reader_main(ReaderSlot* slot) {
                                 header.version);
               break;
             case infer::StreamManager::OpenResult::kExists:
-              bad_requests_.fetch_add(1, std::memory_order_relaxed);
+              bump(Counter::bad_requests);
               respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                             "stream " + std::to_string(ctl.stream_id) +
                                 " is already open",
                             header.version);
               break;
             case infer::StreamManager::OpenResult::kInvalid:
-              bad_requests_.fetch_add(1, std::memory_order_relaxed);
+              bump(Counter::bad_requests);
               respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                             "stream id 0 is reserved", header.version);
               break;
             case infer::StreamManager::OpenResult::kCapacity:
-              rejected_overload_.fetch_add(1, std::memory_order_relaxed);
+              bump(Counter::rejected_overload);
               w_rejected_.add();
-              if (obs::metrics_enabled())
-                obs::add(serve_metric_ids().rejected_overload);
               respond_error(conn, header.request_id, ErrorCode::kOverloaded,
                             "stream capacity reached (no checkpoint "
                             "directory configured for eviction)",
@@ -314,7 +319,7 @@ void Server::reader_main(ReaderSlot* slot) {
             continue;
           }
           if (!known) {
-            bad_requests_.fetch_add(1, std::memory_order_relaxed);
+            bump(Counter::bad_requests);
             respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                           "stream " + std::to_string(ctl.stream_id) +
                               " is not open",
@@ -331,7 +336,7 @@ void Server::reader_main(ReaderSlot* slot) {
       }
       if (header.kind != FrameKind::kInferRequest &&
           header.kind != FrameKind::kStreamStep) {
-        bad_requests_.fetch_add(1, std::memory_order_relaxed);
+        bump(Counter::bad_requests);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                       "expected an infer-request frame", header.version);
         continue;
@@ -361,7 +366,7 @@ void Server::reader_main(ReaderSlot* slot) {
                        " does not match model input " +
                        std::to_string(in_elems));
       } catch (const std::exception& e) {
-        bad_requests_.fetch_add(1, std::memory_order_relaxed);
+        bump(Counter::bad_requests);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                       e.what(), header.version);
         continue;
@@ -371,7 +376,7 @@ void Server::reader_main(ReaderSlot* slot) {
         // already closed) is bounced here, deterministically, instead of
         // burning a batch slot to find out.  A step that *races* a close is
         // caught again at the worker (stream_orphan_steps).
-        bad_requests_.fetch_add(1, std::memory_order_relaxed);
+        bump(Counter::bad_requests);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                       "stream " + std::to_string(pending.stream_id) +
                           " is not open",
@@ -383,9 +388,7 @@ void Server::reader_main(ReaderSlot* slot) {
         // delay all count against it.
         pending.deadline_ns =
             recv_ns + pending.request.deadline_us * 1000ull;
-        deadline_requests_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled())
-          obs::add(serve_metric_ids().deadline_requests);
+        bump(Counter::deadline_requests);
       }
       pending.conn = conn;
       // ids start at 1: the pre-increment value 0 is never a real request.
@@ -404,7 +407,7 @@ void Server::reader_main(ReaderSlot* slot) {
       const std::uint64_t server_id = pending.server_id;
       switch (batcher_.submit(std::move(pending))) {
         case AdmitResult::kAdmitted:
-          admitted_.fetch_add(1, std::memory_order_relaxed);
+          bump(Counter::admitted);
           obs::flight_record(obs::FlightEventId::kRequestAdmit, server_id,
                              static_cast<std::uint64_t>(batcher_.depth()));
           if (obs::metrics_enabled()) {
@@ -413,15 +416,13 @@ void Server::reader_main(ReaderSlot* slot) {
           }
           break;
         case AdmitResult::kQueueFull:
-          rejected_overload_.fetch_add(1, std::memory_order_relaxed);
+          bump(Counter::rejected_overload);
           w_rejected_.add();
-          if (obs::metrics_enabled())
-            obs::add(serve_metric_ids().rejected_overload);
           respond_error(conn, header.request_id, ErrorCode::kOverloaded,
                         "queue at max depth; back off", version);
           break;
         case AdmitResult::kDraining:
-          rejected_draining_.fetch_add(1, std::memory_order_relaxed);
+          bump(Counter::rejected_draining);
           respond_error(conn, header.request_id, ErrorCode::kShuttingDown,
                         "daemon is draining", version);
           break;
@@ -430,7 +431,7 @@ void Server::reader_main(ReaderSlot* slot) {
   } catch (const std::exception& e) {
     // Framing is lost mid-stream; no per-request error response is
     // possible, so count it and drop the connection.
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    bump(Counter::bad_requests);
     ST_LOG_WARN << "serve: dropping connection " << conn->peer() << ": "
                 << e.what();
     conn->abort();
@@ -450,7 +451,7 @@ void Server::reader_main(ReaderSlot* slot) {
       if (streams_->close(id, nullptr, nullptr)) ++reclaimed;
     }
     if (reclaimed > 0) {
-      stream_auto_closed_.fetch_add(reclaimed, std::memory_order_relaxed);
+      bump(Counter::stream_auto_closed, reclaimed);
       ST_LOG_INFO << "serve: closed " << reclaimed
                   << " stream(s) orphaned by disconnected peer "
                   << conn->peer();
@@ -459,7 +460,7 @@ void Server::reader_main(ReaderSlot* slot) {
   obs::flight_record(
       obs::FlightEventId::kConnClose,
       static_cast<std::uint64_t>(
-          connections_.load(std::memory_order_relaxed)));
+          counter(Counter::connections).load(std::memory_order_relaxed)));
   slot->done.store(true, std::memory_order_release);
 }
 
@@ -501,12 +502,9 @@ void Server::worker_main(int index) {
         result.spike_counts.data() + (row + 1) * out_features);
     const bool sent =
         p.conn->write_frame(FrameKind::kInferResponse, resp.request_id,
-                            encode_response(resp), p.version);
-    if (sent) {
-      served_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      dropped_responses_.fetch_add(1, std::memory_order_relaxed);
-    }
+                            detail::encode_response_payload(resp),
+                            p.version);
+    bump(sent ? Counter::served : Counter::dropped_responses);
     obs::flight_record(obs::FlightEventId::kResponseSent, p.server_id,
                        sent ? 1 : 0);
     const std::uint64_t send_ns = now_ns();
@@ -603,8 +601,7 @@ void Server::worker_main(int index) {
         acquired[i] = streams_->acquire(batch[i].stream_id);
       } catch (const std::exception& e) {
         acquire_failed[i] = 1;
-        internal_errors_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) obs::add(ids.internal_errors);
+        bump(Counter::internal_errors);
         ST_LOG_WARN << "serve: acquiring stream " << batch[i].stream_id
                     << " failed (" << e.what() << "); answering the step "
                     << "with internal-error";
@@ -620,8 +617,7 @@ void Server::worker_main(int index) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch[i].stream_id != 0 && acquired[i] == nullptr) {
           if (!acquire_failed[i]) {
-            stream_orphan_steps_.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled()) obs::add(ids.stream_orphans);
+            bump(Counter::stream_orphan_steps);
             respond_error(batch[i].conn, batch[i].request.request_id,
                           ErrorCode::kBadRequest,
                           "stream " + std::to_string(batch[i].stream_id) +
@@ -706,11 +702,8 @@ void Server::worker_main(int index) {
 
     if (batch_ok) {
       const std::uint64_t done_ns = now_ns();
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      std::int64_t seen = max_batch_seen_.load(std::memory_order_relaxed);
-      while (n > seen && !max_batch_seen_.compare_exchange_weak(
-                             seen, n, std::memory_order_relaxed)) {
-      }
+      bump(Counter::batches);
+      bump(Counter::max_batch_seen, n);
       w_batch_.record_at(static_cast<double>(n), done_ns);
       if (obs::trace_enabled())
         obs::trace_span("serve.infer", infer_start_ns,
@@ -750,12 +743,11 @@ void Server::worker_main(int index) {
           infer::StreamState* one = states[ui];
           const infer::InferenceResult r1 = session.run(&one, 1, single);
           const std::uint64_t s_done = now_ns();
-          batches_.fetch_add(1, std::memory_order_relaxed);
+          bump(Counter::batches);
           w_batch_.record_at(1.0, s_done);
           respond_one(p, r1, 0, 1, assembled_ns, s_start, s_done);
         } catch (const std::exception& e) {
-          internal_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::metrics_enabled()) obs::add(ids.internal_errors);
+          bump(Counter::internal_errors);
           respond_error(p.conn, p.request.request_id,
                         ErrorCode::kInternalError, e.what(), p.version);
         }
@@ -768,8 +760,7 @@ void Server::worker_main(int index) {
       const PendingRequest& p = batch[static_cast<std::size_t>(i)];
       if (p.stream_id == 0) continue;
       streams_->release(p.stream_id);
-      stream_steps_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::metrics_enabled()) obs::add(ids.stream_steps);
+      bump(Counter::stream_steps);
     }
     finish_batch_streams();
     if (obs::metrics_enabled()) {
@@ -787,10 +778,12 @@ void Server::drain_and_stop() {
   ST_LOG_INFO << "serve: draining (" << batcher_.depth()
               << " queued requests)";
   // 1. Wake the acceptor and every reader; no new connections or requests.
+  //    Close the listener only once the acceptor is joined: its poll()
+  //    reads the fd, whose number the kernel may reuse after close().
   const char token = 'q';
   [[maybe_unused]] ssize_t n = write(stop_pipe_[1], &token, 1);
-  listener_->close();
   if (acceptor_.joinable()) acceptor_.join();
+  listener_->close();
   // 2. Everything already admitted gets served or shed; workers exit dry.
   batcher_.drain();
   for (std::thread& w : workers_) {
@@ -848,88 +841,54 @@ void Server::drain_and_stop() {
               << s.streams_restored << " restored)";
 }
 
+std::int64_t Server::bump(Counter c, std::int64_t n) {
+  const auto i = static_cast<std::size_t>(c);
+  std::atomic<std::int64_t>& v = counters_[i];
+  if (kCounterRows[i].kind == kMax) {
+    std::int64_t seen = v.load(std::memory_order_relaxed);
+    while (n > seen &&
+           !v.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
+    }
+    return std::max(seen, n);
+  }
+  if (obs::metrics_enabled() && kCounterRows[i].obs != nullptr)
+    obs::add(serve_metric_ids().counters[i], n);
+  return v.fetch_add(n, std::memory_order_relaxed) + n;
+}
+
 Server::Stats Server::stats() const {
-  Stats s;
-  s.connections = connections_.load(std::memory_order_relaxed);
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.served = served_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
-  s.rejected_draining = rejected_draining_.load(std::memory_order_relaxed);
-  s.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  s.dropped_responses = dropped_responses_.load(std::memory_order_relaxed);
-  s.deadline_requests = deadline_requests_.load(std::memory_order_relaxed);
-  s.deadline_shed = deadline_shed_.load(std::memory_order_relaxed);
-  s.internal_errors = internal_errors_.load(std::memory_order_relaxed);
-  s.idle_reaped = idle_reaped_.load(std::memory_order_relaxed);
-  s.send_timeouts = send_timeouts_.load(std::memory_order_relaxed);
-  s.max_batch_seen = max_batch_seen_.load(std::memory_order_relaxed);
-  s.stat_requests = stat_requests_.load(std::memory_order_relaxed);
   const infer::StreamCounters sc = streams_->counters();
-  s.streams_opened = sc.opened;
-  s.streams_closed = sc.closed;
-  s.streams_evicted = sc.evicted;
-  s.streams_restored = sc.restored;
-  s.streams_checkpointed = sc.checkpointed;
-  s.stream_peak_live = sc.peak_live;
-  s.stream_steps = stream_steps_.load(std::memory_order_relaxed);
-  s.stream_orphan_steps =
-      stream_orphan_steps_.load(std::memory_order_relaxed);
-  s.stream_auto_closed = stream_auto_closed_.load(std::memory_order_relaxed);
+  Stats s;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const CounterRow& r = kCounterRows[i];
+    s.*r.field = r.stream != nullptr
+                     ? sc.*r.stream
+                     : counters_[i].load(std::memory_order_relaxed);
+  }
   return s;
 }
 
-std::string Server::stat_json() const {
+std::string Server::stat_json(const Stats& totals) const {
   const std::uint64_t now = now_ns();
-  const Stats s = stats();
 
   JsonValue root = JsonValue::make_object();
   root.set("uptime_s",
            JsonValue(static_cast<double>(now - start_ns_) / 1e9));
   root.set("window_s", JsonValue(config_.stat_window_s));
-
-  JsonValue totals = JsonValue::make_object();
-  totals.set("connections", JsonValue(s.connections));
-  totals.set("admitted", JsonValue(s.admitted));
-  totals.set("served", JsonValue(s.served));
-  totals.set("batches", JsonValue(s.batches));
-  totals.set("rejected_overload", JsonValue(s.rejected_overload));
-  totals.set("rejected_draining", JsonValue(s.rejected_draining));
-  totals.set("bad_requests", JsonValue(s.bad_requests));
-  totals.set("dropped_responses", JsonValue(s.dropped_responses));
-  totals.set("deadline_requests", JsonValue(s.deadline_requests));
-  totals.set("deadline_shed", JsonValue(s.deadline_shed));
-  totals.set("internal_errors", JsonValue(s.internal_errors));
-  totals.set("idle_reaped", JsonValue(s.idle_reaped));
-  totals.set("send_timeouts", JsonValue(s.send_timeouts));
-  totals.set("max_batch_seen", JsonValue(s.max_batch_seen));
-  root.set("totals", totals);
-
+  root.set("totals", counter_section(totals, kTotals));
   root.set("queue_depth",
            JsonValue(static_cast<std::int64_t>(batcher_.depth())));
   root.set("qps", JsonValue(w_served_.per_second_at(now)));
   root.set("rejects_per_s", JsonValue(w_rejected_.per_second_at(now)));
 
-  JsonValue deadline = JsonValue::make_object();
-  deadline.set("requests", JsonValue(s.deadline_requests));
-  deadline.set("shed", JsonValue(s.deadline_shed));
+  JsonValue deadline = counter_section(totals, kDeadline);
   deadline.set("shed_per_s", JsonValue(w_deadline_shed_.per_second_at(now)));
   root.set("deadline", deadline);
 
   // Streaming (protocol v3): live occupancy + lifecycle totals.
-  const infer::StreamCounters sc = streams_->counters();
-  JsonValue streams = JsonValue::make_object();
-  streams.set("live", JsonValue(sc.live));
-  streams.set("peak_live", JsonValue(sc.peak_live));
+  JsonValue streams = counter_section(totals, kStreams);
+  streams.set("live", JsonValue(streams_->counters().live));
   streams.set("max_live", JsonValue(streams_->max_live()));
-  streams.set("opened", JsonValue(sc.opened));
-  streams.set("closed", JsonValue(sc.closed));
-  streams.set("evicted", JsonValue(sc.evicted));
-  streams.set("restored", JsonValue(sc.restored));
-  streams.set("checkpointed", JsonValue(sc.checkpointed));
-  streams.set("steps", JsonValue(s.stream_steps));
-  streams.set("orphan_steps", JsonValue(s.stream_orphan_steps));
-  streams.set("auto_closed", JsonValue(s.stream_auto_closed));
   root.set("streams", streams);
 
   JsonValue faults = JsonValue::make_object();

@@ -33,17 +33,22 @@
 // to a vanished peer, or — for a STREAM_STEP whose stream was closed while
 // it sat queued — a bad-request orphan bounce, so `admitted == served +
 // dropped_responses + deadline_shed + internal_errors +
-// stream_orphan_steps` holds at drain.  Slow peers are cut by
-// the bounded send path (send_timeout_ms), silent ones by the acceptor's
-// idle reaper (idle_timeout_ms), and a request that makes inference throw
-// is answered kInternalError without taking its batchmates or its worker
-// down — as is a STREAM_STEP whose state cannot be swapped in (corrupt or
-// missing spill file at restore).  A peer that vanishes without closing
-// its streams has them reaped at reader exit (stream_auto_closed), so an
-// abandoned client never wedges max_live capacity; during a drain they
-// are left open for checkpoint_all instead.  For chaos testing,
-// fault_spec wraps the listener in the deterministic injector from
-// serve/fault.h.
+// stream_orphan_steps` holds at drain (serve::unanswered() == 0).  Slow
+// peers are cut by the bounded send path (send_timeout_ms), silent ones by
+// the acceptor's idle reaper (idle_timeout_ms), and a request that makes
+// inference throw is answered kInternalError without taking its batchmates
+// or its worker down — as is a STREAM_STEP whose state cannot be swapped
+// in (corrupt or missing spill file at restore).  A peer that vanishes
+// without closing its streams has them reaped at reader exit
+// (stream_auto_closed), so an abandoned client never wedges max_live
+// capacity; during a drain they are left open for checkpoint_all instead.
+// For chaos testing, fault_spec wraps the listener in the deterministic
+// injector from serve/fault.h.
+//
+// Every counter (Stats field, STAT key, ledger-final key, obs counter,
+// accounting-identity term) is one row of SPIKETUNE_SERVE_COUNTERS in
+// serve/counters.h; a new row yields all of them, and call sites count
+// with bump(Counter::row).
 //
 // Shutdown is drain-safe: drain_and_stop() (the daemon calls it when the
 // cooperative SIGINT/SIGTERM handler fires — see obs/signal_flush.h) stops
@@ -53,6 +58,7 @@
 // clients see a `shutting-down` error or a closed connection.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -68,6 +74,7 @@
 #include "obs/spans.h"
 #include "obs/window.h"
 #include "serve/batcher.h"
+#include "serve/counters.h"
 #include "serve/fault.h"
 #include "serve/slo.h"
 #include "serve/transport.h"
@@ -150,34 +157,9 @@ class Server {
   /// blocks until the drain completes.
   void drain_and_stop();
 
-  /// Monotonic counters for the final report / ledger.
-  struct Stats {
-    std::int64_t connections = 0;
-    std::int64_t admitted = 0;  // requests that entered the queue
-    std::int64_t served = 0;
-    std::int64_t batches = 0;
-    std::int64_t rejected_overload = 0;
-    std::int64_t rejected_draining = 0;
-    std::int64_t bad_requests = 0;
-    std::int64_t dropped_responses = 0;  // peer gone before its response
-    std::int64_t deadline_requests = 0;  // admitted with a nonzero budget
-    std::int64_t deadline_shed = 0;      // expired in queue; never inferred
-    std::int64_t internal_errors = 0;    // poison requests isolated
-    std::int64_t idle_reaped = 0;        // connections cut for inactivity
-    std::int64_t send_timeouts = 0;      // connections cut mid-write
-    std::int64_t max_batch_seen = 0;
-    std::int64_t stat_requests = 0;  // STAT snapshots served
-    // Streaming (v3): lifecycle tallies come from the StreamManager.
-    std::int64_t streams_opened = 0;
-    std::int64_t streams_closed = 0;
-    std::int64_t streams_evicted = 0;
-    std::int64_t streams_restored = 0;
-    std::int64_t streams_checkpointed = 0;  // drain checkpoint_all included
-    std::int64_t stream_peak_live = 0;      // high-water concurrent streams
-    std::int64_t stream_steps = 0;          // STREAM_STEP requests served
-    std::int64_t stream_orphan_steps = 0;   // steps on unknown/closed streams
-    std::int64_t stream_auto_closed = 0;    // orphans reaped at reader exit
-  };
+  /// Monotonic counters for the final report / ledger, one field per
+  /// row of serve/counters.h.
+  using Stats = ServerStats;
   Stats stats() const;
 
   /// Live introspection snapshot: one compact JSON document with uptime,
@@ -185,7 +167,9 @@ class Server {
   /// quantiles + per-stage breakdown + QPS, batch-size distribution,
   /// deadline-shed state, SLO burn, and span-sampling state.  What the
   /// STAT opcode returns; safe to call from any thread while serving.
-  std::string stat_json() const;
+  std::string stat_json() const { return stat_json(stats()); }
+  /// The same snapshot with `totals` as every counter value.
+  std::string stat_json(const Stats& totals) const;
 
   const obs::SpanRecorder& spans() const { return spans_; }
   const SloTracker& slo() const { return slo_; }
@@ -228,25 +212,16 @@ class Server {
   std::mutex readers_mu_;
   std::list<ReaderSlot> readers_;
 
-  // Counters (relaxed: single writers or monotonic tallies).
-  std::atomic<std::int64_t> connections_{0};
-  std::atomic<std::int64_t> admitted_{0};
-  std::atomic<std::int64_t> served_{0};
-  std::atomic<std::int64_t> batches_{0};
-  std::atomic<std::int64_t> rejected_overload_{0};
-  std::atomic<std::int64_t> rejected_draining_{0};
-  std::atomic<std::int64_t> bad_requests_{0};
-  std::atomic<std::int64_t> dropped_responses_{0};
-  std::atomic<std::int64_t> deadline_requests_{0};
-  std::atomic<std::int64_t> deadline_shed_{0};
-  std::atomic<std::int64_t> internal_errors_{0};
-  std::atomic<std::int64_t> idle_reaped_{0};
-  std::atomic<std::int64_t> send_timeouts_{0};
-  std::atomic<std::int64_t> max_batch_seen_{0};
-  std::atomic<std::int64_t> stat_requests_{0};
-  std::atomic<std::int64_t> stream_steps_{0};
-  std::atomic<std::int64_t> stream_orphan_steps_{0};
-  std::atomic<std::int64_t> stream_auto_closed_{0};
+  /// Adds n to a sum row (and to its obs counter) or raises a kMax row
+  /// to n; returns the row's new value.
+  std::int64_t bump(Counter c, std::int64_t n = 1);
+  std::atomic<std::int64_t>& counter(Counter c) {
+    return counters_[static_cast<std::size_t>(c)];
+  }
+
+  // One slot per serve/counters.h row (relaxed: monotonic tallies).  Rows
+  // that StreamManager owns leave theirs at zero.
+  std::array<std::atomic<std::int64_t>, kNumCounters> counters_{};
 
   // Per-stream persistent state (protocol v3), shared by readers (open /
   // close, inline) and workers (acquire / release around each batch).

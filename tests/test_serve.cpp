@@ -28,6 +28,7 @@
 #include "core/json.h"
 #include "core/rng.h"
 #include "infer/session.h"
+#include "obs/ledger.h"
 #include "obs/signal_flush.h"
 #include "obs/spans.h"
 #include "obs/telemetry.h"
@@ -115,7 +116,8 @@ TEST(ServeProtocol, RequestRoundTripAndTruncationChecks) {
   Rng rng(7);
   for (int i = 0; i < 12; ++i)
     r.data.push_back(static_cast<float>(rng.normal()));
-  const std::vector<std::uint8_t> payload = encode_request(r);
+  const std::vector<std::uint8_t> payload =
+      detail::encode_request_payload(r, kProtocolVersion);
   const InferRequest back = decode_request(r.request_id, payload);
   EXPECT_EQ(back.request_id, 42u);
   EXPECT_EQ(back.num_steps, 3u);
@@ -141,7 +143,8 @@ TEST(ServeProtocol, ResponseAndErrorRoundTrip) {
   r.assemble_ns = 777;
   r.infer_ns = 987654321;
   r.spike_counts = {1.0f, 0.0f, 2.5f};
-  const InferResponse back = decode_response(9, encode_response(r));
+  const InferResponse back =
+      decode_response(9, detail::encode_response_payload(r));
   EXPECT_EQ(back.batch, 5u);
   EXPECT_EQ(back.queue_ns, 1234u);
   EXPECT_EQ(back.assemble_ns, 777u);
@@ -155,7 +158,8 @@ TEST(ServeProtocol, ResponseAndErrorRoundTrip) {
   e.request_id = 9;
   e.code = ErrorCode::kOverloaded;
   e.message = "queue at max depth";
-  const ErrorResponse eback = decode_error(9, encode_error(e));
+  const ErrorResponse eback =
+      decode_error(9, detail::encode_error_payload(e));
   EXPECT_EQ(eback.code, ErrorCode::kOverloaded);
   EXPECT_EQ(eback.message, "queue at max depth");
   EXPECT_STREQ(error_code_name(ErrorCode::kShuttingDown), "shutting-down");
@@ -163,8 +167,8 @@ TEST(ServeProtocol, ResponseAndErrorRoundTrip) {
 
 TEST(ServeProtocol, StatPayloadRoundTrip) {
   const std::string json = "{\"served\":3,\"qps\":12.5}";
-  EXPECT_EQ(decode_stat(encode_stat(json)), json);
-  EXPECT_TRUE(decode_stat(encode_stat("")).empty());
+  EXPECT_EQ(decode_stat(detail::encode_stat_payload(json)), json);
+  EXPECT_TRUE(decode_stat(detail::encode_stat_payload("")).empty());
 }
 
 TEST(ServeProtocol, HeaderVersionRoundTripAndLegacyZeroByte) {
@@ -196,7 +200,8 @@ TEST(ServeProtocol, RequestDeadlineRoundTripAndV1Layout) {
   r.elems_per_step = 3;
   r.deadline_us = 123456;
   r.data = {1, 0, 1, 0, 1, 0};
-  const std::vector<std::uint8_t> v2 = encode_request(r);
+  const std::vector<std::uint8_t> v2 =
+      detail::encode_request_payload(r, kProtocolVersion);
   EXPECT_EQ(v2.size(), 16u + r.data.size() * sizeof(float));
   const InferRequest back = decode_request(13, v2);
   EXPECT_EQ(back.deadline_us, 123456u);
@@ -206,13 +211,13 @@ TEST(ServeProtocol, RequestDeadlineRoundTripAndV1Layout) {
   // The v1 layout has no deadline field: 8 bytes of dims + the floats,
   // exactly what the original protocol shipped.
   r.deadline_us = 0;
-  const std::vector<std::uint8_t> v1 = encode_request(r, 1);
+  const std::vector<std::uint8_t> v1 = detail::encode_request_payload(r, 1);
   EXPECT_EQ(v1.size(), 8u + r.data.size() * sizeof(float));
   EXPECT_EQ(decode_request(13, v1, 1).deadline_us, 0u);
 
   // A nonzero deadline cannot ride a v1 frame: refused, never dropped.
   r.deadline_us = 5;
-  EXPECT_THROW(encode_request(r, 1), Error);
+  EXPECT_THROW(detail::encode_request_payload(r, 1), Error);
 }
 
 TEST(ServeProtocol, V2ErrorCodesRoundTrip) {
@@ -220,16 +225,18 @@ TEST(ServeProtocol, V2ErrorCodesRoundTrip) {
   e.request_id = 4;
   e.code = ErrorCode::kDeadlineExceeded;
   e.message = "late";
-  EXPECT_EQ(decode_error(4, encode_error(e)).code,
+  EXPECT_EQ(decode_error(4, detail::encode_error_payload(e)).code,
             ErrorCode::kDeadlineExceeded);
   e.code = ErrorCode::kInternalError;
-  EXPECT_EQ(decode_error(4, encode_error(e)).code, ErrorCode::kInternalError);
+  EXPECT_EQ(decode_error(4, detail::encode_error_payload(e)).code,
+            ErrorCode::kInternalError);
   EXPECT_STREQ(error_code_name(ErrorCode::kDeadlineExceeded),
                "deadline-exceeded");
   EXPECT_STREQ(error_code_name(ErrorCode::kInternalError), "internal-error");
   // One past the last known code: rejected at decode.
   e.code = static_cast<ErrorCode>(6);
-  EXPECT_THROW(decode_error(4, encode_error(e)), InvalidArgument);
+  EXPECT_THROW(decode_error(4, detail::encode_error_payload(e)),
+               InvalidArgument);
 }
 
 // --- batcher ----------------------------------------------------------------
@@ -474,6 +481,9 @@ TEST(ServeServer, ConcurrentClientsAllGetBitwiseParity) {
   for (std::thread& t : clients) t.join();
   for (int c = 0; c < kThreads; ++c)
     EXPECT_EQ(mismatches[static_cast<std::size_t>(c)], 0) << "client " << c;
+  // A worker counts a response after writing it, so the last reply can
+  // reach its client first; the drain joins the workers.
+  s.server->drain_and_stop();
   const Server::Stats stats = s.server->stats();
   EXPECT_EQ(stats.served, kThreads * kPerThread);
   EXPECT_EQ(stats.bad_requests, 0);
@@ -552,7 +562,8 @@ bool recv_frame_raw(int fd, FrameHeader& header,
 /// One full frame (header + payload) as raw wire bytes.
 std::vector<std::uint8_t> frame_bytes(const InferRequest& req,
                                       std::uint32_t version) {
-  const std::vector<std::uint8_t> payload = encode_request(req, version);
+  const std::vector<std::uint8_t> payload =
+      detail::encode_request_payload(req, version);
   FrameHeader h;
   h.kind = FrameKind::kInferRequest;
   h.version = version;
@@ -627,6 +638,7 @@ TEST(ServeServer, DrainAnswersInFlightRequestsAndStopsAdmissions) {
   const std::int64_t elems = s.per_sample.numel();
   const int port = s.server->port();
   constexpr int kThreads = 4;
+  std::atomic<int> connected{0};
   std::atomic<int> completed{0};
   std::atomic<int> shutdown_seen{0};
   std::atomic<int> unexpected{0};
@@ -635,6 +647,7 @@ TEST(ServeServer, DrainAnswersInFlightRequestsAndStopsAdmissions) {
     clients.emplace_back([&, c] {
       Rng rng(200 + static_cast<std::uint64_t>(c));
       TcpClient client("127.0.0.1", port, 2000);
+      ++connected;
       for (int i = 0; i < 200; ++i) {
         const TcpClient::Reply reply = client.roundtrip(random_request(
             static_cast<std::uint64_t>(i), 4, elems, rng));
@@ -651,8 +664,10 @@ TEST(ServeServer, DrainAnswersInFlightRequestsAndStopsAdmissions) {
       }
     });
   }
-  // Let some requests land, then drain while the clients keep pushing.
-  while (completed.load() < 8) std::this_thread::yield();
+  // Let every client connect and some requests land, then drain while the
+  // clients keep pushing (a client still connecting would be refused).
+  while (connected.load() < kThreads || completed.load() < 8)
+    std::this_thread::yield();
   s.server->drain_and_stop();
   for (std::thread& t : clients) t.join();
 
@@ -852,8 +867,7 @@ TEST(ServeServer, ExpiredDeadlineIsShedNotServed) {
   EXPECT_EQ(stats.deadline_requests, 1);
   EXPECT_EQ(stats.deadline_shed, 1);
   EXPECT_EQ(stats.served, 1);
-  EXPECT_EQ(stats.admitted, stats.served + stats.dropped_responses +
-                                stats.deadline_shed + stats.internal_errors);
+  EXPECT_EQ(unanswered(stats), 0);
 }
 
 TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
@@ -910,8 +924,7 @@ TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
   const Server::Stats stats = s.server->stats();
   EXPECT_EQ(stats.internal_errors, 1);
   EXPECT_EQ(stats.served, 3);  // two surviving batchmates + the follow-up
-  EXPECT_EQ(stats.admitted, stats.served + stats.dropped_responses +
-                                stats.deadline_shed + stats.internal_errors);
+  EXPECT_EQ(unanswered(stats), 0);
 }
 
 TEST(ServeServer, SlowPeerIsCutBySendTimeoutNotServedForever) {
@@ -1091,9 +1104,7 @@ TEST(ServeStream, LifecycleErrorsAreBadRequests) {
   EXPECT_EQ(stats.streams_opened, 1);
   EXPECT_EQ(stats.streams_closed, 1);
   EXPECT_EQ(stats.stream_steps, 1);
-  EXPECT_EQ(stats.admitted, stats.served + stats.dropped_responses +
-                                stats.deadline_shed + stats.internal_errors +
-                                stats.stream_orphan_steps);
+  EXPECT_EQ(unanswered(stats), 0);
 }
 
 TEST(ServeStream, OpenPastBoundWithoutSpillDirIsOverloaded) {
@@ -1180,6 +1191,142 @@ TEST(ServeStream, DisconnectWithoutCloseReapsOrphanedStreams) {
   TcpClient again("127.0.0.1", s.server->port(), 2000);
   EXPECT_TRUE(again.stream_open(1).ok);
   EXPECT_TRUE(again.stream_open(2).ok);
+}
+
+// --- counter table (serve/counters.h) ---------------------------------------
+
+static_assert(unanswered(Server::Stats{}) == 0);
+
+/// A Stats holding a distinct nonzero value in every row.
+Server::Stats distinct_stats() {
+  Server::Stats s;
+  std::int64_t v = 101;
+  for (const CounterRow& r : kCounterRows) s.*r.field = v++;
+  return s;
+}
+
+TEST(ServeCounters, UnansweredIsAdmittedMinusTheFiveAnswerTerms) {
+  Server::Stats s = distinct_stats();
+  const auto answered = [](const Server::Stats& t) {
+    return t.served + t.dropped_responses + t.deadline_shed +
+           t.internal_errors + t.stream_orphan_steps;
+  };
+  EXPECT_EQ(unanswered(s), s.admitted - answered(s));
+  s.admitted = answered(s);
+  EXPECT_EQ(unanswered(s), 0);
+  // Tallies outside the identity never unbalance it.
+  s.bad_requests += 7;
+  s.rejected_overload += 7;
+  s.stream_steps += 7;
+  EXPECT_EQ(unanswered(s), 0);
+  // A lost request and a doubly answered one are both caught.
+  Server::Stats lost = s;
+  --lost.served;
+  EXPECT_EQ(unanswered(lost), 1);
+  Server::Stats twice = s;
+  ++twice.stream_orphan_steps;
+  EXPECT_EQ(unanswered(twice), -1);
+}
+
+TEST(ServeCounters, EveryRowReachesStatAndLedgerWithItsValue) {
+  MlpServer srv;
+  const Server::Stats s = distinct_stats();
+  const JsonValue root =
+      JsonValue::parse(srv.server->stat_json(s), "STAT reply");
+  const auto stat_at = [&root](const std::string& section,
+                               const std::string& key) {
+    const JsonValue* sec = root.find(section);
+    const JsonValue* v = sec != nullptr ? sec->find(key) : nullptr;
+    return v != nullptr ? v->as_number() : -1.0;
+  };
+
+  const std::string dir = ::testing::TempDir() + "/serve_counter_ledger";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    obs::RunLedger ledger(dir + "/serve.jsonl");
+    obs::LedgerManifest m;
+    m.run_id = "serve";
+    ledger.write_manifest(m);
+    obs::LedgerFinal fin;
+    fin.values = ledger_values(s);
+    ledger.write_final(fin);
+  }
+  const obs::ParsedLedger parsed = obs::parse_ledger(dir + "/serve.jsonl");
+  ASSERT_TRUE(parsed.has_final);
+  const auto ledger_at = [&parsed](const std::string& key) {
+    for (const auto& [k, v] : parsed.final_record.values)
+      if (k == key) return v;
+    return -1.0;
+  };
+
+  for (const CounterRow& r : kCounterRows) {
+    SCOPED_TRACE(r.name);
+    const double want = static_cast<double>(s.*r.field);
+    EXPECT_NE(r.sections, 0u) << "row missing from STAT";
+    if ((r.sections & kTotals) != 0) {
+      EXPECT_EQ(stat_at("totals", r.name), want);
+    }
+    if ((r.sections & kDeadline) != 0) {
+      EXPECT_EQ(stat_at("deadline", r.key), want);
+    }
+    if ((r.sections & kStreams) != 0) {
+      EXPECT_EQ(stat_at("streams", r.key), want);
+    }
+    EXPECT_EQ(ledger_at(r.name), want);
+  }
+
+  // The published counter keys of STAT and the ledger final: each must
+  // keep its value.  Keys may be added to either, never dropped.
+  struct Path {
+    const char* section;
+    const char* key;
+    std::int64_t Server::Stats::*field;
+  };
+#define TOTAL(f) {"totals", #f, &Server::Stats::f}
+  const Path stat_paths[] = {
+      TOTAL(connections),       TOTAL(admitted),
+      TOTAL(served),            TOTAL(batches),
+      TOTAL(rejected_overload), TOTAL(rejected_draining),
+      TOTAL(bad_requests),      TOTAL(dropped_responses),
+      TOTAL(deadline_requests), TOTAL(deadline_shed),
+      TOTAL(internal_errors),   TOTAL(idle_reaped),
+      TOTAL(send_timeouts),     TOTAL(max_batch_seen),
+      {"deadline", "requests", &Server::Stats::deadline_requests},
+      {"deadline", "shed", &Server::Stats::deadline_shed},
+      {"streams", "peak_live", &Server::Stats::stream_peak_live},
+      {"streams", "opened", &Server::Stats::streams_opened},
+      {"streams", "closed", &Server::Stats::streams_closed},
+      {"streams", "evicted", &Server::Stats::streams_evicted},
+      {"streams", "restored", &Server::Stats::streams_restored},
+      {"streams", "checkpointed", &Server::Stats::streams_checkpointed},
+      {"streams", "steps", &Server::Stats::stream_steps},
+      {"streams", "orphan_steps", &Server::Stats::stream_orphan_steps},
+      {"streams", "auto_closed", &Server::Stats::stream_auto_closed},
+  };
+  const Path ledger_keys[] = {
+      TOTAL(connections),          TOTAL(admitted),
+      TOTAL(served),               TOTAL(batches),
+      TOTAL(rejected_overload),    TOTAL(rejected_draining),
+      TOTAL(bad_requests),         TOTAL(dropped_responses),
+      TOTAL(deadline_requests),    TOTAL(deadline_shed),
+      TOTAL(internal_errors),      TOTAL(idle_reaped),
+      TOTAL(send_timeouts),        TOTAL(max_batch_seen),
+      TOTAL(stat_requests),        TOTAL(streams_opened),
+      TOTAL(streams_closed),       TOTAL(streams_evicted),
+      TOTAL(streams_restored),     TOTAL(streams_checkpointed),
+      TOTAL(stream_peak_live),     TOTAL(stream_steps),
+      TOTAL(stream_orphan_steps),
+  };
+#undef TOTAL
+  for (const Path& p : stat_paths) {
+    SCOPED_TRACE(std::string(p.section) + "." + p.key);
+    EXPECT_EQ(stat_at(p.section, p.key), static_cast<double>(s.*p.field));
+  }
+  for (const Path& p : ledger_keys) {
+    SCOPED_TRACE(p.key);
+    EXPECT_EQ(ledger_at(p.key), static_cast<double>(s.*p.field));
+  }
 }
 
 // --- fault injection --------------------------------------------------------
@@ -1317,8 +1464,7 @@ TEST(ServeFault, ChaosNeverBreaksParityGivenRetries) {
 
   s.server->drain_and_stop();
   const Server::Stats stats = s.server->stats();
-  EXPECT_EQ(stats.admitted, stats.served + stats.dropped_responses +
-                                stats.deadline_shed + stats.internal_errors);
+  EXPECT_EQ(unanswered(stats), 0);
 }
 
 // --- drain x deadlines (forked: the SIGTERM path end to end) ----------------
@@ -1362,9 +1508,7 @@ TEST(ServeServer, SigtermDrainShedsExpiredAndExitsZero) {
     if (st.deadline_shed < 4) _exit(93);
     // Exactly-once accounting: every admitted request left through served,
     // dropped, shed, or internal-error — nothing vanished, nothing doubled.
-    if (st.admitted != st.served + st.dropped_responses + st.deadline_shed +
-                           st.internal_errors)
-      _exit(94);
+    if (unanswered(st) != 0) _exit(94);
     _exit(0);
   }
   close(ready[1]);

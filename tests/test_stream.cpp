@@ -1,7 +1,7 @@
 // Streaming stateful inference tests: StreamState parity against the
 // whole-window path, StreamManager lifecycle / LRU eviction / bit-exact
 // restore, the v3 wire messages, RequestBuilder byte-compatibility with the
-// legacy payload encoders, and the batcher's same-stream exclusion rule.
+// payload encoders, and the batcher's same-stream exclusion rule.
 //
 // The central contract (DESIGN.md §15): feeding a window through step()
 // one timestep at a time — in any chunking, through any batch of
@@ -475,7 +475,7 @@ TEST(StreamProtocol, StreamingKindsRequireVersion3) {
 TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
   // RequestBuilder replaced the four hand-paired encode_header +
   // encode_<payload> call sites; the frames it emits must be the header
-  // bytes plus EXACTLY the legacy payload bytes, or old peers break.
+  // bytes plus EXACTLY the detail:: payload bytes, or old peers break.
   const RequestBuilder b(kProtocolVersion);
 
   InferRequest req;
@@ -498,30 +498,31 @@ TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
     const char* name;
     std::vector<std::uint8_t> frame;
     FrameKind kind;
-    std::vector<std::uint8_t> legacy_payload;
+    std::vector<std::uint8_t> payload;
   };
   const Case cases[] = {
       {"infer_request", b.infer_request(req), FrameKind::kInferRequest,
-       encode_request(req)},
+       detail::encode_request_payload(req, kProtocolVersion)},
       {"infer_response", b.infer_response(resp), FrameKind::kInferResponse,
-       encode_response(resp)},
-      {"error", b.error(err), FrameKind::kError, encode_error(err)},
+       detail::encode_response_payload(resp)},
+      {"error", b.error(err), FrameKind::kError,
+       detail::encode_error_payload(err)},
       {"stat_response", b.stat_response(77, "{}"), FrameKind::kStatResponse,
-       encode_stat("{}")},
+       detail::encode_stat_payload("{}")},
       {"stat_request", b.stat_request(77), FrameKind::kStatRequest, {}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    ASSERT_EQ(c.frame.size(), kHeaderBytes + c.legacy_payload.size());
+    ASSERT_EQ(c.frame.size(), kHeaderBytes + c.payload.size());
     const FrameHeader h = decode_header(c.frame.data());
     EXPECT_EQ(h.kind, c.kind);
     EXPECT_EQ(h.version, kProtocolVersion);
     EXPECT_EQ(h.request_id, 77u);
-    EXPECT_EQ(h.payload_bytes, c.legacy_payload.size());
-    EXPECT_EQ(std::memcmp(c.frame.data() + kHeaderBytes,
-                          c.legacy_payload.data(), c.legacy_payload.size()),
-              0)
-        << "builder payload diverged from the legacy encoder";
+    EXPECT_EQ(h.payload_bytes, c.payload.size());
+    EXPECT_EQ(std::vector<std::uint8_t>(c.frame.begin() + kHeaderBytes,
+                                        c.frame.end()),
+              c.payload)
+        << "builder payload diverged from the payload encoder";
   }
 }
 
