@@ -11,42 +11,11 @@
 #include <sstream>
 
 #include "core/error.h"
+#include "core/json.h"
 
 namespace spiketune::exp {
 
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 std::string json_number(double v) {
   char buf[40];
@@ -192,19 +161,11 @@ const JournalEntry* SweepJournal::find(const std::string& key) const {
 void SweepJournal::append(const JournalEntry& entry) {
   if (!enabled()) return;
   std::ostringstream line;
-  line << "{\"key\":";
-  json_escape(line, entry.key);
-  line << ",\"status\":";
-  json_escape(line, entry.status);
-  if (!entry.error.empty()) {
-    line << ",\"error\":";
-    json_escape(line, entry.error);
-  }
-  for (const auto& [k, v] : entry.values) {
-    line << ",";
-    json_escape(line, k);
-    line << ":" << json_number(v);
-  }
+  line << "{\"key\":" << json_quote(entry.key)
+       << ",\"status\":" << json_quote(entry.status);
+  if (!entry.error.empty()) line << ",\"error\":" << json_quote(entry.error);
+  for (const auto& [k, v] : entry.values)
+    line << "," << json_quote(k) << ":" << json_number(v);
   line << "}\n";
   const std::string text = line.str();
 

@@ -8,9 +8,6 @@
 // lives here, threaded through the drivers by exp::apply_standard_flags
 // (StandardFlags::infer), so a new knob is one field plus one flag — not
 // fourteen call-site edits.
-//
-// The old name `SessionConfig` survives as an alias so existing designated
-// initializers keep compiling; new code should say InferOptions.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +39,5 @@ struct InferOptions {
   /// spilling: beyond max_live_streams, opening another stream fails.
   std::string stream_checkpoint_dir;
 };
-
-/// Deprecated spelling, kept so pre-InferOptions call sites compile
-/// unchanged; will be removed once the tree says InferOptions everywhere.
-using SessionConfig = InferOptions;
 
 }  // namespace spiketune::infer

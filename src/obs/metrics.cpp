@@ -13,6 +13,7 @@
 
 #include "core/csv.h"
 #include "core/error.h"
+#include "core/json.h"
 #include "core/table.h"
 
 namespace spiketune::obs {
@@ -390,24 +391,6 @@ const char* kind_name(MetricKind kind) {
   }
   return "?";
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 }  // namespace
 
 void write_metrics_csv(const std::string& path) {
@@ -427,7 +410,7 @@ void write_metrics_csv(const std::string& path) {
 std::string metrics_jsonl_string() {
   std::ostringstream out;
   for (const MetricSnapshot& s : snapshot_metrics()) {
-    out << "{\"name\":\"" << json_escape(s.name) << "\",\"kind\":\""
+    out << "{\"name\":" << json_quote(s.name) << ",\"kind\":\""
         << kind_name(s.kind) << "\"";
     switch (s.kind) {
       case MetricKind::kCounter:

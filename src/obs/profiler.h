@@ -13,7 +13,9 @@
 // and a single relaxed atomic load when profiling is disabled (see
 // obs/telemetry.h).  Per-node durations also feed a LogHistogram so the
 // summary can report tail latencies, and when tracing is on every scope
-// additionally emits a Chrome trace event (obs/trace.h).
+// additionally emits a Chrome trace event (obs/trace.h).  The tree, the
+// trace events and the thread's label share one per-thread scope record,
+// so a scope exit feeds both through a single lookup.
 //
 // The summary merges all threads' trees by path.  It must not run
 // concurrently with active scopes on other threads; drivers call it after
@@ -92,7 +94,8 @@ std::vector<ProfileEntry> profile_entries();
 /// self, mean, p95.  Empty string when nothing was recorded.
 std::string profile_report();
 
-/// Drops all accumulated profile data.  Must not race active scopes.
+/// Drops all accumulated profile data (trace events and thread labels
+/// stay).  Must not race active scopes.
 void reset_profile();
 
 }  // namespace spiketune::obs

@@ -2,28 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <mutex>
-
-#include "core/logging.h"
 
 namespace spiketune::obs {
 
 namespace {
 std::atomic<unsigned> g_mask{0};
-
-std::mutex& label_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-// Leaked on purpose: thread-local telemetry state destructors may run during
-// static destruction (pool workers join inside a static pool's destructor)
-// and must still be able to read labels.
-std::map<int, std::string>& labels() {
-  static auto* m = new std::map<int, std::string>();
-  return *m;
-}
 
 std::chrono::steady_clock::time_point epoch() {
   static const auto t0 = std::chrono::steady_clock::now();
@@ -46,17 +29,6 @@ std::uint64_t telemetry_now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - epoch())
           .count());
-}
-
-void set_thread_label(const std::string& label) {
-  std::lock_guard<std::mutex> lock(label_mu());
-  labels()[thread_ordinal()] = label;
-}
-
-std::string thread_label(int ordinal) {
-  std::lock_guard<std::mutex> lock(label_mu());
-  auto it = labels().find(ordinal);
-  return it == labels().end() ? std::string() : it->second;
 }
 
 }  // namespace spiketune::obs

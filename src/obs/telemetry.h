@@ -33,11 +33,10 @@ inline bool trace_enabled() { return telemetry_mask() & kTraceBit; }
 /// Monotonic nanoseconds since the process's telemetry epoch (first use).
 std::uint64_t telemetry_now_ns();
 
-/// Human label for the calling thread in trace/profile output (e.g.
-/// "worker-1").  Threads without a label render as "thread-<ordinal>".
+/// Human label for the calling thread in trace output (e.g. "worker-1").
+/// Threads without a label render as "thread-<ordinal>".  Stored in the
+/// thread's scope record (obs/profiler.cpp); resets keep it, and it goes
+/// with the thread unless the thread left profile or trace data behind.
 void set_thread_label(const std::string& label);
-
-/// Label previously set for thread `ordinal` ("" if none).
-std::string thread_label(int ordinal);
 
 }  // namespace spiketune::obs

@@ -7,6 +7,8 @@
 // (each thread appends to its own), bounded (drops are counted, not
 // silent), and merged into one JSON document by `write_trace_json`, which
 // also emits thread-name metadata so pool workers are labeled in the UI.
+// A thread's buffer, profiler tree and label are one scope record, so this
+// API is implemented in obs/profiler.cpp.
 //
 // Typical driver flow (see obs/flags.h for the --trace plumbing):
 //   obs::start_trace();
@@ -55,13 +57,8 @@ std::size_t trace_dropped_count();
 /// call after stop_trace(); throws spiketune::Error on I/O failure.
 void write_trace_json(const std::string& path);
 
-/// Drops all buffered events.  Must not race active scopes.
+/// Drops all buffered events (profile trees and thread labels stay).  Must
+/// not race active scopes.
 void reset_trace();
-
-namespace detail {
-/// Appends a complete ("X") event; called from ScopedTimer/PhaseTimer.
-void trace_complete(const char* name, std::uint64_t t0_ns,
-                    std::uint64_t dur_ns);
-}  // namespace detail
 
 }  // namespace spiketune::obs

@@ -21,9 +21,7 @@
 //   sections  STAT objects holding the value; "totals" keys by `field`,
 //             "deadline" and "streams" by `key`
 //   obs       obs counter counting exactly the same events, or nullptr
-//             (always for kMax).  send_timeouts is bumped by the transport
-//             through its atomic (Connection::set_send_timeout_ms), so its
-//             obs counter is registered but never advanced.
+//             (always for kMax)
 //   stream    non-null: infer::StreamManager owns the tally; the Server
 //             reads it from StreamCounters and never bumps it
 #pragma once

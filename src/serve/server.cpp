@@ -140,7 +140,7 @@ void Server::acceptor_main() {
       continue;
     }
     conn->set_send_timeout_ms(config_.send_timeout_ms,
-                              &counter(Counter::send_timeouts));
+                              [this] { bump(Counter::send_timeouts); });
     const std::int64_t conns = bump(Counter::connections);
     obs::flight_record(obs::FlightEventId::kConnAccept,
                        static_cast<std::uint64_t>(conns));

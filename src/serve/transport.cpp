@@ -178,23 +178,26 @@ bool TcpConnection::write_frame(FrameKind kind, std::uint64_t request_id,
           ? obs::telemetry_now_ns() +
                 static_cast<std::uint64_t>(send_timeout_ms_) * 1'000'000
           : 0;
-  std::lock_guard<std::mutex> lock(write_mu_);
-  if (fd_ < 0 || aborted_.load(std::memory_order_relaxed)) return false;
-  errno = 0;
-  const bool ok =
-      write_all_bounded(raw, kHeaderBytes, deadline_ns) &&
-      (payload.empty() ||
-       write_all_bounded(payload.data(), payload.size(), deadline_ns));
-  if (ok) {
-    touch_activity();
-    return true;
+  bool timed_out = false;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    if (fd_ < 0 || aborted_.load(std::memory_order_relaxed)) return false;
+    errno = 0;
+    const bool ok =
+        write_all_bounded(raw, kHeaderBytes, deadline_ns) &&
+        (payload.empty() ||
+         write_all_bounded(payload.data(), payload.size(), deadline_ns));
+    if (ok) {
+      touch_activity();
+      return true;
+    }
+    timed_out = errno == ETIMEDOUT;
+    // Whether timeout or peer error, the frame may be half-written and the
+    // stream framing is lost: kill the connection so the reader unblocks
+    // and no later frame lands on a corrupt boundary.
+    if (!aborted_.exchange(true) && fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
-  if (errno == ETIMEDOUT && timeout_sink_ != nullptr)
-    timeout_sink_->fetch_add(1, std::memory_order_relaxed);
-  // Whether timeout or peer error, the frame may be half-written and the
-  // stream framing is lost: kill the connection so the reader unblocks and
-  // no later frame lands on a corrupt boundary.
-  if (!aborted_.exchange(true) && fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  if (timed_out && on_timeout_) on_timeout_();
   return false;
 }
 

@@ -35,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -72,12 +73,11 @@ class Connection {
   /// with a reader blocked in read_frame).  Idempotent.
   virtual void abort() = 0;
 
-  /// Bound every write_frame by this budget (0 = unbounded).  `timeouts`
-  /// (optional) is bumped each time a write gives up — the server threads
-  /// its own counter through so live STAT totals include in-flight
-  /// connections.
+  /// Bound every write_frame by this budget (0 = unbounded).  `on_timeout`
+  /// (optional) runs each time a write gives up — the server counts it
+  /// like any other serving counter.
   virtual void set_send_timeout_ms(
-      int /*timeout_ms*/, std::atomic<std::int64_t>* /*timeouts*/ = nullptr) {}
+      int /*timeout_ms*/, std::function<void()> /*on_timeout*/ = nullptr) {}
 
   /// Telemetry-clock timestamp of the last completed frame in either
   /// direction (0 = transport does not track activity; never reaped idle).
@@ -122,9 +122,9 @@ class TcpConnection : public Connection {
   void close() override;
   void abort() override;
   void set_send_timeout_ms(int timeout_ms,
-                           std::atomic<std::int64_t>* timeouts) override {
+                           std::function<void()> on_timeout) override {
     send_timeout_ms_ = timeout_ms;
-    timeout_sink_ = timeouts;
+    on_timeout_ = std::move(on_timeout);
   }
   std::uint64_t last_activity_ns() const override {
     return last_activity_ns_.load(std::memory_order_relaxed);
@@ -156,7 +156,7 @@ class TcpConnection : public Connection {
   std::mutex write_mu_;
   std::atomic<bool> aborted_{false};
   int send_timeout_ms_ = 0;  // 0 = unbounded
-  std::atomic<std::int64_t>* timeout_sink_ = nullptr;
+  std::function<void()> on_timeout_;
   std::atomic<std::uint64_t> last_activity_ns_{0};
 };
 

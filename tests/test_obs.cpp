@@ -4,16 +4,21 @@
 // (parsed back with a small recursive-descent JSON validator).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/error.h"
+#include "core/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
@@ -43,6 +48,10 @@ const obs::MetricSnapshot* find_metric(
     if (s.name == name) return &s;
   return nullptr;
 }
+
+// The result points into `snaps`: binding a temporary snapshot would dangle.
+const obs::MetricSnapshot* find_metric(std::vector<obs::MetricSnapshot>&&,
+                                       const std::string&) = delete;
 
 /// Minimal JSON syntax validator (objects, arrays, strings, numbers,
 /// true/false/null).  Returns false on the first violation — enough to
@@ -190,7 +199,8 @@ TEST(Metrics, CounterAccumulates) {
   TelemetryGuard g(obs::kMetricsBit);
   obs::add(id);
   obs::add(id, 41);
-  const auto* snap = find_metric(obs::snapshot_metrics(), "test.counter.basic");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.counter.basic");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->kind, obs::MetricKind::kCounter);
   EXPECT_EQ(snap->count, 42);
@@ -225,7 +235,8 @@ TEST(Metrics, GaugeLastWriterWins) {
   TelemetryGuard g(obs::kMetricsBit);
   obs::set(id, 1.5);
   obs::set(id, -7.25);
-  const auto* snap = find_metric(obs::snapshot_metrics(), "test.gauge.last");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.gauge.last");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->kind, obs::MetricKind::kGauge);
   EXPECT_DOUBLE_EQ(snap->value, -7.25);
@@ -235,7 +246,8 @@ TEST(Metrics, HistogramObservations) {
   const obs::MetricId id = obs::histogram("test.hist.basic");
   TelemetryGuard g(obs::kMetricsBit);
   for (double v : {1.0, 2.0, 4.0, 8.0, 100.0}) obs::observe(id, v);
-  const auto* snap = find_metric(obs::snapshot_metrics(), "test.hist.basic");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.hist.basic");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->hist.count(), 5);
   EXPECT_DOUBLE_EQ(snap->hist.sum(), 115.0);
@@ -257,8 +269,8 @@ TEST(Metrics, ConcurrentWritersSumExactly) {
       for (int i = 0; i < kAdds; ++i) obs::add(id);
     });
   for (auto& t : threads) t.join();
-  const auto* snap =
-      find_metric(obs::snapshot_metrics(), "test.counter.concurrent");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.counter.concurrent");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->count, static_cast<std::int64_t>(kThreads) * kAdds);
 }
@@ -287,6 +299,19 @@ TEST(Metrics, CsvAndJsonlExports) {
   }
   EXPECT_GT(lines, 0);
   std::remove(jsonl.c_str());
+
+  // A name with a quote, a backslash and a newline round-trips.
+  const std::string odd = "test.export.\"odd\\name\nline";
+  obs::add(obs::counter(odd), 3);
+  int matches = 0;
+  std::istringstream rows(obs::metrics_jsonl_string());
+  for (std::string row; std::getline(rows, row);) {
+    const JsonValue v = JsonValue::parse(row, "metrics-line");
+    if (v.string_or("name", "") != odd) continue;
+    ++matches;
+    EXPECT_DOUBLE_EQ(v.number_or("count", -1.0), 3.0);
+  }
+  EXPECT_EQ(matches, 1);
 }
 
 TEST(LogHistogram, BucketIndexEdges) {
@@ -438,8 +463,8 @@ TEST(Profiler, ScopedTimerFeedsHistogramMetric) {
   {
     obs::ScopedTimer t("hist_scope", id);
   }
-  const auto* snap =
-      find_metric(obs::snapshot_metrics(), "test.scope.duration_ns");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.scope.duration_ns");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->hist.count(), 1);
 }
@@ -517,4 +542,69 @@ TEST(Trace, DisabledEmitsNothing) {
   }
   obs::trace_counter("untraced.counter", 1.0);
   EXPECT_EQ(obs::trace_event_count(), 0u);
+}
+
+TEST(Trace, OneScopeRecordFeedsProfileAndTraceAlike) {
+  // Three labeled threads run nested scopes, counters and flows with
+  // profile and trace both on.  The first exits before the write (its
+  // record is retired); the other two stay parked until after it (live).
+  obs::reset_profile();
+  obs::start_trace();
+  obs::enable_telemetry(obs::kProfileBit);
+  const std::vector<std::string> labels = {"rec-exited", "rec-live-1",
+                                           "rec-live-2"};
+  const auto work = [](const std::string& label, std::uint64_t flow) {
+    obs::set_thread_label(label);
+    for (int i = 0; i < 3; ++i) {
+      ST_PROF_SCOPE("rec.outer");
+      obs::trace_counter("rec.counter", i);
+      for (int j = 0; j < 2; ++j) {
+        ST_PROF_SCOPE("rec.inner");
+        obs::trace_flow_at("rec.flow", flow, j == 0 ? 's' : 'f',
+                           obs::telemetry_now_ns());
+      }
+    }
+  };
+  std::thread exited(work, labels[0], 1);
+  exited.join();
+  std::promise<void> release;
+  const std::shared_future<void> go = release.get_future().share();
+  std::atomic<int> ready{0};
+  std::vector<std::thread> parked;
+  for (std::uint64_t t = 1; t < labels.size(); ++t)
+    parked.emplace_back([&, t] {
+      work(labels[t], t + 1);
+      ready.fetch_add(1);
+      go.wait();
+    });
+  while (ready.load() < 2) std::this_thread::yield();
+  obs::stop_trace();
+  obs::disable_telemetry(obs::kProfileBit);
+
+  const std::string path = ::testing::TempDir() + "/spiketune_record.json";
+  obs::write_trace_json(path);
+  const std::size_t dropped = obs::trace_dropped_count();
+  const auto entries = obs::profile_entries();
+  release.set_value();
+  for (auto& t : parked) t.join();
+  const JsonValue doc = JsonValue::parse(slurp(path), path);
+  std::remove(path.c_str());
+  obs::reset_trace();
+  obs::reset_profile();
+
+  std::map<std::string, std::int64_t> complete;
+  std::set<std::string> thread_names;
+  for (const JsonValue& ev : doc.find("traceEvents")->as_array()) {
+    const std::string ph = ev.string_or("ph", "");
+    if (ph == "X") ++complete[ev.string_or("name", "")];
+    if (ph == "M") thread_names.insert(ev.find("args")->string_or("name", ""));
+  }
+  std::map<std::string, std::int64_t> calls;
+  for (const obs::ProfileEntry& e : entries) calls[e.name] += e.calls;
+  EXPECT_EQ(calls["rec.outer"], 9);
+  EXPECT_EQ(calls["rec.inner"], 18);
+  EXPECT_EQ(complete, calls);
+  for (const std::string& label : labels)
+    EXPECT_EQ(thread_names.count(label), 1u) << label;
+  EXPECT_EQ(dropped, 0u);
 }

@@ -29,6 +29,7 @@
 #include "core/rng.h"
 #include "infer/session.h"
 #include "obs/ledger.h"
+#include "obs/metrics.h"
 #include "obs/signal_flush.h"
 #include "obs/spans.h"
 #include "obs/telemetry.h"
@@ -928,6 +929,17 @@ TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
 }
 
 TEST(ServeServer, SlowPeerIsCutBySendTimeoutNotServedForever) {
+  // With metrics on, the obs counter must see every timeout STAT sees.
+  const auto obs_send_timeouts = [] {
+    for (const obs::MetricSnapshot& m : obs::snapshot_metrics())
+      if (m.name == "serve.conn.send_timeouts") return m.count;
+    return std::int64_t{0};
+  };
+  struct MetricsOn {
+    MetricsOn() { obs::enable_telemetry(obs::kMetricsBit); }
+    ~MetricsOn() { obs::disable_telemetry(obs::kMetricsBit); }
+  } metrics_on;
+  const std::int64_t obs_before = obs_send_timeouts();
   ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch = 4;
@@ -983,6 +995,8 @@ TEST(ServeServer, SlowPeerIsCutBySendTimeoutNotServedForever) {
   EXPECT_EQ(std::memcmp(reply.response.spike_counts.data(), want.data(),
                         want.size() * sizeof(float)),
             0);
+  EXPECT_EQ(obs_send_timeouts() - obs_before,
+            s.server->stats().send_timeouts);
 }
 
 // --- v3 streaming integration -----------------------------------------------
