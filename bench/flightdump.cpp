@@ -70,15 +70,16 @@ std::string event_json(const obs::DecodedFlightEvent& e) {
   return v.dump();
 }
 
-std::string span_json(const obs::ParsedSpan& s) {
+std::string span_json(const obs::RequestSpan& s) {
+  const double e2e_us = obs::span_times(s).e2e_us;
   JsonValue v = JsonValue::make_object();
   v.set("record", JsonValue("span"));
   v.set("ts_ns", JsonValue(static_cast<std::int64_t>(s.recv_ns)));
   v.set("event", JsonValue("serve.request_span"));
   v.set("a0", JsonValue(static_cast<std::int64_t>(s.server_id)));
-  v.set("a1", JsonValue(static_cast<std::int64_t>(s.e2e_us)));
+  v.set("a1", JsonValue(static_cast<std::int64_t>(e2e_us)));
   v.set("batch", JsonValue(s.batch));
-  v.set("e2e_us", JsonValue(s.e2e_us));
+  v.set("e2e_us", JsonValue(e2e_us));
   v.set("ok", JsonValue(s.ok));
   return v.dump();
 }
@@ -140,7 +141,7 @@ int main(int argc, char** argv) {
       has_crash = true;
     }
 
-    std::vector<obs::ParsedSpan> spans;
+    std::vector<obs::RequestSpan> spans;
     if (!spans_path.empty()) spans = obs::parse_span_jsonl(spans_path);
 
     // Merge events and spans on the shared telemetry clock.  Events sort

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       runs.push_back(obs::parse_ledger(in));
     }
 
-    std::vector<obs::ParsedSpan> spans;
+    std::vector<obs::RequestSpan> spans;
     if (!flags.get("spans").empty())
       spans = obs::parse_span_jsonl(flags.get("spans"));
 

@@ -3,7 +3,10 @@
 // Polls the daemon's STAT opcode (serve/protocol.h) and renders each JSON
 // snapshot as an ASCII panel: windowed (last-N-seconds) p50/p99/p999
 // latency, QPS, queue depth, per-stage time breakdown, batch-size
-// distribution, rejection rate, and SLO burn.  On a terminal the panel
+// distribution, rejection rate, SLO burn, and the since-start totals.  The
+// stage rows come from the obs/spans.h stage table and the totals rows from
+// the serve/counters.h rows STAT puts in `totals`, so a new stage or
+// counter shows up here with no edit.  On a terminal the panel
 // refreshes in place (ANSI home + clear); piped, snapshots just append, so
 // `serve_top --iterations 1 --raw` doubles as a scriptable STAT scrape —
 // that is what the CI introspection smoke runs mid-burst.
@@ -22,6 +25,8 @@
 #include "core/error.h"
 #include "core/json.h"
 #include "core/table.h"
+#include "obs/spans.h"
+#include "serve/counters.h"
 #include "serve/transport.h"
 
 using namespace spiketune;
@@ -36,7 +41,7 @@ std::string quantiles_ms(const JsonValue& h) {
          fmt_f(h.number_or("p999", 0) / 1e3, 2) + "ms";
 }
 
-std::string stage_row(const JsonValue& stages, const char* key) {
+std::string stage_row(const JsonValue& stages, const std::string& key) {
   const JsonValue* s = stages.find(key);
   if (s == nullptr) return "-";
   return fmt_f(s->number_or("mean", 0), 0) + "us mean / " +
@@ -71,13 +76,9 @@ void render(const JsonValue& stat, std::ostream& os) {
                        " in window)"});
   }
   table.add_row({"queue depth", fmt_f(stat.number_or("queue_depth", 0), 0)});
-  if (stages != nullptr) {
-    table.add_row({"stage decode", stage_row(*stages, "decode_us")});
-    table.add_row({"stage queue", stage_row(*stages, "queue_us")});
-    table.add_row({"stage assemble", stage_row(*stages, "assemble_us")});
-    table.add_row({"stage infer", stage_row(*stages, "infer_us")});
-    table.add_row({"stage respond", stage_row(*stages, "respond_us")});
-  }
+  for (std::size_t i = 0; stages != nullptr && i < obs::kNumStages; ++i)
+    table.add_row({std::string("stage ") + obs::stage_name(i),
+                   stage_row(*stages, obs::stage_key(i))});
   if (batch != nullptr)
     table.add_row({"batch size",
                    fmt_f(batch->number_or("mean", 0), 1) + " mean / " +
@@ -89,21 +90,11 @@ void render(const JsonValue& stat, std::ostream& os) {
          fmt_f(deadline->number_or("shed", 0), 0) + " of " +
              fmt_f(deadline->number_or("requests", 0), 0) + " budgeted (" +
              fmt_f(deadline->number_or("shed_per_s", 0), 1) + "/s)"});
-  if (totals != nullptr) {
-    table.add_row(
-        {"served total", fmt_f(totals->number_or("served", 0), 0) + " of " +
-                             fmt_f(totals->number_or("admitted", 0), 0) +
-                             " admitted (" +
-                             fmt_f(totals->number_or("batches", 0), 0) +
-                             " batches)"});
-    table.add_row(
-        {"conn hygiene",
-         fmt_f(totals->number_or("idle_reaped", 0), 0) + " idle-reaped / " +
-             fmt_f(totals->number_or("send_timeouts", 0), 0) +
-             " send-timeouts / " +
-             fmt_f(totals->number_or("internal_errors", 0), 0) +
-             " internal errors"});
-  }
+  if (totals != nullptr)
+    for (const serve::CounterRow& r : serve::kCounterRows)
+      if ((r.sections & serve::kTotals) != 0)
+        table.add_row({std::string("total ") + r.name,
+                       fmt_f(totals->number_or(r.name, 0), 0)});
   if (faults != nullptr) {
     const JsonValue* enabled = faults->find("enabled");
     if (enabled != nullptr && enabled->is_bool() && enabled->as_bool())

@@ -385,21 +385,27 @@ std::string render_warnings(const std::vector<ParsedLedger>& runs) {
 
 /// Serving panels from a sampled request-span log: windowed p50/p99
 /// end-to-end latency and mean batch size per wall-clock second, plus the
-/// per-stage time breakdown over every recorded span.  The five stages tile
-/// [recv, send] exactly (see serve/server.h), so the table's stage means sum
-/// to the end-to-end mean.
-std::string render_serving_section(const std::vector<ParsedSpan>& spans) {
+/// per-stage time breakdown over every recorded span.  The stages tile
+/// [recv, send] exactly (obs/spans.h), so the table's stage means sum to
+/// the end-to-end mean.
+std::string render_serving_section(const std::vector<RequestSpan>& spans) {
   // Bucket spans into 1-second bins of wall time since the first recv.
   std::uint64_t t0 = std::numeric_limits<std::uint64_t>::max();
-  for (const ParsedSpan& s : spans) t0 = std::min(t0, s.recv_ns);
+  for (const RequestSpan& s : spans) t0 = std::min(t0, s.recv_ns);
   std::map<std::uint64_t, std::vector<double>> e2e_by_s;
   std::map<std::uint64_t, std::vector<double>> batch_by_s;
+  // Per stage, then end-to-end last: the rows of the breakdown table.
+  std::vector<std::vector<double>> rows(kNumStages + 1);
   std::size_t failed = 0;
-  for (const ParsedSpan& s : spans) {
+  for (const RequestSpan& s : spans) {
     if (!s.ok) ++failed;
+    const SpanTimes t = span_times(s);
     const std::uint64_t sec = (s.recv_ns - t0) / 1'000'000'000ull;
-    e2e_by_s[sec].push_back(s.e2e_us);
+    e2e_by_s[sec].push_back(t.e2e_us);
     batch_by_s[sec].push_back(static_cast<double>(s.batch));
+    for (std::size_t i = 0; i < kNumStages; ++i)
+      rows[i].push_back(t.stage_us[i]);
+    rows[kNumStages].push_back(t.e2e_us);
   }
 
   ChartSeries p50{"p50", series_color(0, 2), {}};
@@ -431,16 +437,9 @@ std::string render_serving_section(const std::vector<ParsedSpan>& spans) {
   html +=
       "<table>\n<thead><tr><th>Stage</th><th>Mean (µs)</th><th>p50 (µs)</th>"
       "<th>p99 (µs)</th><th>Max (µs)</th></tr></thead>\n<tbody>\n";
-  const std::pair<const char*, double ParsedSpan::*> stages[] = {
-      {"decode", &ParsedSpan::decode_us},    {"queue wait", &ParsedSpan::queue_us},
-      {"assembly", &ParsedSpan::assemble_us}, {"inference", &ParsedSpan::infer_us},
-      {"respond", &ParsedSpan::respond_us},  {"end-to-end", &ParsedSpan::e2e_us},
-  };
-  for (const auto& [name, member] : stages) {
-    std::vector<double> values;
-    values.reserve(spans.size());
-    for (const ParsedSpan& s : spans) values.push_back(s.*member);
-    const LatencyStats st = summarize_latencies(values);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const LatencyStats st = summarize_latencies(rows[i]);
+    const char* name = i < kNumStages ? stage_name(i) : "end-to-end";
     html += std::string("<tr><td>") + name + "</td><td>" + fmt(st.mean) +
             "</td><td>" + fmt(st.p50) + "</td><td>" + fmt(st.p99) +
             "</td><td>" + fmt(st.max) + "</td></tr>\n";
@@ -562,17 +561,11 @@ svg .label { fill: var(--text2); font-size: 11px; }
 
 std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
                                   const DashboardOptions& options) {
-  return render_dashboard_html(runs, std::vector<ParsedSpan>{}, options);
+  return render_dashboard_html(runs, {}, PostmortemTimeline{}, options);
 }
 
 std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
-                                  const std::vector<ParsedSpan>& spans,
-                                  const DashboardOptions& options) {
-  return render_dashboard_html(runs, spans, PostmortemTimeline{}, options);
-}
-
-std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
-                                  const std::vector<ParsedSpan>& spans,
+                                  const std::vector<RequestSpan>& spans,
                                   const PostmortemTimeline& postmortem,
                                   const DashboardOptions& options) {
   ST_REQUIRE(!runs.empty(), "render_dashboard_html needs at least one run");
@@ -635,19 +628,12 @@ std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
 void write_dashboard_html(const std::string& path,
                           const std::vector<ParsedLedger>& runs,
                           const DashboardOptions& options) {
-  write_dashboard_html(path, runs, std::vector<ParsedSpan>{}, options);
+  write_dashboard_html(path, runs, {}, PostmortemTimeline{}, options);
 }
 
 void write_dashboard_html(const std::string& path,
                           const std::vector<ParsedLedger>& runs,
-                          const std::vector<ParsedSpan>& spans,
-                          const DashboardOptions& options) {
-  write_dashboard_html(path, runs, spans, PostmortemTimeline{}, options);
-}
-
-void write_dashboard_html(const std::string& path,
-                          const std::vector<ParsedLedger>& runs,
-                          const std::vector<ParsedSpan>& spans,
+                          const std::vector<RequestSpan>& spans,
                           const PostmortemTimeline& postmortem,
                           const DashboardOptions& options) {
   std::ofstream out(path, std::ios::trunc);

@@ -44,19 +44,14 @@ std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
 /// Same, plus a "Serving" section fed from a request-span log
 /// (obs/spans.h): windowed p50/p99 latency over wall time, the per-stage
 /// time breakdown, and batch-size trajectory.  `spans` may be empty (the
-/// section is skipped).
-std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
-                                  const std::vector<ParsedSpan>& spans,
-                                  const DashboardOptions& options);
-
-/// Same again, plus a "Post-mortem" section fed from a merged crash
-/// timeline written by spiketune_flightdump (obs/flight.h): the crash
+/// section is skipped).  And a "Post-mortem" section fed from a merged
+/// crash timeline written by spiketune_flightdump (obs/flight.h): the crash
 /// header (signal, fingerprint, recorder occupancy), per-event counts, and
 /// the final stretch of the flight-recorder timeline leading into the
 /// crash.  Skipped when `postmortem.entries` is empty and no crash was
 /// recorded.
 std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
-                                  const std::vector<ParsedSpan>& spans,
+                                  const std::vector<RequestSpan>& spans,
                                   const PostmortemTimeline& postmortem,
                                   const DashboardOptions& options);
 
@@ -67,12 +62,7 @@ void write_dashboard_html(const std::string& path,
 
 void write_dashboard_html(const std::string& path,
                           const std::vector<ParsedLedger>& runs,
-                          const std::vector<ParsedSpan>& spans,
-                          const DashboardOptions& options);
-
-void write_dashboard_html(const std::string& path,
-                          const std::vector<ParsedLedger>& runs,
-                          const std::vector<ParsedSpan>& spans,
+                          const std::vector<RequestSpan>& spans,
                           const PostmortemTimeline& postmortem,
                           const DashboardOptions& options);
 

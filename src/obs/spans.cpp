@@ -44,12 +44,8 @@ std::string SpanRecorder::dump_jsonl() const {
     o.set("client_id", JsonValue(static_cast<std::int64_t>(s.client_id)));
     o.set("num_steps", JsonValue(s.num_steps));
     o.set("batch", JsonValue(s.batch));
-    o.set("recv_ns", JsonValue(static_cast<std::int64_t>(s.recv_ns)));
-    o.set("admit_ns", JsonValue(static_cast<std::int64_t>(s.admit_ns)));
-    o.set("assemble_ns", JsonValue(static_cast<std::int64_t>(s.assemble_ns)));
-    o.set("infer_ns", JsonValue(static_cast<std::int64_t>(s.infer_ns)));
-    o.set("done_ns", JsonValue(static_cast<std::int64_t>(s.done_ns)));
-    o.set("send_ns", JsonValue(static_cast<std::int64_t>(s.send_ns)));
+    for (const SpanStamp& st : kSpanStamps)
+      o.set(st.key, JsonValue(static_cast<std::int64_t>(s.*st.field)));
     o.set("sparse_kernel_ns",
           JsonValue(static_cast<std::int64_t>(s.sparse_kernel_ns)));
     o.set("dense_kernel_ns",
@@ -69,33 +65,33 @@ void SpanRecorder::write_jsonl(const std::string& path) const {
   ST_REQUIRE(out.good(), "failed writing span log: " + path);
 }
 
-std::vector<ParsedSpan> parse_span_jsonl(const std::string& path) {
+std::vector<RequestSpan> parse_span_jsonl(const std::string& path) {
   std::ifstream in(path);
   ST_REQUIRE(in.good(), "cannot open span log: " + path);
-  std::vector<ParsedSpan> out;
+  std::vector<RequestSpan> out;
   std::string line;
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    const JsonValue o =
-        JsonValue::parse(line, path + ":" + std::to_string(lineno));
-    ParsedSpan s;
-    s.server_id = static_cast<std::uint64_t>(o.number_or("server_id", 0));
-    s.recv_ns = static_cast<std::uint64_t>(o.number_or("recv_ns", 0));
+    const std::string where = path + ":" + std::to_string(lineno);
+    const JsonValue o = JsonValue::parse(line, where);
+    // The file is outside input: range-check before the integer cast.
+    const auto u64 = [&](const char* key, double fallback) {
+      const double v = o.number_or(key, fallback);
+      ST_REQUIRE(v >= 0.0 && v < 0x1p64, where + ": " + key + " out of range");
+      return static_cast<std::uint64_t>(v);
+    };
+    RequestSpan s;
+    s.server_id = u64("server_id", 0);
+    s.client_id = u64("client_id", 0);
+    s.num_steps = static_cast<int>(o.number_or("num_steps", 0));
     s.batch = static_cast<int>(o.number_or("batch", 0));
-    const double recv = o.number_or("recv_ns", 0);
-    const double admit = o.number_or("admit_ns", recv);
-    const double assemble = o.number_or("assemble_ns", admit);
-    const double infer = o.number_or("infer_ns", assemble);
-    const double done = o.number_or("done_ns", infer);
-    const double send = o.number_or("send_ns", done);
-    s.decode_us = (admit - recv) / 1e3;
-    s.queue_us = (assemble - admit) / 1e3;
-    s.assemble_us = (infer - assemble) / 1e3;
-    s.infer_us = (done - infer) / 1e3;
-    s.respond_us = (send - done) / 1e3;
-    s.e2e_us = (send - recv) / 1e3;
+    std::uint64_t prev = 0;
+    for (const SpanStamp& st : kSpanStamps)
+      prev = s.*st.field = u64(st.key, static_cast<double>(prev));
+    s.sparse_kernel_ns = u64("sparse_kernel_ns", 0);
+    s.dense_kernel_ns = u64("dense_kernel_ns", 0);
     if (const JsonValue* ok = o.find("ok")) s.ok = ok->as_bool();
     out.push_back(s);
   }

@@ -2,13 +2,15 @@
 //
 // The gauges, histograms and non-table counters are named here; the obs
 // counters that mirror a serve/counters.h row are interned from that
-// table's `obs` column.  Call serve_metric_ids() and index the struct: the
-// first call interns, every later call is a function-local-static load.
+// table's `obs` column, and the stage histograms from the obs/spans.h
+// stage table.  Call serve_metric_ids() and index the struct: the first
+// call interns, every later call is a function-local-static load.
 #pragma once
 
 #include <array>
 
 #include "obs/metrics.h"
+#include "obs/spans.h"
 #include "serve/counters.h"
 
 namespace spiketune::serve {
@@ -20,10 +22,9 @@ struct ServeMetricIds {
   obs::MetricId queue_depth = obs::kNoMetric;    // gauge: queued requests
   obs::MetricId batch_size = obs::kNoMetric;     // histogram: samples/batch
   // End-to-end and per-stage request latency (all microseconds).
-  obs::MetricId request_us = obs::kNoMetric;     // histogram: admit -> done
-  obs::MetricId queue_us = obs::kNoMetric;       // histogram: queue wait
-  obs::MetricId assemble_us = obs::kNoMetric;    // histogram: batch packing
-  obs::MetricId infer_us = obs::kNoMetric;       // histogram: kernel time
+  obs::MetricId request_us = obs::kNoMetric;     // histogram: recv -> send
+  // serve.<stage>_us for each obs/spans.h stage, by stage.
+  std::array<obs::MetricId, obs::kNumStages> stage_us{};
   // SLO accounting (see serve/slo.h).
   obs::MetricId slo_ok = obs::kNoMetric;         // counter: within target
   obs::MetricId slo_violations = obs::kNoMetric; // counter: over target
@@ -41,9 +42,8 @@ inline const ServeMetricIds& serve_metric_ids() {
     m.queue_depth = obs::gauge("serve.queue_depth");
     m.batch_size = obs::histogram("serve.batch_size");
     m.request_us = obs::histogram("serve.request_us");
-    m.queue_us = obs::histogram("serve.queue_us");
-    m.assemble_us = obs::histogram("serve.assemble_us");
-    m.infer_us = obs::histogram("serve.infer_us");
+    for (std::size_t i = 0; i < obs::kNumStages; ++i)
+      m.stage_us[i] = obs::histogram("serve." + obs::stage_key(i));
     m.slo_ok = obs::counter("serve.slo.ok");
     m.slo_violations = obs::counter("serve.slo.violations");
     m.slo_burn = obs::gauge("serve.slo.burn");

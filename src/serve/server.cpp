@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "core/error.h"
 #include "core/json.h"
@@ -25,10 +26,22 @@ namespace {
 
 std::uint64_t now_ns() { return obs::telemetry_now_ns(); }
 
-obs::WindowConfig stat_window(const ServerConfig& cfg) {
-  obs::WindowConfig w;
-  w.epochs = cfg.stat_window_s > 0 ? cfg.stat_window_s : 10;
-  return w;
+/// Rejects a config the daemon cannot run, before any member is built.
+const ServerConfig& checked(const ServerConfig& cfg) {
+  ST_REQUIRE(cfg.num_workers > 0, "num_workers must be positive");
+  ST_REQUIRE(cfg.max_steps > 0, "max_steps must be positive");
+  ST_REQUIRE(cfg.send_timeout_ms >= 0, "send_timeout_ms must be non-negative");
+  ST_REQUIRE(cfg.idle_timeout_ms >= 0, "idle_timeout_ms must be non-negative");
+  ST_REQUIRE(cfg.max_live_streams > 0, "max_live_streams must be positive");
+  ST_REQUIRE(cfg.stat_window_s > 0, "stat_window_s must be positive");
+  return cfg;
+}
+
+/// One windowed histogram per index, each over `w`.
+template <std::size_t... I>
+std::array<obs::WindowedHistogram, sizeof...(I)> windows(
+    const obs::WindowConfig& w, std::index_sequence<I...>) {
+  return {obs::WindowedHistogram((static_cast<void>(I), w))...};
 }
 
 /// Windowed histogram summary as an ordered JSON object (times in us).
@@ -56,30 +69,19 @@ JsonValue counter_section(const ServerStats& s, StatSection section) {
 
 Server::Server(const infer::CompiledModel& model, ServerConfig config)
     : model_(&model),
-      config_(config),
-      batcher_({.max_batch = config.max_batch,
-                .batch_timeout_us = config.batch_timeout_us,
-                .max_queue_depth = config.max_queue_depth}),
-      spans_(config.span_capacity, config.span_sample_every),
-      slo_({.target_ms = config.slo_target_ms, .budget = config.slo_budget}),
-      w_request_us_(stat_window(config)),
-      w_decode_us_(stat_window(config)),
-      w_queue_us_(stat_window(config)),
-      w_assemble_us_(stat_window(config)),
-      w_infer_us_(stat_window(config)),
-      w_respond_us_(stat_window(config)),
-      w_batch_(stat_window(config)),
-      w_served_(stat_window(config)),
-      w_rejected_(stat_window(config)),
-      w_deadline_shed_(stat_window(config)) {
-  ST_REQUIRE(config_.num_workers > 0, "num_workers must be positive");
-  ST_REQUIRE(config_.max_steps > 0, "max_steps must be positive");
-  ST_REQUIRE(config_.send_timeout_ms >= 0,
-             "send_timeout_ms must be non-negative");
-  ST_REQUIRE(config_.idle_timeout_ms >= 0,
-             "idle_timeout_ms must be non-negative");
-  ST_REQUIRE(config_.max_live_streams > 0,
-             "max_live_streams must be positive");
+      config_(checked(config)),
+      batcher_({.max_batch = config_.max_batch,
+                .batch_timeout_us = config_.batch_timeout_us,
+                .max_queue_depth = config_.max_queue_depth}),
+      spans_(config_.span_capacity, config_.span_sample_every),
+      slo_({.target_ms = config_.slo_target_ms, .budget = config_.slo_budget}),
+      w_request_us_({.epochs = config_.stat_window_s}),
+      w_stage_us_(windows({.epochs = config_.stat_window_s},
+                          std::make_index_sequence<obs::kNumStages>())),
+      w_batch_({.epochs = config_.stat_window_s}),
+      w_served_({.epochs = config_.stat_window_s}),
+      w_rejected_({.epochs = config_.stat_window_s}),
+      w_deadline_shed_({.epochs = config_.stat_window_s}) {
   streams_ = std::make_unique<infer::StreamManager>(
       model, config_.max_live_streams, config_.stream_checkpoint_dir);
 }
@@ -394,9 +396,6 @@ void Server::reader_main(ReaderSlot* slot) {
       // ids start at 1: the pre-increment value 0 is never a real request.
       pending.server_id = next_server_id_.fetch_add(1) + 1;
       pending.enqueue_ns = now_ns();
-      w_decode_us_.record_at(
-          static_cast<double>(pending.enqueue_ns - pending.recv_ns) / 1e3,
-          pending.enqueue_ns);
       if (obs::trace_enabled() && spans_.sampled(pending.server_id)) {
         obs::trace_span("serve.recv", pending.recv_ns,
                         pending.enqueue_ns - pending.recv_ns);
@@ -482,21 +481,33 @@ void Server::worker_main(int index) {
   scratch.reserve(static_cast<std::size_t>(config_.max_batch));
 
   // Sends request `p`'s response from row `row` of `result` and records
-  // every per-request stat.  Shared by the batch path and the per-request
-  // isolation path (which runs with n == 1).
+  // its span.  Shared by the batch path and the per-request isolation path
+  // (which runs with n == 1).
   const auto respond_one = [&](const PendingRequest& p,
                                const infer::InferenceResult& result,
                                std::int64_t row, std::int64_t n,
                                std::uint64_t assembled_ns,
                                std::uint64_t infer_start_ns,
                                std::uint64_t done_ns) {
+    obs::RequestSpan span;
+    span.server_id = p.server_id;
+    span.client_id = p.request.request_id;
+    span.num_steps = static_cast<int>(p.request.num_steps);
+    span.batch = static_cast<int>(n);
+    span.recv_ns = p.recv_ns;
+    span.admit_ns = p.enqueue_ns;
+    span.assemble_ns = assembled_ns;
+    span.infer_ns = infer_start_ns;
+    span.done_ns = done_ns;
+    span.sparse_kernel_ns = result.sparse_kernel_ns;
+    span.dense_kernel_ns = result.dense_kernel_ns;
     InferResponse resp;
     resp.request_id = p.request.request_id;
     resp.out_features = static_cast<std::uint32_t>(out_features);
     resp.batch = static_cast<std::uint32_t>(n);
-    resp.queue_ns = assembled_ns - p.enqueue_ns;
-    resp.assemble_ns = infer_start_ns - assembled_ns;
-    resp.infer_ns = done_ns - infer_start_ns;
+    resp.queue_ns = span.assemble_ns - span.admit_ns;
+    resp.assemble_ns = span.infer_ns - span.assemble_ns;
+    resp.infer_ns = span.done_ns - span.infer_ns;
     resp.spike_counts.assign(
         result.spike_counts.data() + row * out_features,
         result.spike_counts.data() + (row + 1) * out_features);
@@ -507,51 +518,31 @@ void Server::worker_main(int index) {
     bump(sent ? Counter::served : Counter::dropped_responses);
     obs::flight_record(obs::FlightEventId::kResponseSent, p.server_id,
                        sent ? 1 : 0);
-    const std::uint64_t send_ns = now_ns();
+    span.send_ns = now_ns();
 
-    // Stage durations tile [recv, send]; the windowed means therefore
-    // sum to the end-to-end mean (the STAT consistency invariant).
-    w_queue_us_.record_at(static_cast<double>(resp.queue_ns) / 1e3, send_ns);
-    w_assemble_us_.record_at(static_cast<double>(resp.assemble_ns) / 1e3,
-                             send_ns);
-    w_infer_us_.record_at(static_cast<double>(resp.infer_ns) / 1e3, send_ns);
-    w_respond_us_.record_at(static_cast<double>(send_ns - done_ns) / 1e3,
-                            send_ns);
-    const double e2e_us = static_cast<double>(send_ns - p.recv_ns) / 1e3;
-    w_request_us_.record_at(e2e_us, send_ns);
-    w_served_.add_at(1, send_ns);
-    slo_.record(e2e_us / 1e3);
-
+    // The one recording point for every stage and the end-to-end latency,
+    // so each counts the same requests: those answered with a response.
+    const obs::SpanTimes t = obs::span_times(span);
+    for (std::size_t i = 0; i < obs::kNumStages; ++i)
+      w_stage_us_[i].record_at(t.stage_us[i], span.send_ns);
+    w_request_us_.record_at(t.e2e_us, span.send_ns);
+    w_served_.add_at(1, span.send_ns);
+    slo_.record(t.e2e_us / 1e3);
     if (spans_.sampled(p.server_id)) {
-      obs::RequestSpan span;
-      span.server_id = p.server_id;
-      span.client_id = p.request.request_id;
-      span.num_steps = static_cast<int>(p.request.num_steps);
-      span.batch = static_cast<int>(n);
-      span.recv_ns = p.recv_ns;
-      span.admit_ns = p.enqueue_ns;
-      span.assemble_ns = assembled_ns;
-      span.infer_ns = infer_start_ns;
-      span.done_ns = done_ns;
-      span.send_ns = send_ns;
-      span.sparse_kernel_ns = result.sparse_kernel_ns;
-      span.dense_kernel_ns = result.dense_kernel_ns;
       spans_.record(span);
       if (obs::trace_enabled()) {
-        obs::trace_span("serve.respond", done_ns, send_ns - done_ns);
+        obs::trace_span("serve.respond", done_ns, span.send_ns - done_ns);
         obs::trace_flow_at("serve.request", p.server_id, 'f', done_ns);
       }
     }
     if (obs::metrics_enabled()) {
-      obs::observe(ids.request_us, e2e_us);
-      obs::observe(ids.queue_us, static_cast<double>(resp.queue_ns) / 1e3);
-      obs::observe(ids.assemble_us,
-                   static_cast<double>(resp.assemble_ns) / 1e3);
-      obs::observe(ids.infer_us, static_cast<double>(resp.infer_ns) / 1e3);
+      for (std::size_t i = 0; i < obs::kNumStages; ++i)
+        obs::observe(ids.stage_us[i], t.stage_us[i]);
+      obs::observe(ids.request_us, t.e2e_us);
       obs::add(ids.requests);
       if (slo_.enabled())
-        obs::add(e2e_us / 1e3 <= config_.slo_target_ms ? ids.slo_ok
-                                                       : ids.slo_violations);
+        obs::add(t.e2e_us / 1e3 <= config_.slo_target_ms ? ids.slo_ok
+                                                        : ids.slo_violations);
     }
   };
 
@@ -900,11 +891,8 @@ std::string Server::stat_json(const Stats& totals) const {
   // Windowed latency: end-to-end plus the stage tiling of [recv, send].
   root.set("request_us", hist_json(w_request_us_.merged_at(now)));
   JsonValue stages = JsonValue::make_object();
-  stages.set("decode_us", hist_json(w_decode_us_.merged_at(now)));
-  stages.set("queue_us", hist_json(w_queue_us_.merged_at(now)));
-  stages.set("assemble_us", hist_json(w_assemble_us_.merged_at(now)));
-  stages.set("infer_us", hist_json(w_infer_us_.merged_at(now)));
-  stages.set("respond_us", hist_json(w_respond_us_.merged_at(now)));
+  for (std::size_t i = 0; i < obs::kNumStages; ++i)
+    stages.set(obs::stage_key(i), hist_json(w_stage_us_[i].merged_at(now)));
   root.set("stages", stages);
   root.set("batch_size", hist_json(w_batch_.merged_at(now)));
 

@@ -48,7 +48,9 @@
 // Every counter (Stats field, STAT key, ledger-final key, obs counter,
 // accounting-identity term) is one row of SPIKETUNE_SERVE_COUNTERS in
 // serve/counters.h; a new row yields all of them, and call sites count
-// with bump(Counter::row).
+// with bump(Counter::row).  Likewise every request stage (STAT key,
+// windowed and obs histogram) is one row of SPIKETUNE_SPAN_STAMPS in
+// obs/spans.h, recorded at send for each request answered with a response.
 //
 // Shutdown is drain-safe: drain_and_stop() (the daemon calls it when the
 // cooperative SIGINT/SIGTERM handler fires — see obs/signal_flush.h) stops
@@ -113,7 +115,8 @@ struct ServerConfig {
   std::uint64_t span_sample_every = 16;
   std::size_t span_capacity = 4096;  // spans retained in the ring
   std::string span_log;              // JSONL dump path, written at drain
-  // Live windowed aggregates (STAT snapshots) look back this many seconds.
+  // Live windowed aggregates (STAT snapshots) look back this many seconds
+  // (must be positive).
   int stat_window_s = 10;
   // Latency SLO: target 0 disables; budget is the allowed violation
   // fraction (serve/slo.h).
@@ -235,16 +238,11 @@ class Server {
   SloTracker slo_;
   std::uint64_t start_ns_ = 0;
 
-  // Windowed (last stat_window_s seconds) aggregates behind STAT.  The
-  // five stage histograms tile [recv, send] exactly, so their windowed
-  // means sum to the end-to-end mean up to sampling skew at epoch edges.
-  obs::WindowedHistogram w_request_us_;   // e2e: recv -> send
-  obs::WindowedHistogram w_decode_us_;    // recv -> admit
-  obs::WindowedHistogram w_queue_us_;     // admit -> assembly start
-  obs::WindowedHistogram w_assemble_us_;  // assembly -> kernel start
-  obs::WindowedHistogram w_infer_us_;     // kernel start -> done
-  obs::WindowedHistogram w_respond_us_;   // done -> sent
-  obs::WindowedHistogram w_batch_;        // samples per session run
+  // Windowed (last stat_window_s seconds) aggregates behind STAT; the
+  // stage histograms are indexed like the obs/spans.h stage table.
+  obs::WindowedHistogram w_request_us_;  // e2e: recv -> send
+  std::array<obs::WindowedHistogram, obs::kNumStages> w_stage_us_;
+  obs::WindowedHistogram w_batch_;       // samples per session run
   obs::WindowedRate w_served_;
   obs::WindowedRate w_rejected_;
   obs::WindowedRate w_deadline_shed_;

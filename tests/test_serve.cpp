@@ -757,14 +757,71 @@ TEST(ServeServer, StatReportsConsistentWindowedBreakdown) {
   // Drain writes the span log; it parses back with one line per request
   // and per-span stage tiling.
   s.server->drain_and_stop();
-  const std::vector<obs::ParsedSpan> parsed = obs::parse_span_jsonl(span_log);
+  const std::vector<obs::RequestSpan> parsed =
+      obs::parse_span_jsonl(span_log);
   ASSERT_EQ(parsed.size(), static_cast<std::size_t>(kRequests));
-  for (const obs::ParsedSpan& p : parsed) {
+  for (const obs::RequestSpan& p : parsed) {
     EXPECT_TRUE(p.ok);
     EXPECT_GE(p.batch, 1);
-    EXPECT_NEAR(p.decode_us + p.queue_us + p.assemble_us + p.infer_us +
-                    p.respond_us,
-                p.e2e_us, 1e-6 * p.e2e_us + 1e-3);
+    const obs::SpanTimes t = obs::span_times(p);
+    double stage_sum = 0.0;
+    for (double us : t.stage_us) stage_sum += us;
+    EXPECT_NEAR(stage_sum, t.e2e_us, 1e-6 * t.e2e_us + 1e-3);
+  }
+}
+
+TEST(ServeServer, StatStagesTileEndToEndWhenRequestsFail) {
+  // Every other request is poisoned, so half the admitted requests are
+  // answered kInternalError.  Each stage must still count exactly the
+  // answered population that request_us counts, or the stage means stop
+  // summing to the end-to-end mean.
+  ServerConfig cfg;
+  cfg.num_workers = 1;
+  cfg.max_batch = 1;
+  cfg.poison_hook = [](const InferRequest& r) {
+    if (r.request_id % 2 == 0) throw Error("poison pill");
+  };
+  MlpServer s(cfg);
+  Rng rng(23);
+  const std::int64_t elems = s.per_sample.numel();
+  TcpClient client("127.0.0.1", s.server->port(), 2000);
+  constexpr int kRequests = 20;
+  for (int i = 1; i <= kRequests; ++i) {
+    const TcpClient::Reply reply = client.roundtrip(
+        random_request(static_cast<std::uint64_t>(i), 4, elems, rng));
+    EXPECT_EQ(reply.ok, i % 2 == 1) << "request " << i;
+  }
+  // Read STAT once the workers are joined, so no record is in flight.
+  s.server->drain_and_stop();
+  const JsonValue root = JsonValue::parse(s.server->stat_json(), "STAT");
+  const double served = root.find("totals")->number_or("served", -1);
+  EXPECT_EQ(served, kRequests / 2);
+  EXPECT_EQ(root.find("totals")->number_or("internal_errors", -1),
+            kRequests / 2);
+  const JsonValue* req = root.find("request_us");
+  const JsonValue* stages = root.find("stages");
+  ASSERT_NE(req, nullptr);
+  ASSERT_NE(stages, nullptr);
+  EXPECT_EQ(req->number_or("count", -1), served);
+  double stage_mean_sum = 0.0;
+  for (const char* key :
+       {"decode_us", "queue_us", "assemble_us", "infer_us", "respond_us"}) {
+    const JsonValue* stage = stages->find(key);
+    ASSERT_NE(stage, nullptr) << key;
+    EXPECT_EQ(stage->number_or("count", -1), served) << key;
+    stage_mean_sum += stage->number_or("mean", 0.0);
+  }
+  const double e2e_mean = req->number_or("mean", 0.0);
+  EXPECT_GT(e2e_mean, 0.0);
+  EXPECT_NEAR(stage_mean_sum, e2e_mean, 1e-6 * e2e_mean + 1e-3);
+}
+
+TEST(ServeServer, RejectsNonPositiveStatWindow) {
+  // A window of zero or fewer seconds is refused, not silently widened.
+  for (const int window_s : {0, -1}) {
+    ServerConfig cfg;
+    cfg.stat_window_s = window_s;
+    EXPECT_THROW(MlpServer s(cfg), Error) << window_s;
   }
 }
 

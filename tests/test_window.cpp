@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <thread>
 #include <vector>
@@ -204,28 +205,75 @@ TEST(SpanRecorder, JsonlRoundTripDerivesStageDurations) {
   s.infer_ns = 1'115'000;     // assemble = 10 us
   s.done_ns = 1'915'000;      // infer   = 800 us
   s.send_ns = 1'935'000;      // respond =  20 us
+  s.sparse_kernel_ns = 600'000;
+  s.dense_kernel_ns = 150'000;
   rec.record(s);
+  // The JSONL bytes and key order are a published format.
+  EXPECT_EQ(rec.dump_jsonl(),
+            "{\"server_id\":3,\"client_id\":99,\"num_steps\":4,\"batch\":2,"
+            "\"recv_ns\":1000000,\"admit_ns\":1005000,"
+            "\"assemble_ns\":1105000,\"infer_ns\":1115000,"
+            "\"done_ns\":1915000,\"send_ns\":1935000,"
+            "\"sparse_kernel_ns\":600000,\"dense_kernel_ns\":150000,"
+            "\"ok\":true}\n");
   rec.write_jsonl(path);
 
-  const std::vector<ParsedSpan> parsed = parse_span_jsonl(path);
+  const std::vector<RequestSpan> parsed = parse_span_jsonl(path);
   ASSERT_EQ(parsed.size(), 1u);
-  const ParsedSpan& p = parsed[0];
+  const RequestSpan& p = parsed[0];
   EXPECT_EQ(p.server_id, 3u);
   EXPECT_EQ(p.recv_ns, 1'000'000u);
   EXPECT_EQ(p.batch, 2);
   EXPECT_TRUE(p.ok);
-  EXPECT_DOUBLE_EQ(p.decode_us, 5.0);
-  EXPECT_DOUBLE_EQ(p.queue_us, 100.0);
-  EXPECT_DOUBLE_EQ(p.assemble_us, 10.0);
-  EXPECT_DOUBLE_EQ(p.infer_us, 800.0);
-  EXPECT_DOUBLE_EQ(p.respond_us, 20.0);
-  EXPECT_DOUBLE_EQ(p.e2e_us, 935.0);
+  EXPECT_EQ(p.client_id, 99u);
+  EXPECT_EQ(p.num_steps, 4);
+  EXPECT_EQ(p.sparse_kernel_ns, 600'000u);
+  EXPECT_EQ(p.dense_kernel_ns, 150'000u);
+  for (const SpanStamp& st : kSpanStamps) EXPECT_EQ(p.*st.field, s.*st.field);
+
+  const SpanTimes t = span_times(p);
+  ASSERT_EQ(kNumStages, 5u);
+  EXPECT_STREQ(stage_name(0), "decode");
+  EXPECT_STREQ(stage_name(4), "respond");
+  EXPECT_EQ(stage_key(1), "queue_us");
+  EXPECT_DOUBLE_EQ(t.stage_us[0], 5.0);    // decode
+  EXPECT_DOUBLE_EQ(t.stage_us[1], 100.0);  // queue
+  EXPECT_DOUBLE_EQ(t.stage_us[2], 10.0);   // assemble
+  EXPECT_DOUBLE_EQ(t.stage_us[3], 800.0);  // infer
+  EXPECT_DOUBLE_EQ(t.stage_us[4], 20.0);   // respond
+  EXPECT_DOUBLE_EQ(t.e2e_us, 935.0);
   // The five stages tile [recv, send] exactly.
-  EXPECT_DOUBLE_EQ(p.decode_us + p.queue_us + p.assemble_us + p.infer_us +
-                       p.respond_us,
-                   p.e2e_us);
+  double stage_sum = 0.0;
+  for (double us : t.stage_us) stage_sum += us;
+  EXPECT_DOUBLE_EQ(stage_sum, t.e2e_us);
 
   EXPECT_THROW(parse_span_jsonl(temp_path("no_such_spans.jsonl")), Error);
+}
+
+TEST(SpanRecorder, ParseFillsMissingStampsAndRejectsOutOfRange) {
+  const std::string path = temp_path("spans_missing_stamp.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"server_id\":1,\"recv_ns\":1000,\"admit_ns\":3000,"
+           "\"done_ns\":9000,\"send_ns\":10000}\n";
+  }
+  const std::vector<RequestSpan> parsed = parse_span_jsonl(path);
+  ASSERT_EQ(parsed.size(), 1u);
+  // A missing stamp takes the previous one, so its stage reads as zero.
+  EXPECT_EQ(parsed[0].assemble_ns, 3000u);
+  EXPECT_EQ(parsed[0].infer_ns, 3000u);
+  const SpanTimes t = span_times(parsed[0]);
+  EXPECT_DOUBLE_EQ(t.stage_us[1], 0.0);  // queue
+  EXPECT_DOUBLE_EQ(t.stage_us[2], 0.0);  // assemble
+  EXPECT_DOUBLE_EQ(t.stage_us[3], 6.0);  // infer
+  EXPECT_DOUBLE_EQ(t.e2e_us, 9.0);
+
+  // A negative stamp cannot be a telemetry time; it is refused, not cast.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"server_id\":1,\"recv_ns\":-5}\n";
+  }
+  EXPECT_THROW(parse_span_jsonl(path), Error);
 }
 
 }  // namespace
