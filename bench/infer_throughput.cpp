@@ -172,25 +172,16 @@ int main(int argc, char** argv) {
   lif.beta = static_cast<float>(flags.get_double("beta"));
   lif.threshold = static_cast<float>(flags.get_double("theta"));
 
-  std::unique_ptr<snn::SpikingNetwork> net;
-  Shape per_sample;
-  if (model_name == "csnn") {
-    snn::CsnnConfig cfg;
-    cfg.lif = lif;
-    net = snn::make_svhn_csnn(cfg);
-    per_sample = Shape{cfg.in_channels, cfg.image_size, cfg.image_size};
-  } else if (model_name == "mlp") {
-    snn::MlpConfig cfg;
-    cfg.lif = lif;
-    net = snn::make_snn_mlp(cfg);
-    per_sample = Shape{cfg.in_features};
-  } else {
+  snn::NamedModel zoo;
+  try {
+    zoo = snn::make_model_by_name(model_name, lif);
+  } catch (const InvalidArgument&) {
     std::cerr << "unknown --model '" << model_name << "'\n";
     return 2;
   }
 
   std::vector<std::int64_t> dims{batch};
-  for (std::int64_t d : per_sample.dims()) dims.push_back(d);
+  for (std::int64_t d : zoo.per_sample.dims()) dims.push_back(d);
   Rng rng(0xbe7c);
   const auto window = spike_window(num_steps, Shape(dims), density, rng);
 
@@ -237,8 +228,8 @@ int main(int argc, char** argv) {
 
   // Parity gate: both session paths must reproduce the training-stack
   // forward bit for bit before any timing is believed.
-  const auto model = infer::CompiledModel::compile(*net, per_sample);
-  const auto reference = net->forward(window);
+  const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
+  const auto reference = zoo.net->forward(window);
   std::string parity_error;
   try {
     for (double crossover : {2.0, -1.0}) {

@@ -1,8 +1,13 @@
 #include "core/json.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "core/error.h"
 
@@ -337,6 +342,30 @@ std::string JsonValue::dump() const {
 JsonValue JsonValue::parse(const std::string& text,
                            const std::string& context) {
   return Parser(text, context).parse_document();
+}
+
+void append_jsonl_line(const std::string& path, const std::string& line) {
+  const std::string text = line + "\n";
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  ST_REQUIRE(fd >= 0, "cannot open " + path + " for append (" +
+                          std::strerror(errno) + ")");
+  auto fail = [&](const std::string& what) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    throw Error(what + " failed: " + path + " (" + err + ")");
+  };
+  std::size_t written = 0;
+  while (written < text.size()) {
+    const ::ssize_t n =
+        ::write(fd, text.data() + written, text.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail("append");
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  if (::fsync(fd) != 0) fail("fsync");
+  ::close(fd);
 }
 
 }  // namespace spiketune

@@ -92,4 +92,10 @@ class JsonValue {
 /// Escapes `s` as a JSON string literal including the surrounding quotes.
 std::string json_quote(const std::string& s);
 
+/// Appends `line` plus a newline to the JSONL file at `path` (created when
+/// absent) with one write loop and an fsync, so a kill at any instant loses
+/// at most the record mid-write and never tears an earlier line.  Throws,
+/// naming the file, when the open, a write or the fsync fails.
+void append_jsonl_line(const std::string& path, const std::string& line);
+
 }  // namespace spiketune

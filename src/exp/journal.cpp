@@ -1,8 +1,5 @@
 #include "exp/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -166,27 +163,10 @@ void SweepJournal::append(const JournalEntry& entry) {
   if (!entry.error.empty()) line << ",\"error\":" << json_quote(entry.error);
   for (const auto& [k, v] : entry.values)
     line << "," << json_quote(k) << ":" << json_number(v);
-  line << "}\n";
-  const std::string text = line.str();
-
-  // Append + fsync: the journal is the sweep's source of truth on restart,
-  // so each point must be durable the moment it is recorded.
-  const int fd =
-      ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  ST_REQUIRE(fd >= 0, "cannot open sweep journal for append: " + path_);
-  std::size_t written = 0;
-  while (written < text.size()) {
-    const ::ssize_t n =
-        ::write(fd, text.data() + written, text.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw Error("sweep journal write failed: " + path_);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  ::fsync(fd);
-  ::close(fd);
+  line << "}";
+  // The journal is the sweep's source of truth on restart, so each point
+  // must be durable the moment it is recorded.
+  append_jsonl_line(path_, line.str());
   entries_.push_back(entry);
 }
 

@@ -1,10 +1,6 @@
 #include "obs/ledger.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -116,29 +112,6 @@ RunLedger::RunLedger(std::string path, bool append) : path_(std::move(path)) {
   }
 }
 
-void RunLedger::append_line(const std::string& json) {
-  if (!enabled()) return;
-  const std::string text = json + "\n";
-  // Same durability contract as the sweep journal: one write + fsync per
-  // record, so a kill at any instant loses at most the record mid-write
-  // and never tears an earlier line.
-  const int fd = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  ST_REQUIRE(fd >= 0, "cannot open run ledger for append: " + path_);
-  std::size_t written = 0;
-  while (written < text.size()) {
-    const ::ssize_t n =
-        ::write(fd, text.data() + written, text.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw Error("run ledger write failed: " + path_);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  ::fsync(fd);
-  ::close(fd);
-}
-
 void RunLedger::write_manifest(const LedgerManifest& m) {
   if (!enabled()) return;
   JsonValue v = JsonValue::make_object();
@@ -153,7 +126,7 @@ void RunLedger::write_manifest(const LedgerManifest& m) {
   if (m.resumed_from >= 0) v.set("resumed_from", JsonValue(m.resumed_from));
   if (!m.info.empty()) v.set("info", pairs_to_object(m.info));
   if (!m.params.empty()) v.set("params", pairs_to_object(m.params));
-  append_line(v.dump());
+  append_jsonl_line(path_, v.dump());
 }
 
 void RunLedger::write_epoch(const LedgerEpoch& e) {
@@ -181,7 +154,7 @@ void RunLedger::write_epoch(const LedgerEpoch& e) {
     v.set("layers", std::move(layers));
   }
   if (!e.hw.empty()) v.set("hw", pairs_to_object(e.hw));
-  append_line(v.dump());
+  append_jsonl_line(path_, v.dump());
 }
 
 void RunLedger::write_warning(const LedgerWarning& w) {
@@ -194,7 +167,7 @@ void RunLedger::write_warning(const LedgerWarning& w) {
   v.set("value", JsonValue(w.value));
   v.set("threshold", JsonValue(w.threshold));
   v.set("message", JsonValue(w.message));
-  append_line(v.dump());
+  append_jsonl_line(path_, v.dump());
 }
 
 void RunLedger::write_final(const LedgerFinal& f) {
@@ -204,7 +177,7 @@ void RunLedger::write_final(const LedgerFinal& f) {
   v.set("exit_kind",
         JsonValue(f.exit_kind.empty() ? std::string("clean") : f.exit_kind));
   for (const auto& [k, val] : f.values) v.set(k, JsonValue(val));
-  append_line(v.dump());
+  append_jsonl_line(path_, v.dump());
 }
 
 ParsedLedger parse_ledger(const std::string& path) {

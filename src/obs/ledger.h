@@ -118,8 +118,6 @@ class RunLedger {
   void write_final(const LedgerFinal& final_record);
 
  private:
-  void append_line(const std::string& json);
-
   std::string path_;
 };
 

@@ -45,6 +45,29 @@ const char* error_code_name(ErrorCode code) {
   return "unknown";
 }
 
+std::vector<Tensor> window_tensors(const std::vector<const InferRequest*>& rows,
+                                   const Shape& per_sample) {
+  ST_REQUIRE(!rows.empty(), "window_tensors needs at least one request");
+  const std::size_t steps = rows.front()->num_steps;
+  const std::size_t elems = static_cast<std::size_t>(per_sample.numel());
+  for (const InferRequest* r : rows)
+    ST_REQUIRE(r->num_steps == steps && r->elems_per_step == elems &&
+                   r->data.size() == steps * elems,
+               "request window is not [num_steps, per-sample elements]");
+  std::vector<std::int64_t> dims{static_cast<std::int64_t>(rows.size())};
+  for (std::int64_t d : per_sample.dims()) dims.push_back(d);
+  std::vector<Tensor> window;
+  window.reserve(steps);
+  for (std::size_t t = 0; t < steps; ++t) {
+    Tensor x{Shape(dims)};
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      std::memcpy(x.data() + i * elems, rows[i]->data.data() + t * elems,
+                  elems * sizeof(float));
+    window.push_back(std::move(x));
+  }
+  return window;
+}
+
 void encode_header(const FrameHeader& h, std::uint8_t out[kHeaderBytes]) {
   std::uint8_t* p = out;
   std::memcpy(p, &h.magic, 4);

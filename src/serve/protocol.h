@@ -45,6 +45,8 @@
 #include <string>
 #include <vector>
 
+#include "tensor/tensor.h"
+
 namespace spiketune::serve {
 
 inline constexpr std::uint32_t kMagic = 0x53545356u;  // "STSV"
@@ -107,6 +109,14 @@ struct InferRequest {
   std::uint64_t deadline_us = 0;  // 0 = no deadline (and the v1 meaning)
   std::vector<float> data;        // num_steps * elems_per_step
 };
+
+/// Copies the windows of `rows` into the per-step batch tensors that
+/// InferenceSession::run takes: step t is one [rows.size(), <per_sample>...]
+/// tensor whose row i is the t-th [elems_per_step] slice of rows[i]->data.
+/// Every row must carry the first row's num_steps and per_sample.numel()
+/// elements per step; throws InvalidArgument otherwise.
+std::vector<Tensor> window_tensors(const std::vector<const InferRequest*>& rows,
+                                   const Shape& per_sample);
 
 struct InferResponse {
   std::uint64_t request_id = 0;

@@ -148,24 +148,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string model_name = flags.get("model");
-  std::unique_ptr<snn::SpikingNetwork> net;
-  Shape per_sample;
-  if (model_name == "csnn") {
-    snn::CsnnConfig cfg;
-    cfg.lif = lif;
-    net = snn::make_svhn_csnn(cfg);
-    per_sample = Shape{cfg.in_channels, cfg.image_size, cfg.image_size};
-  } else if (model_name == "mlp") {
-    snn::MlpConfig cfg;
-    cfg.lif = lif;
-    net = snn::make_snn_mlp(cfg);
-    per_sample = Shape{cfg.in_features};
-  } else {
+  snn::NamedModel zoo;
+  try {
+    zoo = snn::make_model_by_name(model_name, lif);
+  } catch (const InvalidArgument&) {
     std::cerr << "unknown --model '" << model_name << "'\n";
     return 2;
   }
-  const auto model = infer::CompiledModel::compile(*net, per_sample);
-  net.reset();  // the compiled model is self-contained
+  const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
+  zoo.net.reset();  // the compiled model is self-contained
 
   // Identification for STAT / serve_top / the crash bundle: a build stamp
   // plus an FNV-1a fingerprint over everything that shapes this daemon's

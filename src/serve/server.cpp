@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -471,7 +470,6 @@ void Server::worker_main(int index) {
                 .record_stats = false,
                 .record_stage_times = config_.span_sample_every != 0});
   const Shape& per_sample = model_->input_shape();
-  const std::int64_t in_elems = per_sample.numel();
   const std::int64_t out_features = model_->output_shape()[0];
   const ServeMetricIds& ids = serve_metric_ids();
   // Plain (non-stream) rows run on worker-local scratch state, reset per
@@ -637,20 +635,10 @@ void Server::worker_main(int index) {
                        static_cast<std::uint64_t>(steps));
 
     // Assemble the [N, ...] step tensors from the per-request windows.
-    std::vector<std::int64_t> dims{n};
-    for (std::int64_t d : per_sample.dims()) dims.push_back(d);
-    std::vector<Tensor> window;
-    window.reserve(static_cast<std::size_t>(steps));
-    for (std::int64_t t = 0; t < steps; ++t) {
-      Tensor x{Shape(dims)};
-      for (std::int64_t i = 0; i < n; ++i)
-        std::memcpy(
-            x.data() + i * in_elems,
-            batch[static_cast<std::size_t>(i)].request.data.data() +
-                t * in_elems,
-            static_cast<std::size_t>(in_elems) * sizeof(float));
-      window.push_back(std::move(x));
-    }
+    std::vector<const InferRequest*> rows;
+    rows.reserve(batch.size());
+    for (const PendingRequest& p : batch) rows.push_back(&p.request);
+    const std::vector<Tensor> window = window_tensors(rows, per_sample);
     const std::uint64_t infer_start_ns = now_ns();
     obs::flight_record(obs::FlightEventId::kBatchDispatch,
                        static_cast<std::uint64_t>(n));
@@ -703,19 +691,11 @@ void Server::worker_main(int index) {
         respond_one(batch[static_cast<std::size_t>(i)], result, i, n,
                     assembled_ns, infer_start_ns, done_ns);
     } else {
-      std::vector<std::int64_t> single_dims = dims;
-      single_dims[0] = 1;
       for (std::int64_t i = 0; i < n; ++i) {
         const std::size_t ui = static_cast<std::size_t>(i);
         const PendingRequest& p = batch[ui];
-        std::vector<Tensor> single;
-        single.reserve(static_cast<std::size_t>(steps));
-        for (std::int64_t t = 0; t < steps; ++t) {
-          Tensor x{Shape(single_dims)};
-          std::memcpy(x.data(), p.request.data.data() + t * in_elems,
-                      static_cast<std::size_t>(in_elems) * sizeof(float));
-          single.push_back(std::move(x));
-        }
+        const std::vector<Tensor> single =
+            window_tensors({&p.request}, per_sample);
         const std::uint64_t s_start = now_ns();
         try {
           if (p.stream_id != 0 &&

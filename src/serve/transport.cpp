@@ -322,32 +322,18 @@ TcpClient::~TcpClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool TcpClient::send_frame(const std::vector<std::uint8_t>& frame) {
-  return fd_ >= 0 && write_all(fd_, frame.data(), frame.size());
-}
-
-TcpClient::Reply TcpClient::roundtrip(const InferRequest& request) {
-  Reply reply;
-  if (!send_frame(RequestBuilder().infer_request(request))) {
-    reply.disconnected = true;
-    return reply;
+bool TcpClient::exchange(const std::vector<std::uint8_t>& frame,
+                         FrameKind want, const char* what, Outcome& out) {
+  if (fd_ < 0 || !write_all(fd_, frame.data(), frame.size()) ||
+      !read_reply_frame(reply_header_, reply_payload_)) {
+    out.disconnected = true;
+    return false;
   }
-
-  FrameHeader rh;
-  std::vector<std::uint8_t> rpayload;
-  if (!read_reply_frame(rh, rpayload)) {
-    reply.disconnected = true;
-    return reply;
-  }
-  if (rh.kind == FrameKind::kInferResponse) {
-    reply.ok = true;
-    reply.response = decode_response(rh.request_id, rpayload);
-  } else {
-    ST_REQUIRE(rh.kind == FrameKind::kError,
-               "unexpected frame kind in reply");
-    reply.error = decode_error(rh.request_id, rpayload);
-  }
-  return reply;
+  if (reply_header_.kind == want) return out.ok = true;
+  ST_REQUIRE(reply_header_.kind == FrameKind::kError,
+             std::string("unexpected frame kind in ") + what);
+  out.error = decode_error(reply_header_.request_id, reply_payload_);
+  return false;
 }
 
 bool TcpClient::read_reply_frame(FrameHeader& header,
@@ -379,102 +365,51 @@ bool TcpClient::read_reply_frame(FrameHeader& header,
   return true;
 }
 
+TcpClient::Reply TcpClient::roundtrip(const InferRequest& request) {
+  Reply reply;
+  if (exchange(RequestBuilder().infer_request(request),
+               FrameKind::kInferResponse, "reply", reply))
+    reply.response = decode_response(reply_header_.request_id, reply_payload_);
+  return reply;
+}
+
 TcpClient::StatReply TcpClient::stat(std::uint64_t request_id) {
   StatReply reply;
-  if (!send_frame(RequestBuilder().stat_request(request_id))) {
-    reply.disconnected = true;
-    return reply;
-  }
-  FrameHeader rh;
-  std::vector<std::uint8_t> rpayload;
-  if (!read_reply_frame(rh, rpayload)) {
-    reply.disconnected = true;
-    return reply;
-  }
-  ST_REQUIRE(rh.kind == FrameKind::kStatResponse,
-             "unexpected frame kind in STAT reply");
-  reply.ok = true;
-  reply.json = decode_stat(rpayload);
+  if (exchange(RequestBuilder().stat_request(request_id),
+               FrameKind::kStatResponse, "STAT reply", reply))
+    reply.json = decode_stat(reply_payload_);
   return reply;
 }
 
 TcpClient::StreamAck TcpClient::stream_open(std::uint64_t stream_id,
                                             std::uint64_t request_id) {
   StreamAck ack;
-  StreamControl c{request_id, stream_id};
-  if (!send_frame(RequestBuilder().stream_open(c))) {
-    ack.disconnected = true;
-    return ack;
-  }
-  FrameHeader rh;
-  std::vector<std::uint8_t> rpayload;
-  if (!read_reply_frame(rh, rpayload)) {
-    ack.disconnected = true;
-    return ack;
-  }
-  if (rh.kind == FrameKind::kStreamOpen) {
-    const StreamControl echoed = decode_stream_control(rh.request_id, rpayload);
-    ST_REQUIRE(echoed.stream_id == stream_id,
+  if (exchange(RequestBuilder().stream_open({request_id, stream_id}),
+               FrameKind::kStreamOpen, "stream open reply", ack))
+    ST_REQUIRE(decode_stream_control(reply_header_.request_id, reply_payload_)
+                       .stream_id == stream_id,
                "stream open ack for a different stream");
-    ack.ok = true;
-  } else {
-    ST_REQUIRE(rh.kind == FrameKind::kError,
-               "unexpected frame kind in stream open reply");
-    ack.error = decode_error(rh.request_id, rpayload);
-  }
   return ack;
 }
 
 TcpClient::Reply TcpClient::stream_step(std::uint64_t stream_id,
                                         const InferRequest& request) {
   Reply reply;
-  StreamStepRequest step;
-  step.stream_id = stream_id;
-  step.request = request;
-  if (!send_frame(RequestBuilder().stream_step(step))) {
-    reply.disconnected = true;
-    return reply;
-  }
-  FrameHeader rh;
-  std::vector<std::uint8_t> rpayload;
-  if (!read_reply_frame(rh, rpayload)) {
-    reply.disconnected = true;
-    return reply;
-  }
-  if (rh.kind == FrameKind::kInferResponse) {
-    reply.ok = true;
-    reply.response = decode_response(rh.request_id, rpayload);
-  } else {
-    ST_REQUIRE(rh.kind == FrameKind::kError,
-               "unexpected frame kind in stream step reply");
-    reply.error = decode_error(rh.request_id, rpayload);
-  }
+  if (exchange(RequestBuilder().stream_step({stream_id, request}),
+               FrameKind::kInferResponse, "stream step reply", reply))
+    reply.response = decode_response(reply_header_.request_id, reply_payload_);
   return reply;
 }
 
 TcpClient::StreamCloseResult TcpClient::stream_close(
     std::uint64_t stream_id, std::uint64_t request_id) {
   StreamCloseResult result;
-  StreamControl c{request_id, stream_id};
-  if (!send_frame(RequestBuilder().stream_close(c))) {
-    result.disconnected = true;
-    return result;
-  }
-  FrameHeader rh;
-  std::vector<std::uint8_t> rpayload;
-  if (!read_reply_frame(rh, rpayload)) {
-    result.disconnected = true;
-    return result;
-  }
-  if (rh.kind == FrameKind::kStreamClose) {
-    result.totals = decode_stream_close_reply(rh.request_id, rpayload);
+  if (exchange(RequestBuilder().stream_close({request_id, stream_id}),
+               FrameKind::kStreamClose, "stream close reply", result)) {
+    result.totals =
+        decode_stream_close_reply(reply_header_.request_id, reply_payload_);
     ST_REQUIRE(result.totals.stream_id == stream_id,
                "stream close reply for a different stream");
-    result.ok = true;
-  } else {
-    ST_REQUIRE(rh.kind == FrameKind::kError,
-               "unexpected frame kind in stream close reply");
-    result.error = decode_error(rh.request_id, rpayload);
   }
   return result;
 }

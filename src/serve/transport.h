@@ -201,23 +201,24 @@ class TcpClient {
   TcpClient(const TcpClient&) = delete;
   TcpClient& operator=(const TcpClient&) = delete;
 
-  /// Sends `request` and blocks for its reply.  Returns the error response
-  /// the daemon sent, if any, through `error` (and an empty optional-like
-  /// response with ok == false).  A closed connection (daemon drained
-  /// away, or a mid-frame fault) sets `disconnected`.
-  struct Reply {
-    bool ok = false;            // true: `response` is valid
-    bool disconnected = false;  // peer vanished (e.g. SIGTERM drain)
-    InferResponse response;
+  /// What every call reports besides its result: `ok` (the result is
+  /// valid), the daemon's refusal in `error`, or a closed connection
+  /// (daemon drained away, or a mid-frame fault) in `disconnected`.
+  struct Outcome {
+    bool ok = false;
+    bool disconnected = false;
     ErrorResponse error;  // valid when !ok && !disconnected
+  };
+
+  /// Sends `request` and blocks for its reply.
+  struct Reply : Outcome {
+    InferResponse response;
   };
   Reply roundtrip(const InferRequest& request);
 
   /// Requests a live STAT snapshot (serve::Server::stat_json).  `json` is
   /// the raw document; parse with JsonValue::parse.
-  struct StatReply {
-    bool ok = false;
-    bool disconnected = false;
+  struct StatReply : Outcome {
     std::string json;
   };
   StatReply stat(std::uint64_t request_id = 0);
@@ -225,19 +226,12 @@ class TcpClient {
   /// v3 streaming.  stream_open blocks for the daemon's echo ack;
   /// stream_step blocks for the chunk's infer response (Reply semantics,
   /// same as roundtrip); stream_close blocks for the lifetime totals.
-  struct StreamAck {
-    bool ok = false;
-    bool disconnected = false;
-    ErrorResponse error;  // valid when !ok && !disconnected
-  };
+  using StreamAck = Outcome;
   StreamAck stream_open(std::uint64_t stream_id,
                         std::uint64_t request_id = 0);
   Reply stream_step(std::uint64_t stream_id, const InferRequest& request);
-  struct StreamCloseResult {
-    bool ok = false;
-    bool disconnected = false;
+  struct StreamCloseResult : Outcome {
     StreamCloseReply totals;
-    ErrorResponse error;  // valid when !ok && !disconnected
   };
   StreamCloseResult stream_close(std::uint64_t stream_id,
                                  std::uint64_t request_id = 0);
@@ -245,12 +239,20 @@ class TcpClient {
   bool connected() const { return fd_ >= 0; }
 
  private:
+  /// The one send-then-read path under every call: sends one
+  /// RequestBuilder `frame`, then reads one reply frame into reply_header_
+  /// and reply_payload_.  Returns true (and sets out.ok) on a reply of kind
+  /// `want`; otherwise sets out.disconnected on a broken connection, or
+  /// decodes a kError reply into out.error.  Any other kind throws, naming
+  /// `what`.
+  bool exchange(const std::vector<std::uint8_t>& frame, FrameKind want,
+                const char* what, Outcome& out);
   bool read_reply_frame(FrameHeader& header,
                         std::vector<std::uint8_t>& payload);
-  /// Sends one RequestBuilder frame; false on a broken connection.
-  bool send_frame(const std::vector<std::uint8_t>& frame);
 
   int fd_ = -1;
+  FrameHeader reply_header_;
+  std::vector<std::uint8_t> reply_payload_;
 };
 
 }  // namespace spiketune::serve

@@ -57,4 +57,17 @@ std::unique_ptr<SpikingNetwork> make_snn_mlp(const MlpConfig& config) {
   return net;
 }
 
+NamedModel make_model_by_name(const std::string& name, const LifConfig& lif) {
+  if (name == "csnn") {
+    CsnnConfig cfg;
+    cfg.lif = lif;
+    return {make_svhn_csnn(cfg),
+            Shape{cfg.in_channels, cfg.image_size, cfg.image_size}};
+  }
+  ST_REQUIRE(name == "mlp", "unknown model '" + name + "' (csnn | mlp)");
+  MlpConfig cfg;
+  cfg.lif = lif;
+  return {make_snn_mlp(cfg), Shape{cfg.in_features}};
+}
+
 }  // namespace spiketune::snn

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "core/rng.h"
 #include "snn/lif.h"
@@ -51,5 +52,16 @@ struct MlpConfig {
                            // weak binary spike trains, so default boosted
 };
 std::unique_ptr<SpikingNetwork> make_snn_mlp(const MlpConfig& config);
+
+/// A zoo network picked by name, with the per-sample input shape it takes.
+struct NamedModel {
+  std::unique_ptr<SpikingNetwork> net;
+  Shape per_sample;
+};
+
+/// The drivers' `--model` choices at their default configs with `lif`:
+/// "csnn" (the paper topology, [C, H, W] input) or "mlp" ([in_features]
+/// input).  Throws InvalidArgument on any other name.
+NamedModel make_model_by_name(const std::string& name, const LifConfig& lif);
 
 }  // namespace spiketune::snn

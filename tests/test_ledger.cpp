@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -120,6 +121,26 @@ TEST(Json, NonFiniteNumbersSerializeAsNull) {
   auto obj = JsonValue::make_object();
   obj.set("bad", std::numeric_limits<double>::quiet_NaN());
   EXPECT_NE(obj.dump().find("\"bad\":null"), std::string::npos);
+}
+
+TEST(Json, AppendJsonlLineAppendsAndNamesTheFileOnFailure) {
+  const std::string path = temp_path("append_jsonl.jsonl");
+  std::remove(path.c_str());
+  append_jsonl_line(path, "{\"a\":1}");
+  append_jsonl_line(path, "{\"b\":2}");
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "{\"a\":1}\n{\"b\":2}\n");
+
+  const std::string missing = temp_path("no_such_dir/x.jsonl");
+  try {
+    append_jsonl_line(missing, "{}");
+    FAIL() << "append into a missing directory must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------- RunLedger

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/error.h"
+#include "infer/compiled_model.h"
 #include "snn/conv2d.h"
 #include "snn/linear.h"
 #include "snn/model_zoo.h"
@@ -209,6 +210,21 @@ TEST(Network, CsnnParameterCount) {
   const std::int64_t expected = (32 * 27 + 32) + (32 * 288 + 32) +
                                 (1152 * 256 + 256) + (256 * 10 + 10);
   EXPECT_EQ(net->num_parameters(), expected);
+}
+
+TEST(Network, ModelByNameCompilesWithItsShape) {
+  LifConfig lif;
+  lif.threshold = 1.2f;
+  for (const std::string name : {"csnn", "mlp"}) {
+    NamedModel zoo = make_model_by_name(name, lif);
+    ASSERT_NE(zoo.net, nullptr) << name;
+    const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
+    EXPECT_EQ(model.input_shape(), zoo.per_sample) << name;
+    EXPECT_EQ(model.output_shape(), Shape({10})) << name;
+  }
+  EXPECT_EQ(make_model_by_name("csnn", lif).per_sample, Shape({3, 32, 32}));
+  EXPECT_EQ(make_model_by_name("mlp", lif).per_sample, Shape({64}));
+  EXPECT_THROW(make_model_by_name("resnet", lif), InvalidArgument);
 }
 
 TEST(Network, HigherThresholdFiresLess) {
