@@ -1,21 +1,37 @@
 // Dynamic batching queue with admission control and deadline shedding.
 //
 // Readers admit single-sample requests; workers pull coalesced batches.
-// The batching rule is the classic latency-budget window: a worker takes
-// the oldest queued request, then keeps collecting requests with the SAME
-// num_steps (a session window must share one T across the batch) until
-// either the batch is full or the budget since the batch opened expires.
-// Requests with a different T stay queued in arrival order for the next
-// batch, so mixed-T traffic degrades to smaller batches, never to
-// starvation.
+// A worker takes the oldest takeable request (the batch's seed), sweeps the
+// queue for requests with the SAME num_steps (a session window must share
+// one T across the batch), and then closes the batch unless holding it
+// open for late arrivals pays.  Requests with a different T stay queued in
+// arrival order for the next batch, so mixed-T traffic degrades to smaller
+// batches, never to starvation.
+//
+// The close rule is work-conserving and cost-aware (Clipper-style adaptive
+// batching, Crankshaw et al., NSDI'17):
+//   * Work-conserving: while another worker is parked waiting for a seed,
+//     a batch never holds — that worker would take the next arrival at
+//     once, so waiting only adds latency.  A worker that parks wakes every
+//     holder so it closes.
+//   * Cost-aware: workers report each batch's inference time through
+//     record_cost(), and the batcher keeps a decayed least-squares fit of
+//     the per-timestep cost a + r·b of a batch of r rows.  One more row
+//     saves its own fixed cost a·T (T = num_steps) by riding this batch,
+//     so the batch holds only while that saving exceeds the time already
+//     waited.  With no evidence (one batch size seen, or a degenerate fit)
+//     or a <= 0 — batching buys nothing — it never holds.
+//   * Bounded: a hold ends at the earliest of open + batch_timeout_us
+//     (a hard upper bound; 0 never holds), open + a·T, and the earliest
+//     row deadline minus the batch's predicted service time (a + r·b)·T.
 //
 // Admission control is a hard queue-depth bound: when the queue is at
 // max_queue_depth the submit fails immediately with kQueueFull and the
 // reader bounces an `overloaded` error back to the client — queueing delay
 // is bounded by design instead of growing without limit under overload.
 // Draining flips admissions to kDraining (clients get `shutting-down`)
-// while workers keep pulling until the queue is empty; the latency budget
-// is skipped while draining so shutdown is prompt.
+// while workers keep pulling until the queue is empty; batches never hold
+// while draining so shutdown is prompt.
 //
 // Deadline shedding happens at dequeue: every next_batch call first purges
 // entries whose deadline_ns has passed into the `expired` out-parameter.
@@ -61,7 +77,7 @@ enum class AdmitResult { kAdmitted, kQueueFull, kDraining };
 
 struct BatcherConfig {
   std::int64_t max_batch = 16;        // samples coalesced per session run
-  std::int64_t batch_timeout_us = 2000;  // latency budget for coalescing
+  std::int64_t batch_timeout_us = 2000;  // upper bound on holding a batch
   std::int64_t max_queue_depth = 256;    // admission-control bound
 };
 
@@ -94,6 +110,10 @@ class Batcher {
   /// was released, or that stream's later chunks wedge forever.
   void finish_stream(std::uint64_t stream_id);
 
+  /// Reports one successful inference run: `rows` samples of `steps`
+  /// timesteps took `ns`.  Feeds the cost fit that decides holds.
+  void record_cost(std::int64_t rows, std::int64_t steps, std::uint64_t ns);
+
   /// Stops admissions and wakes every blocked worker; idempotent.
   void drain();
 
@@ -102,13 +122,26 @@ class Batcher {
   const BatcherConfig& config() const { return config_; }
 
  private:
+  /// Decayed weighted least-squares fit of a run's per-timestep cost
+  /// against its row count: ns / steps ~= a + rows·b.
+  struct CostFit {
+    double w = 0, wx = 0, wy = 0, wxx = 0, wxy = 0;
+    void add(double rows, double ns_per_step);
+    /// False when the samples cannot separate a from b.
+    bool solve(double& a, double& b) const;
+  };
+
   /// Moves every expired entry from the queue into `out` (mu_ held).
   void purge_expired_locked(std::uint64_t now_ns,
                             std::vector<PendingRequest>& out);
 
   BatcherConfig config_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;       // workers parked waiting for a seed
+  std::condition_variable hold_cv_;  // workers holding a batch open
+  int idle_workers_ = 0;             // parked on cv_ (mu_ held)
+  int holding_ = 0;                  // waiting on hold_cv_ (mu_ held)
+  CostFit cost_;                     // mu_ held
   std::deque<PendingRequest> queue_;
   /// Streams aboard a batch some worker is still running (mu_ held).  A
   /// queued chunk whose stream is here is invisible to next_batch until

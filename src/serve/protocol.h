@@ -24,7 +24,7 @@
 //
 // One inference request carries ONE sample's spike window, shaped
 // [num_steps, elems_per_step]; the daemon coalesces concurrent requests
-// into a batch along N under its latency budget, which is invisible to the
+// into a batch along N (serve/batcher.h), which is invisible to the
 // client except in the response's `batch` diagnostic.  A STREAM_STEP chunk
 // rides the same batcher: chunks with equal num_steps from *different*
 // streams coalesce into one batch (two chunks of one stream never share a

@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
   flags.declare("workers", "2", "inference worker threads");
   flags.declare("batch", "16", "max samples coalesced per batch");
   flags.declare("latency-budget-us", "2000",
-                "how long a batch stays open for batchmates");
+                "upper bound on how long a batch may wait for batchmates "
+                "(it waits only while the fitted batch cost says it pays; "
+                "0 = never wait)");
   flags.declare("queue-depth", "256",
                 "admission control: max queued requests before overload "
                 "rejections");

@@ -681,6 +681,7 @@ void Server::worker_main(int index) {
 
     if (batch_ok) {
       const std::uint64_t done_ns = now_ns();
+      batcher_.record_cost(n, steps, done_ns - infer_start_ns);
       bump(Counter::batches);
       bump(Counter::max_batch_seen, n);
       w_batch_.record_at(static_cast<double>(n), done_ns);

@@ -9,7 +9,7 @@
 // One reader thread per connection decodes frames and admits requests; N
 // worker threads each own a pre-sized InferenceSession over the shared
 // CompiledModel and pull dynamic batches (same-T coalescing under the
-// latency budget).  Workers respond directly on the request's connection —
+// batcher's cost-aware close rule).  Workers respond directly on the request's connection —
 // Connection::write_frame is thread-safe — so a slow client never blocks
 // the batch pipeline behind it.
 //
@@ -88,7 +88,7 @@ struct ServerConfig {
   int port = 0;  // 0 = ephemeral (resolved port via Server::port())
   int num_workers = 2;
   std::int64_t max_batch = 16;
-  std::int64_t batch_timeout_us = 2000;  // coalescing latency budget
+  std::int64_t batch_timeout_us = 2000;  // upper bound on holding a batch
   std::int64_t max_queue_depth = 256;    // admission-control bound
   std::int64_t max_steps = 64;           // per-request window-length cap
   double sparse_crossover = 0.35;        // forwarded to every session

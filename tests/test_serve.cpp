@@ -16,12 +16,16 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/error.h"
@@ -320,9 +324,29 @@ TEST(ServeBatcher, RespectsMaxBatch) {
   EXPECT_EQ(b.depth(), 0u);
 }
 
+/// Seeds a batcher's cost fit with two T=4 runs whose per-timestep cost is
+/// exactly 100 ms + rows * 10 ms: a 100 ms fixed cost per step, so one more
+/// row saves a·T = 400 ms and a lone row's predicted service is 440 ms.
+constexpr std::uint64_t kFixedStepNs = 100'000'000;
+constexpr std::uint64_t kRowStepNs = 10'000'000;
+void seed_fixed_cost(Batcher& b) {
+  b.record_cost(1, 4, (kFixedStepNs + 1 * kRowStepNs) * 4);
+  b.record_cost(4, 4, (kFixedStepNs + 4 * kRowStepNs) * 4);
+}
+
+std::uint64_t ms_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 TEST(ServeBatcher, LatencyBudgetPicksUpLateArrivals) {
+  // With a clear fixed cost on record, holding pays: the batch stays open
+  // (up to the 200 ms budget, well under a·T) and a late arrival joins.
   Batcher b({.max_batch = 4, .batch_timeout_us = 200000,
              .max_queue_depth = 16});
+  seed_fixed_cost(b);
   ASSERT_EQ(b.submit(pending(4, 1)), AdmitResult::kAdmitted);
   std::thread late([&b] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -334,6 +358,95 @@ TEST(ServeBatcher, LatencyBudgetPicksUpLateArrivals) {
   late.join();
   ASSERT_EQ(batch.size(), 2u);  // the late arrival joined the open batch
   EXPECT_EQ(batch[1].request.request_id, 2u);
+}
+
+TEST(ServeBatcher, NeverHoldsWhenHoldingCannotPay) {
+  // Each case would hold a 200 ms budget under a fixed-window rule; the
+  // cost-aware rule closes at once because the wait buys nothing.
+  const auto closes_at_once = [](Batcher& b) {
+    ASSERT_EQ(b.submit(pending(4, 1)), AdmitResult::kAdmitted);
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(take_batch(b).size(), 1u);
+    EXPECT_LT(ms_since(t0), 100u);
+  };
+  {
+    SCOPED_TRACE("no cost evidence");
+    Batcher b({.max_batch = 4, .batch_timeout_us = 200000,
+               .max_queue_depth = 16});
+    closes_at_once(b);
+  }
+  {
+    SCOPED_TRACE("one batch size seen");
+    Batcher b({.max_batch = 4, .batch_timeout_us = 200000,
+               .max_queue_depth = 16});
+    b.record_cost(1, 4, 400'000'000);
+    b.record_cost(1, 4, 500'000'000);
+    closes_at_once(b);
+  }
+  {
+    SCOPED_TRACE("a <= 0: every row costs the same at any batch size");
+    Batcher b({.max_batch = 4, .batch_timeout_us = 200000,
+               .max_queue_depth = 16});
+    b.record_cost(1, 1, 800'000);
+    b.record_cost(4, 1, 3'200'000);
+    closes_at_once(b);
+  }
+  {
+    SCOPED_TRACE("budget 0 never holds, whatever the fit");
+    Batcher b({.max_batch = 4, .batch_timeout_us = 0,
+               .max_queue_depth = 16});
+    seed_fixed_cost(b);
+    closes_at_once(b);
+  }
+}
+
+TEST(ServeBatcher, ClosesAtOnceWhileAnotherWorkerIsParked) {
+  // The fit says hold up to a·T = 400 ms (the budget allows 1 s), but the
+  // second worker parked in next_batch could take the next arrival at
+  // once, so whichever worker seeds the row closes its batch without
+  // holding.  Either thread may win the row; the other stays parked until
+  // the drain.
+  Batcher b({.max_batch = 4, .batch_timeout_us = 1'000'000,
+             .max_queue_depth = 16});
+  seed_fixed_cost(b);
+  std::atomic<int> rows_out{0};
+  std::atomic<std::uint64_t> close_ms{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto worker = [&] {
+    std::vector<PendingRequest> expired;
+    const auto batch = b.next_batch(expired);
+    if (batch.empty()) return;
+    close_ms.store(ms_since(t0));
+    rows_out.fetch_add(static_cast<int>(batch.size()));
+    b.drain();  // release the parked worker
+  };
+  std::thread w1(worker), w2(worker);
+  ASSERT_EQ(b.submit(pending(4, 1)), AdmitResult::kAdmitted);
+  w1.join();
+  w2.join();
+  EXPECT_EQ(rows_out.load(), 1);
+  EXPECT_LT(close_ms.load(), 200u);
+}
+
+TEST(ServeBatcher, HoldEndsBeforeEarliestDeadlineMinusServiceTime) {
+  // a·T = 400 ms and the budget allows 1 s, but the row must be done by
+  // its deadline 540 ms out and a lone row's predicted service time is
+  // 440 ms: the hold may run only ~100 ms.
+  Batcher b({.max_batch = 4, .batch_timeout_us = 1'000'000,
+             .max_queue_depth = 16});
+  seed_fixed_cost(b);
+  constexpr std::uint64_t kServiceNs = (kFixedStepNs + kRowStepNs) * 4;
+  const std::uint64_t deadline =
+      obs::telemetry_now_ns() + kServiceNs + 100'000'000;
+  ASSERT_EQ(b.submit(pending(4, 1, deadline)), AdmitResult::kAdmitted);
+  std::vector<PendingRequest> expired;
+  const auto batch = b.next_batch(expired);
+  const std::uint64_t closed = obs::telemetry_now_ns();
+  EXPECT_TRUE(expired.empty());
+  ASSERT_EQ(batch.size(), 1u);
+  // Held past deadline - service by at most scheduling noise (a hold to
+  // a·T would overshoot by 300 ms).
+  EXPECT_LT(closed + kServiceNs, deadline + 150'000'000);
 }
 
 TEST(ServeBatcher, ShedsExpiredEntriesAtDequeue) {
@@ -380,6 +493,135 @@ TEST(ServeBatcher, DrainStillShedsExpiredBeforeReleasingWorkers) {
   expired.clear();
   EXPECT_TRUE(b.next_batch(expired).empty());
   EXPECT_TRUE(expired.empty());
+}
+
+/// One seeded schedule against a real Batcher: a producer submits random
+/// plain rows and stream chunks (mixed num_steps, within a stream too;
+/// random deadlines, some already past) while `workers` threads pull
+/// batches, report a synthetic cost (so holds happen), "serve" for a random
+/// while, and hand their streams back.  Every invariant the server relies
+/// on is checked on the way out.
+void run_batcher_schedule(std::uint64_t seed) {
+  SCOPED_TRACE("schedule seed " + std::to_string(seed));
+  constexpr std::int64_t kMaxBatch = 4;
+  constexpr int kArrivals = 300;
+  constexpr std::uint64_t kStreams = 5;
+  const int workers = 2 + static_cast<int>(seed % 3);
+  Batcher b({.max_batch = kMaxBatch, .batch_timeout_us = 500,
+             .max_queue_depth = 32});
+  Rng rng(seed);
+
+  struct Row {
+    std::uint64_t stream = 0;  // 0 = plain row
+    std::uint64_t seq = 0;     // chunk index within its stream
+    bool admitted = false;
+    int outs = 0;              // times it came out (batch or expired)
+  };
+  std::vector<Row> rows(kArrivals + 1);  // by request id (1-based)
+  std::mutex mu;
+  std::unordered_set<std::uint64_t> aboard;       // streams in a batch
+  std::map<std::uint64_t, std::uint64_t> served;  // stream -> last seq + 1
+  std::vector<std::string> faults;
+  const auto fault = [&](const std::string& what) {
+    faults.push_back(what);
+  };
+
+  const auto worker = [&](Rng wrng) {
+    for (;;) {
+      std::vector<PendingRequest> expired;
+      const std::uint64_t asked = obs::telemetry_now_ns();
+      std::vector<PendingRequest> batch = b.next_batch(expired);
+      const std::uint64_t got = obs::telemetry_now_ns();
+      if (batch.empty() && expired.empty()) return;  // drained and dry
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        for (const PendingRequest& p : expired) {
+          ++rows[p.request.request_id].outs;
+          if (p.deadline_ns == 0 || p.deadline_ns > got)
+            fault("live row " + std::to_string(p.request.request_id) +
+                  " shed as expired");
+        }
+        if (static_cast<std::int64_t>(batch.size()) > kMaxBatch)
+          fault("batch of " + std::to_string(batch.size()) + " rows");
+        for (const PendingRequest& p : batch) {
+          const std::uint64_t id = p.request.request_id;
+          ++rows[id].outs;
+          if (p.request.num_steps != batch.front().request.num_steps)
+            fault("batch mixes window lengths");
+          // Exact without a race: a row already stale when the worker
+          // asked must have been shed by the purge or the close.
+          if (p.deadline_ns != 0 && p.deadline_ns <= asked)
+            fault("row " + std::to_string(id) + " served past its deadline");
+          if (p.stream_id == 0) continue;
+          if (!aboard.insert(p.stream_id).second)
+            fault("stream " + std::to_string(p.stream_id) +
+                  " aboard two batches");
+          std::uint64_t& next = served[p.stream_id];
+          if (rows[id].seq < next)
+            fault("stream " + std::to_string(p.stream_id) + " chunk " +
+                  std::to_string(rows[id].seq) + " served out of order");
+          next = rows[id].seq + 1;
+        }
+      }
+      if (batch.empty()) continue;
+      const auto n = static_cast<std::int64_t>(batch.size());
+      const auto t = static_cast<std::int64_t>(batch.front().request.num_steps);
+      b.record_cost(n, t, static_cast<std::uint64_t>((200'000 + 50'000 * n) * t));
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(wrng.uniform_int(300)));
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        for (const PendingRequest& p : batch)
+          if (p.stream_id != 0) aboard.erase(p.stream_id);
+      }
+      for (const PendingRequest& p : batch) b.finish_stream(p.stream_id);
+    }
+  };
+  std::vector<std::thread> pool;
+  for (int w = 0; w < workers; ++w)
+    pool.emplace_back(worker, rng.fork(static_cast<std::uint64_t>(w) + 100));
+
+  std::uint64_t next_seq[kStreams + 1] = {};
+  for (std::uint64_t id = 1; id <= kArrivals; ++id) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(rng.uniform_int(150)));
+    const std::uint32_t steps = 1u << rng.uniform_int(3);  // 1, 2 or 4
+    const double roll = rng.uniform();
+    std::uint64_t deadline = 0;
+    if (roll < 0.15) {
+      deadline = 1;  // long past
+    } else if (roll < 0.6) {
+      deadline = obs::telemetry_now_ns() +
+                 static_cast<std::uint64_t>(rng.uniform(2e5, 3e6));
+    }
+    PendingRequest p = pending(steps, id, deadline);
+    std::lock_guard<std::mutex> lock(mu);  // rows[] is read by workers
+    if (rng.bernoulli(0.7)) {
+      p.stream_id = 1 + rng.uniform_int(kStreams);
+      rows[id].stream = p.stream_id;
+      rows[id].seq = next_seq[p.stream_id];
+    }
+    const AdmitResult r = b.submit(std::move(p));
+    if (r == AdmitResult::kAdmitted) {
+      rows[id].admitted = true;
+      if (rows[id].stream != 0) ++next_seq[rows[id].stream];
+    } else if (r != AdmitResult::kQueueFull) {
+      fault("submit refused before the drain");
+    }
+  }
+  b.drain();
+  for (std::thread& w : pool) w.join();
+
+  for (std::uint64_t id = 1; id <= kArrivals; ++id)
+    if (rows[id].outs != (rows[id].admitted ? 1 : 0))
+      fault("request " + std::to_string(id) + " came out " +
+            std::to_string(rows[id].outs) + " times");
+  EXPECT_EQ(b.depth(), 0u);
+  for (const std::string& f : faults) ADD_FAILURE() << f;
+}
+
+TEST(ServeBatcher, SeededSchedulesKeepFifoDeadlineAndExactlyOnce) {
+  for (std::uint64_t seed : {1, 2, 3, 4}) run_batcher_schedule(seed);
 }
 
 // --- server integration -----------------------------------------------------
@@ -706,6 +948,14 @@ TEST(ServeServer, StatReportsConsistentWindowedBreakdown) {
     // The response metadata carries the per-request stage split.
     EXPECT_GT(reply.response.infer_ns, 0u);
   }
+  // A worker accounts a request (counters, windows, SLO, then its span)
+  // just after writing the response, so the last reply can reach the
+  // client first; let that bookkeeping land before taking the snapshot.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (s.server->spans().recorded() < kRequests &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   // STAT on the same connection, interleaved with inference traffic.
   const TcpClient::StatReply stat = client.stat(777);
@@ -929,16 +1179,50 @@ TEST(ServeServer, ExpiredDeadlineIsShedNotServed) {
 }
 
 TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
+  // The single worker is parked inside a gate request's hook until the
+  // three requests below are queued in order, so they leave the queue as
+  // ONE batch [1, 666, 2] whatever the close rule decides: the poison pill
+  // fails a real multi-row batch and isolation must save both batchmates.
+  constexpr std::uint64_t kGate = 99;
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_entered = false;
+  bool gate_open = false;
+  std::map<std::uint64_t, int> hook_calls;
   ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch = 8;
-  cfg.batch_timeout_us = 30000;  // 30 ms window: the three coalesce
-  cfg.poison_hook = [](const InferRequest& r) {
+  cfg.poison_hook = [&](const InferRequest& r) {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    ++hook_calls[r.request_id];
+    if (r.request_id == kGate) {
+      gate_entered = true;
+      gate_cv.notify_all();
+      gate_cv.wait(lock, [&] { return gate_open; });
+    }
     if (r.request_id == 666) throw Error("poison pill");
   };
   MlpServer s(cfg);
   const std::int64_t elems = s.per_sample.numel();
   const int port = s.server->port();
+
+  std::thread gate([&] {
+    Rng rng(299);
+    TcpClient c("127.0.0.1", port, 2000);
+    EXPECT_TRUE(c.roundtrip(random_request(kGate, 4, elems, rng)).ok);
+  });
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return gate_entered; });
+  }
+  const auto wait_admitted = [&](std::int64_t n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (s.server->stats().admitted < n &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(s.server->stats().admitted, n);
+  };
 
   constexpr std::uint64_t kIds[3] = {1, 666, 2};
   TcpClient::Reply replies[3];
@@ -951,8 +1235,23 @@ TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
       requests[i] = random_request(kIds[i], 4, elems, rng);
       replies[i] = c.roundtrip(requests[i]);
     });
+    wait_admitted(2 + i);  // the gate, then each request in queue order
   }
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  gate.join();
   for (std::thread& t : clients) t.join();
+  {
+    // Request 1 rode ahead of the pill in the failed batch (hook called)
+    // and was re-run alone (called again); run apart, it would be once.
+    std::lock_guard<std::mutex> lock(gate_mu);
+    EXPECT_EQ(hook_calls[1], 2);
+    EXPECT_EQ(hook_calls[666], 2);
+    EXPECT_EQ(hook_calls[2], 1);
+  }
 
   for (int i = 0; i < 3; ++i) {
     if (kIds[i] == 666) {
@@ -981,7 +1280,7 @@ TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
   s.server->drain_and_stop();
   const Server::Stats stats = s.server->stats();
   EXPECT_EQ(stats.internal_errors, 1);
-  EXPECT_EQ(stats.served, 3);  // two surviving batchmates + the follow-up
+  EXPECT_EQ(stats.served, 4);  // gate, two surviving batchmates, follow-up
   EXPECT_EQ(unanswered(stats), 0);
 }
 

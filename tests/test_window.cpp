@@ -95,26 +95,35 @@ TEST(WindowedHistogram, StalledWriterDropsInsteadOfCorrupting) {
 }
 
 TEST(WindowedHistogram, ConcurrentWritersLoseNothing) {
-  // Wide window + real clock: every sample written lands inside it, so the
-  // final merged count must equal the total pushed (no torn slots).
+  // A shared synthetic clock, advanced once per record, drives every
+  // writer: the records roll over tens of epochs concurrently, yet the
+  // total advance (kThreads * kPerThread * kTickNs = 40 ms) stays inside
+  // the 60 ms window however slowly the writers run (a sanitizer build,
+  // say).  So every sample lands in the window and the final merged count
+  // must equal the total pushed (no torn slots).
   WindowedHistogram h({.epoch_ns = 1'000'000, .epochs = 60});
   WindowedRate r({.epoch_ns = 1'000'000, .epochs = 60});
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
+  constexpr std::uint64_t kTickNs = 500;
+  std::atomic<std::uint64_t> clock{0};
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)h.merged();
-      (void)r.per_second();
-      (void)r.total_in_window();
+      const std::uint64_t now = clock.load(std::memory_order_relaxed);
+      (void)h.merged_at(now);
+      (void)r.per_second_at(now);
+      (void)r.total_in_window_at(now);
     }
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        h.record(static_cast<double>(t * kPerThread + i % 97) + 1.0);
-        r.add();
+        const std::uint64_t now =
+            clock.fetch_add(kTickNs, std::memory_order_relaxed);
+        h.record_at(static_cast<double>(t * kPerThread + i % 97) + 1.0, now);
+        r.add_at(1, now);
       }
     });
   }
@@ -122,11 +131,13 @@ TEST(WindowedHistogram, ConcurrentWritersLoseNothing) {
   stop.store(true);
   reader.join();
 
-  EXPECT_EQ(h.merged().count() + h.dropped_late(),
+  const std::uint64_t end = clock.load();
+  EXPECT_EQ(h.merged_at(end).count() + h.dropped_late(),
             static_cast<std::int64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(r.total_in_window() + r.dropped_late(),
+  EXPECT_EQ(r.total_in_window_at(end) + r.dropped_late(),
             static_cast<std::int64_t>(kThreads) * kPerThread);
-  // A 60 ms stall inside record() would be required to drop anything here.
+  // Dropping needs a writer stalled past the whole window of synthetic
+  // time, which the clock's total advance never reaches.
   EXPECT_EQ(h.dropped_late(), 0);
 }
 
