@@ -244,19 +244,15 @@ class ParityReplay {
   /// `opts` must set max_batch = 1: every replay is a single sample.
   ParityReplay(const infer::CompiledModel& model,
                const infer::InferOptions& opts)
-      : session_(model, opts), scratch_(model) {}
+      : session_(model, opts) {}
 
   /// Replays `req`'s window through run(StreamState* const*, 1, window)
   /// and compares the served counts bitwise.  A stream chunk passes its
   /// stream's persistent replica as `state`; a plain request passes
-  /// nullptr and replays on a scratch state reset first, exactly as the
-  /// daemon's workers run plain rows.
+  /// nullptr, which the session runs on a fresh scratch stream, exactly as
+  /// the daemon's workers run plain rows.
   bool matches(infer::StreamState* state, const serve::InferRequest& req,
                const std::vector<float>& served) {
-    if (state == nullptr) {
-      scratch_.reset();
-      state = &scratch_;
-    }
     const infer::InferenceResult want = session_.run(
         &state, 1,
         serve::window_tensors({&req}, session_.model().input_shape()));
@@ -268,7 +264,6 @@ class ParityReplay {
 
  private:
   infer::InferenceSession session_;
-  infer::StreamState scratch_;
 };
 
 /// Open loop: sleeps until `start + offset_s` and returns that slot.

@@ -3,7 +3,7 @@
 // PR 5 replaced the training stack's positional forward arguments with
 // ForwardOptions; this is the inference-side mirror.  InferenceSession used
 // to grow a new positional field per feature (max_batch, then the
-// crossover, then two recording switches, then the streaming knobs), and
+// crossover, then two recording switches), and
 // every driver that built a session re-spelled the tail.  All of it now
 // lives here, threaded through the drivers by exp::apply_standard_flags
 // (StandardFlags::infer), so a new knob is one field plus one flag — not
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace spiketune::infer {
 
@@ -30,14 +29,6 @@ struct InferOptions {
   /// dense kernel time) into InferenceResult.  A few clock reads per
   /// layer-step; never alters dispatch or results.
   bool record_stage_times = false;
-
-  // --- Streaming (StreamManager; see infer/stream.h) ------------------------
-  /// Live StreamState instances held in memory before the LRU spills the
-  /// coldest stream to its STK2 checkpoint.
-  std::int64_t max_live_streams = 4096;
-  /// Where evicted / drained stream state is checkpointed.  Empty disables
-  /// spilling: beyond max_live_streams, opening another stream fails.
-  std::string stream_checkpoint_dir;
 };
 
 }  // namespace spiketune::infer

@@ -62,12 +62,9 @@ void InferenceSession::ensure_capacity(std::int64_t batch) {
   cols_.resize(static_cast<std::size_t>(batch * cols_stride_));
   m_rows_.resize(static_cast<std::size_t>(batch));
   fresh_.resize(static_cast<std::size_t>(batch));
-  // Scratch streams backing the whole-window run(); pool_ never shrinks, so
-  // the pointers handed out below stay valid across calls.
+  // One scratch stream per row, for the rows run() is handed as null.
   while (pool_.size() < static_cast<std::size_t>(batch))
     pool_.emplace_back(*model_);
-  pool_ptrs_.resize(static_cast<std::size_t>(batch));
-  for (std::size_t s = 0; s < pool_.size(); ++s) pool_ptrs_[s] = &pool_[s];
   capacity_ = batch;
 }
 
@@ -464,11 +461,9 @@ InferenceResult InferenceSession::run(const std::vector<Tensor>& step_inputs) {
   ST_REQUIRE(!step_inputs.empty(), "window must contain at least one step");
   const std::int64_t n = step_inputs.front().shape()[0];
   ST_REQUIRE(n > 0, "batch must be non-empty");
-  ensure_capacity(n);
-  // A window is just n scratch streams born at t=0 and stepped T times.
-  for (std::int64_t s = 0; s < n; ++s)
-    pool_[static_cast<std::size_t>(s)].reset();
-  return run(pool_ptrs_.data(), n, step_inputs);
+  // A window is just n fresh streams born at t=0 and stepped T times.
+  const std::vector<StreamState*> fresh(static_cast<std::size_t>(n), nullptr);
+  return run(fresh.data(), n, step_inputs);
 }
 
 InferenceResult InferenceSession::run(StreamState* const* streams,
@@ -489,6 +484,15 @@ InferenceResult InferenceSession::run(StreamState* const* streams,
                      model_in.str());
   }
   ensure_capacity(n);
+  // A null row runs on a scratch stream reset here, so it starts at t = 0
+  // and whatever it leaves in the pool is reset before its next use.
+  std::vector<StreamState*> rows(streams, streams + n);
+  std::size_t scratch_used = 0;
+  for (StreamState*& row : rows) {
+    if (row != nullptr) continue;
+    row = &pool_[scratch_used++];
+    row->reset();
+  }
 
   const std::int64_t steps = static_cast<std::int64_t>(step_inputs.size());
 
@@ -499,7 +503,7 @@ InferenceResult InferenceSession::run(StreamState* const* streams,
 
   StepTotals totals;
   for (std::int64_t t = 0; t < steps; ++t)
-    step_batch(streams, n, step_inputs[static_cast<std::size_t>(t)].data(),
+    step_batch(rows.data(), n, step_inputs[static_cast<std::size_t>(t)].data(),
                result.spike_counts.data(), result, totals);
 
   result.stats.note_window(steps, n);

@@ -12,8 +12,8 @@
 //   * step(stream, events): the incremental API — advance one stream by one
 //     timestep and get that step's output spikes back.  step_batch() is the
 //     batched form the serving stack uses (many streams, one kernel pass).
-//   * run(step_inputs): the classic whole-window API, now literally a loop
-//     over step_batch() driving a pool of session-owned scratch streams —
+//   * run(step_inputs): the classic whole-window API, now literally the
+//     batched run() with every row a fresh session-owned scratch stream —
 //     so window results are bitwise-identical to streaming results by
 //     construction, not by parallel maintenance (DESIGN.md §15).
 //
@@ -69,9 +69,9 @@ class InferenceSession {
                             InferOptions config = {});
 
   /// Runs one window of T per-step batches shaped [N, <input_shape>...].
-  /// All steps must share one batch size.  Implemented as a loop over
-  /// step_batch() on a pool of internal scratch streams (reset first), so
-  /// the result is bit-identical to feeding the same steps through step().
+  /// All steps must share one batch size.  The batched run() below with
+  /// every entry null, so the result is bit-identical to feeding the same
+  /// steps through step() on fresh streams.
   InferenceResult run(const std::vector<Tensor>& step_inputs);
 
   /// A fresh stream for this session's model (equivalent to
@@ -89,7 +89,10 @@ class InferenceSession {
   /// streams[i].  Streams may be at different ages (a fresh stream rides
   /// in the same batch as an old one); spike_counts holds only this call's
   /// window, while each stream's cumulative_counts() keeps the lifetime
-  /// total.  `streams` pointers must be distinct and non-null.
+  /// total.  Non-null `streams` pointers must be distinct.  A null entry is
+  /// a plain row: it runs on a fresh scratch stream from the session's
+  /// pool, as if stepped from t = 0 on its own, and no later call sees
+  /// what it leaves there.
   InferenceResult run(StreamState* const* streams, std::int64_t n,
                       const std::vector<Tensor>& step_inputs);
 
@@ -127,8 +130,7 @@ class InferenceSession {
   std::vector<float> cols_;               // dense-fallback im2col
   std::vector<float*> m_rows_;            // per-row membrane planes (1 layer)
   std::vector<unsigned char> fresh_;      // per-row "stream has no history"
-  std::vector<StreamState> pool_;         // scratch streams for window run()
-  std::vector<StreamState*> pool_ptrs_;
+  std::vector<StreamState> pool_;         // scratch streams for null rows
   std::int64_t idx_stride_ = 0;      // max conv/linear in_elems
   std::int64_t scratch_stride_ = 0;  // max conv spatial*OC
   std::int64_t cols_stride_ = 0;     // max conv col_rows*spatial

@@ -7,7 +7,8 @@
 // and its term in the accounting identity (unanswered()).  Gauges,
 // histograms and windowed rates are not counters (serve/metric_ids.h).
 //
-// admitted counts requests that entered the queue; dropped_responses,
+// admitted counts requests that entered the queue; served, responses
+// written; batches, successful session runs; dropped_responses,
 // answers whose peer was gone; deadline_requests, admissions with a
 // budget; deadline_shed, ones that expired queued; internal_errors, poison
 // requests and failed stream restores; stream_orphan_steps, steps whose
@@ -44,8 +45,8 @@ enum StatSection : unsigned { kTotals = 1u, kDeadline = 2u, kStreams = 4u };
 #define SPIKETUNE_SERVE_COUNTERS(X)                                          \
   X(connections, kSum, kTotals, nullptr, nullptr, nullptr)                   \
   X(admitted, kSum, kTotals, nullptr, nullptr, nullptr)                      \
-  X(served, kAnswer, kTotals, nullptr, nullptr, nullptr)                     \
-  X(batches, kSum, kTotals, nullptr, nullptr, nullptr)                       \
+  X(served, kAnswer, kTotals, nullptr, "serve.requests", nullptr)            \
+  X(batches, kSum, kTotals, nullptr, "serve.batches", nullptr)               \
   X(rejected_overload, kSum, kTotals, nullptr, "serve.rejected_overload",    \
     nullptr)                                                                 \
   X(rejected_draining, kSum, kTotals, nullptr, nullptr, nullptr)             \

@@ -1,10 +1,11 @@
 // Interned metric handles for the serving stack, resolved once.
 //
-// The gauges, histograms and non-table counters are named here; the obs
-// counters that mirror a serve/counters.h row are interned from that
-// table's `obs` column, and the stage histograms from the obs/spans.h
-// stage table.  Call serve_metric_ids() and index the struct: the first
-// call interns, every later call is a function-local-static load.
+// The gauges, histograms and SLO counters are named here; the obs counters
+// that mirror a serve/counters.h row (serve.requests, serve.batches, ...)
+// are interned from that table's `obs` column, and the stage histograms
+// from the obs/spans.h stage table.  Call serve_metric_ids() and index the
+// struct: the first call interns, every later call is a
+// function-local-static load.
 #pragma once
 
 #include <array>
@@ -16,9 +17,7 @@
 namespace spiketune::serve {
 
 struct ServeMetricIds {
-  // Traffic and queue state.
-  obs::MetricId requests = obs::kNoMetric;       // counter: responses sent
-  obs::MetricId batches = obs::kNoMetric;        // counter: session runs
+  // Queue depth and batch shape.
   obs::MetricId queue_depth = obs::kNoMetric;    // gauge: queued requests
   obs::MetricId batch_size = obs::kNoMetric;     // histogram: samples/batch
   // End-to-end and per-stage request latency (all microseconds).
@@ -37,8 +36,6 @@ struct ServeMetricIds {
 inline const ServeMetricIds& serve_metric_ids() {
   static const ServeMetricIds ids = [] {
     ServeMetricIds m;
-    m.requests = obs::counter("serve.requests");
-    m.batches = obs::counter("serve.batches");
     m.queue_depth = obs::gauge("serve.queue_depth");
     m.batch_size = obs::histogram("serve.batch_size");
     m.request_us = obs::histogram("serve.request_us");

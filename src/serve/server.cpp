@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -472,15 +474,25 @@ void Server::worker_main(int index) {
   const Shape& per_sample = model_->input_shape();
   const std::int64_t out_features = model_->output_shape()[0];
   const ServeMetricIds& ids = serve_metric_ids();
-  // Plain (non-stream) rows run on worker-local scratch state, reset per
-  // batch; stream rows swap in their persistent state from the manager.
-  // Reserved up front so taking addresses into the vector is stable.
-  std::vector<infer::StreamState> scratch;
-  scratch.reserve(static_cast<std::size_t>(config_.max_batch));
 
-  // Sends request `p`'s response from row `row` of `result` and records
-  // its span.  Shared by the batch path and the per-request isolation path
-  // (which runs with n == 1).
+  // One row of a batch: the request, the state it runs on (null for a
+  // plain request, which the session runs on a fresh scratch stream), and
+  // that state's steps_done before the run.
+  struct Row {
+    PendingRequest p;
+    infer::StreamState* state = nullptr;
+    std::int64_t pre_steps = 0;
+  };
+
+  // Answers `p` with an error, counted under `c`.
+  const auto fail = [&](const PendingRequest& p, Counter c, ErrorCode code,
+                        const std::string& message) {
+    bump(c);
+    respond_error(p.conn, p.request.request_id, code, message, p.version);
+  };
+
+  // Sends request `p`'s response from row `row` of `result` (a run of `n`
+  // rows) and records its span.
   const auto respond_one = [&](const PendingRequest& p,
                                const infer::InferenceResult& result,
                                std::int64_t row, std::int64_t n,
@@ -537,11 +549,52 @@ void Server::worker_main(int index) {
       for (std::size_t i = 0; i < obs::kNumStages; ++i)
         obs::observe(ids.stage_us[i], t.stage_us[i]);
       obs::observe(ids.request_us, t.e2e_us);
-      obs::add(ids.requests);
       if (slo_.enabled())
         obs::add(t.e2e_us / 1e3 <= config_.slo_target_ms ? ids.slo_ok
                                                         : ids.slo_violations);
     }
+  };
+
+  // The one run: assembles `rows` into a window, runs the hooks and the
+  // session, counts the run and answers every row.  If a hook or the run
+  // throws, nothing is counted or answered and the message is returned.
+  const auto run_and_answer =
+      [&](std::span<Row> rows,
+          std::uint64_t assembled_ns) -> std::optional<std::string> {
+    const auto n = static_cast<std::int64_t>(rows.size());
+    const auto steps =
+        static_cast<std::int64_t>(rows.front().p.request.num_steps);
+    std::vector<const InferRequest*> requests;
+    std::vector<infer::StreamState*> states;
+    for (const Row& r : rows) {
+      requests.push_back(&r.p.request);
+      states.push_back(r.state);
+    }
+    const std::vector<Tensor> window = window_tensors(requests, per_sample);
+    const std::uint64_t infer_start_ns = now_ns();
+    obs::flight_record(obs::FlightEventId::kBatchDispatch,
+                       static_cast<std::uint64_t>(n));
+    infer::InferenceResult result;
+    try {
+      if (config_.poison_hook)
+        for (const Row& r : rows) config_.poison_hook(r.p.request);
+      result = session.run(states.data(), n, window);
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    const std::uint64_t done_ns = now_ns();
+    batcher_.record_cost(n, steps, done_ns - infer_start_ns);
+    bump(Counter::batches);
+    bump(Counter::max_batch_seen, n);
+    w_batch_.record_at(static_cast<double>(n), done_ns);
+    if (obs::metrics_enabled())
+      obs::observe(ids.batch_size, static_cast<double>(n));
+    if (obs::trace_enabled())
+      obs::trace_span("serve.infer", infer_start_ns, done_ns - infer_start_ns);
+    for (std::int64_t i = 0; i < n; ++i)
+      respond_one(rows[static_cast<std::size_t>(i)].p, result, i, n,
+                  assembled_ns, infer_start_ns, done_ns);
+    return std::nullopt;
   };
 
   for (;;) {
@@ -555,189 +608,86 @@ void Server::worker_main(int index) {
     }
     ST_PROF_SCOPE("serve.batch");
 
-    // Streams aboard this batch: the batcher holds each one in flight
-    // until we hand it back, so whatever happens to its row below —
-    // served, orphaned, acquire failure, poison isolation — every id here
-    // MUST reach batcher_.finish_stream() before the next loop pass.
-    std::vector<std::uint64_t> batch_streams;
-    for (const PendingRequest& p : batch)
-      if (p.stream_id != 0) batch_streams.push_back(p.stream_id);
-    const auto finish_batch_streams = [&] {
-      for (std::uint64_t sid : batch_streams) batcher_.finish_stream(sid);
-    };
-
-    // Swap in per-stream state before assembly.  Acquire in ascending
-    // stream-id order — every worker does, so pin-waits between workers
-    // cannot form a cycle (the batcher already guarantees at most one
-    // in-flight chunk per stream).  A row whose stream vanished between
-    // admission and here — closed by its reader while the step sat queued
-    // — is answered kBadRequest and dropped from the batch; a row whose
-    // acquire THROWS (corrupt/missing spill on restore, disk-full spill
-    // during the LRU churn it triggers) is answered kInternalError and
-    // dropped, because an exception escaping this thread would
-    // std::terminate the daemon.
-    std::vector<std::size_t> stream_rows;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      if (batch[i].stream_id != 0) stream_rows.push_back(i);
-    std::sort(stream_rows.begin(), stream_rows.end(),
-              [&batch](std::size_t a, std::size_t b) {
-                return batch[a].stream_id < batch[b].stream_id;
-              });
-    std::vector<infer::StreamState*> acquired(batch.size(), nullptr);
-    std::vector<char> acquire_failed(batch.size(), 0);
-    for (std::size_t i : stream_rows) {
-      try {
-        acquired[i] = streams_->acquire(batch[i].stream_id);
-      } catch (const std::exception& e) {
-        acquire_failed[i] = 1;
-        bump(Counter::internal_errors);
-        ST_LOG_WARN << "serve: acquiring stream " << batch[i].stream_id
-                    << " failed (" << e.what() << "); answering the step "
-                    << "with internal-error";
-        respond_error(batch[i].conn, batch[i].request.request_id,
-                      ErrorCode::kInternalError, e.what(), batch[i].version);
-      }
-    }
-    if (!stream_rows.empty()) {
-      std::vector<PendingRequest> kept;
-      std::vector<infer::StreamState*> kept_acq;
-      kept.reserve(batch.size());
-      kept_acq.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].stream_id != 0 && acquired[i] == nullptr) {
-          if (!acquire_failed[i]) {
-            bump(Counter::stream_orphan_steps);
-            respond_error(batch[i].conn, batch[i].request.request_id,
-                          ErrorCode::kBadRequest,
-                          "stream " + std::to_string(batch[i].stream_id) +
-                              " was closed before this step ran",
-                          batch[i].version);
-          }  // acquire_failed rows were answered above
-        } else {
-          kept.push_back(std::move(batch[i]));
-          kept_acq.push_back(acquired[i]);
-        }
-      }
-      batch = std::move(kept);
-      acquired = std::move(kept_acq);
-      if (batch.empty()) {
-        finish_batch_streams();
+    // Resolve every row in one pass, plain rows first, then stream rows in
+    // ascending stream-id order — every worker acquires that way, so
+    // pin-waits between workers cannot form a cycle (the batcher already
+    // guarantees at most one in-flight chunk per stream).  The batcher
+    // holds each stream aboard in flight until finish_stream().  A row
+    // whose stream was closed while the step sat queued is answered
+    // kBadRequest; one whose acquire THROWS (corrupt or missing spill on
+    // restore, disk-full spill during the LRU churn it triggers) is
+    // answered kInternalError, because an exception escaping this thread
+    // would std::terminate the daemon.  Either way the row leaves the
+    // batch and its stream is handed back here.
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const PendingRequest& a, const PendingRequest& b) {
+                       return a.stream_id < b.stream_id;
+                     });
+    std::vector<Row> rows;
+    rows.reserve(batch.size());
+    for (PendingRequest& p : batch) {
+      if (p.stream_id == 0) {
+        rows.push_back({std::move(p)});
         continue;
       }
+      infer::StreamState* state = nullptr;
+      try {
+        state = streams_->acquire(p.stream_id);
+      } catch (const std::exception& e) {
+        ST_LOG_WARN << "serve: acquiring stream " << p.stream_id << " failed ("
+                    << e.what() << "); answering the step with internal-error";
+        fail(p, Counter::internal_errors, ErrorCode::kInternalError, e.what());
+        batcher_.finish_stream(p.stream_id);
+        continue;
+      }
+      if (state == nullptr) {
+        fail(p, Counter::stream_orphan_steps, ErrorCode::kBadRequest,
+             "stream " + std::to_string(p.stream_id) +
+                 " was closed before this step ran");
+        batcher_.finish_stream(p.stream_id);
+        continue;
+      }
+      rows.push_back({std::move(p), state, state->steps_done()});
     }
+    if (rows.empty()) continue;
 
-    const std::int64_t n = static_cast<std::int64_t>(batch.size());
-    const auto steps =
-        static_cast<std::int64_t>(batch.front().request.num_steps);
     const std::uint64_t assembled_ns = now_ns();
-    obs::flight_record(obs::FlightEventId::kBatchAssemble,
-                       static_cast<std::uint64_t>(n),
-                       static_cast<std::uint64_t>(steps));
-
-    // Assemble the [N, ...] step tensors from the per-request windows.
-    std::vector<const InferRequest*> rows;
-    rows.reserve(batch.size());
-    for (const PendingRequest& p : batch) rows.push_back(&p.request);
-    const std::vector<Tensor> window = window_tensors(rows, per_sample);
-    const std::uint64_t infer_start_ns = now_ns();
-    obs::flight_record(obs::FlightEventId::kBatchDispatch,
-                       static_cast<std::uint64_t>(n));
-
-    // Per-row state table: persistent state for stream rows, reset scratch
-    // for plain rows (so a plain row behaves exactly like the stateless
-    // run() it rode before v3).  pre_steps lets the isolation path detect
-    // a stream the failed batch already advanced.
-    while (scratch.size() < batch.size()) scratch.emplace_back(*model_);
-    std::vector<infer::StreamState*> states(static_cast<std::size_t>(n));
-    std::vector<std::int64_t> pre_steps(static_cast<std::size_t>(n), 0);
-    std::size_t scratch_used = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::size_t ui = static_cast<std::size_t>(i);
-      if (acquired[ui] != nullptr) {
-        states[ui] = acquired[ui];
-        pre_steps[ui] = states[ui]->steps_done();
-      } else {
-        scratch[scratch_used].reset();
-        states[ui] = &scratch[scratch_used++];
-      }
-    }
-
+    obs::flight_record(obs::FlightEventId::kBatchAssemble, rows.size(),
+                       rows.front().p.request.num_steps);
     // Poison isolation: one request that makes inference throw must not
-    // take its batchmates or this worker down.  Try the batch; on failure,
-    // re-run each request alone so the poison pill is pinned to exactly
-    // one request (answered kInternalError) and everyone else still gets
-    // their bitwise-correct response.
-    infer::InferenceResult result;
-    bool batch_ok = true;
-    try {
-      if (config_.poison_hook)
-        for (const PendingRequest& p : batch) config_.poison_hook(p.request);
-      result = session.run(states.data(), n, window);
-    } catch (const std::exception& e) {
-      batch_ok = false;
-      ST_LOG_WARN << "serve: batch of " << n << " failed (" << e.what()
-                  << "); isolating per request";
-    }
-
-    if (batch_ok) {
-      const std::uint64_t done_ns = now_ns();
-      batcher_.record_cost(n, steps, done_ns - infer_start_ns);
-      bump(Counter::batches);
-      bump(Counter::max_batch_seen, n);
-      w_batch_.record_at(static_cast<double>(n), done_ns);
-      if (obs::trace_enabled())
-        obs::trace_span("serve.infer", infer_start_ns,
-                        done_ns - infer_start_ns);
-      for (std::int64_t i = 0; i < n; ++i)
-        respond_one(batch[static_cast<std::size_t>(i)], result, i, n,
-                    assembled_ns, infer_start_ns, done_ns);
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        const PendingRequest& p = batch[ui];
-        const std::vector<Tensor> single =
-            window_tensors({&p.request}, per_sample);
-        const std::uint64_t s_start = now_ns();
-        try {
-          if (p.stream_id != 0 &&
-              states[ui]->steps_done() != pre_steps[ui]) {
-            // The failed batch already advanced this stream's state part
-            // way; replaying the chunk would double-apply its leading
-            // steps.  The stream is unrecoverable — the client must close
-            // and reopen it.
-            throw std::runtime_error(
-                "stream state advanced by a failed batch; close and "
-                "reopen stream " +
-                std::to_string(p.stream_id));
-          }
-          if (p.stream_id == 0) states[ui]->reset();
-          if (config_.poison_hook) config_.poison_hook(p.request);
-          infer::StreamState* one = states[ui];
-          const infer::InferenceResult r1 = session.run(&one, 1, single);
-          const std::uint64_t s_done = now_ns();
-          bump(Counter::batches);
-          w_batch_.record_at(1.0, s_done);
-          respond_one(p, r1, 0, 1, assembled_ns, s_start, s_done);
-        } catch (const std::exception& e) {
-          bump(Counter::internal_errors);
-          respond_error(p.conn, p.request.request_id,
-                        ErrorCode::kInternalError, e.what(), p.version);
-        }
+    // take its batchmates or this worker down.  On failure each row runs
+    // alone, so the poison pill is pinned to exactly one request (answered
+    // kInternalError) and everyone else still gets a bitwise-correct
+    // response.
+    if (const auto error = run_and_answer(rows, assembled_ns)) {
+      ST_LOG_WARN << "serve: batch of " << rows.size() << " failed ("
+                  << *error << "); isolating per request";
+      for (Row& r : rows) {
+        // A stream the failed batch already advanced part way cannot be
+        // replayed without double-applying its leading steps; the client
+        // must close and reopen it.
+        std::optional<std::string> lone_error;
+        if (r.state != nullptr && r.state->steps_done() != r.pre_steps)
+          lone_error = "stream state advanced by a failed batch; close and "
+                       "reopen stream " +
+                       std::to_string(r.p.stream_id);
+        else
+          lone_error = run_and_answer({&r, 1}, assembled_ns);
+        if (lone_error)
+          fail(r.p, Counter::internal_errors, ErrorCode::kInternalError,
+               *lone_error);
       }
     }
-    // Unpin every stream row (both paths answered it above), then hand
-    // every stream back to the batcher so its next queued chunk can run —
-    // release first, so the chunk's acquire sees the pin already gone.
-    for (std::int64_t i = 0; i < n; ++i) {
-      const PendingRequest& p = batch[static_cast<std::size_t>(i)];
-      if (p.stream_id == 0) continue;
-      streams_->release(p.stream_id);
+    // Every row is answered.  Unpin each stream, then hand it back to the
+    // batcher so its next queued chunk can run — release first, so that
+    // chunk's acquire sees the pin already gone.
+    for (const Row& r : rows) {
+      if (r.state == nullptr) continue;
+      streams_->release(r.p.stream_id);
       bump(Counter::stream_steps);
+      batcher_.finish_stream(r.p.stream_id);
     }
-    finish_batch_streams();
     if (obs::metrics_enabled()) {
-      obs::observe(ids.batch_size, static_cast<double>(n));
-      obs::add(ids.batches);
       obs::set(ids.queue_depth, static_cast<double>(batcher_.depth()));
       if (slo_.enabled()) obs::set(ids.slo_burn, slo_.burn());
     }

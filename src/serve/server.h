@@ -106,9 +106,10 @@ struct ServerConfig {
   // JSONL is written at drain.
   std::string fault_spec;
   std::string fault_log;
-  // Test hook: called for every request before it is inferred (batch and
-  // isolation paths both).  Lets tests wedge a worker (sleep) or poison a
-  // chosen request (throw) deterministically.  Leave empty in production.
+  // Test hook: called for every request before each run it rides in, so
+  // again when a failed batch's rows re-run alone.  Lets tests wedge a
+  // worker (sleep) or poison a chosen request (throw) deterministically.
+  // Leave empty in production.
   std::function<void(const InferRequest&)> poison_hook;
   // Request-scoped observability (see obs/spans.h).  Sampling keys off the
   // server-assigned request id: 0 disables spans, 1 records every request.

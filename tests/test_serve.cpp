@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -1178,11 +1179,32 @@ TEST(ServeServer, ExpiredDeadlineIsShedNotServed) {
   EXPECT_EQ(unanswered(stats), 0);
 }
 
+// Turns obs metrics on for one test's scope.  The registry is process-wide,
+// so tests compare obs counts as deltas.
+struct MetricsOn {
+  MetricsOn() { obs::enable_telemetry(obs::kMetricsBit); }
+  ~MetricsOn() { obs::disable_telemetry(obs::kMetricsBit); }
+};
+
+/// An obs counter's count, or a histogram's sample count; 0 if unregistered.
+std::int64_t obs_count(const std::string& name) {
+  for (const obs::MetricSnapshot& m : obs::snapshot_metrics())
+    if (m.name == name)
+      return m.kind == obs::MetricKind::kHistogram ? m.hist.count() : m.count;
+  return 0;
+}
+
 TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
   // The single worker is parked inside a gate request's hook until the
   // three requests below are queued in order, so they leave the queue as
   // ONE batch [1, 666, 2] whatever the close rule decides: the poison pill
   // fails a real multi-row batch and isolation must save both batchmates.
+  // With metrics on, every count of a run and of a response must agree
+  // between stats(), STAT and obs.
+  const MetricsOn metrics_on;
+  const std::int64_t obs_batches = obs_count("serve.batches");
+  const std::int64_t obs_batch_sizes = obs_count("serve.batch_size");
+  const std::int64_t obs_requests = obs_count("serve.requests");
   constexpr std::uint64_t kGate = 99;
   std::mutex gate_mu;
   std::condition_variable gate_cv;
@@ -1282,19 +1304,21 @@ TEST(ServeServer, PoisonRequestIsolatedWithoutKillingBatchmates) {
   EXPECT_EQ(stats.internal_errors, 1);
   EXPECT_EQ(stats.served, 4);  // gate, two surviving batchmates, follow-up
   EXPECT_EQ(unanswered(stats), 0);
+  // The failed batch is no run; the two lone re-runs are.
+  const JsonValue stat = JsonValue::parse(s.server->stat_json(), "STAT");
+  EXPECT_EQ(stat.find("batch_size")->find("count")->as_number(),
+            static_cast<double>(stats.batches));
+  EXPECT_EQ(obs_count("serve.batches") - obs_batches, stats.batches);
+  EXPECT_EQ(obs_count("serve.batch_size") - obs_batch_sizes, stats.batches);
+  EXPECT_EQ(obs_count("serve.requests") - obs_requests, stats.served);
 }
 
 TEST(ServeServer, SlowPeerIsCutBySendTimeoutNotServedForever) {
   // With metrics on, the obs counter must see every timeout STAT sees.
   const auto obs_send_timeouts = [] {
-    for (const obs::MetricSnapshot& m : obs::snapshot_metrics())
-      if (m.name == "serve.conn.send_timeouts") return m.count;
-    return std::int64_t{0};
+    return obs_count("serve.conn.send_timeouts");
   };
-  struct MetricsOn {
-    MetricsOn() { obs::enable_telemetry(obs::kMetricsBit); }
-    ~MetricsOn() { obs::disable_telemetry(obs::kMetricsBit); }
-  } metrics_on;
+  const MetricsOn metrics_on;
   const std::int64_t obs_before = obs_send_timeouts();
   ServerConfig cfg;
   cfg.num_workers = 1;
@@ -1561,6 +1585,146 @@ TEST(ServeStream, DisconnectWithoutCloseReapsOrphanedStreams) {
   TcpClient again("127.0.0.1", s.server->port(), 2000);
   EXPECT_TRUE(again.stream_open(1).ok);
   EXPECT_TRUE(again.stream_open(2).ok);
+}
+
+TEST(ServeStream, UnhappyRowsLeaveTheirBatchmatesServed) {
+  // One batch of four T=4 rows: a plain request, a step on a healthy
+  // stream B, a step on a stream A whose spill file was corrupted while A
+  // was evicted, and a step on a stream C closed after the step was
+  // admitted.  A gets internal-error, C bad-request; the plain row and B
+  // run together, and nothing is left wedged in flight.
+  const std::string dir = ::testing::TempDir() + "/serve_unhappy_rows";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  constexpr std::uint64_t kGate = 99, kA = 1, kB = 2, kC = 3;
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_entered = false;
+  bool gate_open = false;
+  ServerConfig cfg;
+  cfg.num_workers = 1;
+  cfg.max_batch = 8;
+  cfg.max_live_streams = 1;  // each open evicts the stream before it
+  cfg.stream_checkpoint_dir = dir;
+  cfg.poison_hook = [&](const InferRequest& r) {
+    if (r.request_id != kGate) return;
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_entered = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return gate_open; });
+  };
+  MlpServer s(cfg);
+  const std::int64_t elems = s.per_sample.numel();
+  const int port = s.server->port();
+  const auto wait_for = [&](std::int64_t Server::Stats::*field,
+                            std::int64_t n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (s.server->stats().*field < n &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(s.server->stats().*field, n);
+  };
+
+  infer::InferenceSession ref(s.model, {.max_batch = 1});
+  infer::StreamState b_ref = ref.make_stream();
+  infer::StreamState* b_ptr = &b_ref;
+  Rng rng(0xbad);
+  TcpClient owner("127.0.0.1", port, 2000);
+  // A warm step on A and on B, each released (stream_steps counts after
+  // the release) before the next open evicts it: A and B end on disk.
+  ASSERT_TRUE(owner.stream_open(kA).ok);
+  ASSERT_TRUE(owner.stream_step(kA, random_request(10, 4, elems, rng)).ok);
+  wait_for(&Server::Stats::stream_steps, 1);
+  ASSERT_TRUE(owner.stream_open(kB).ok);
+  const InferRequest b_warm = random_request(11, 4, elems, rng);
+  ASSERT_TRUE(owner.stream_step(kB, b_warm).ok);
+  ref.run(&b_ptr, 1, request_window(s.per_sample, b_warm));
+  wait_for(&Server::Stats::stream_steps, 2);
+  ASSERT_TRUE(owner.stream_open(kC).ok);
+  ASSERT_EQ(s.server->stats().streams_evicted, 2);
+  {
+    const std::string spill = dir + "/stream-0000000000000001.stk";
+    ASSERT_TRUE(std::filesystem::exists(spill));
+    std::ofstream f(spill, std::ios::binary | std::ios::trunc);
+    f << "not an STK2 container";
+  }
+
+  std::thread gate([&] {
+    Rng gate_rng(399);
+    TcpClient c("127.0.0.1", port, 2000);
+    EXPECT_TRUE(c.roundtrip(random_request(kGate, 4, elems, gate_rng)).ok);
+  });
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return gate_entered; });
+  }
+  struct Row {
+    std::uint64_t stream;
+    InferRequest request;
+    TcpClient::Reply reply;
+  };
+  Row rows[4] = {{0, random_request(20, 4, elems, rng), {}},
+                 {kB, random_request(21, 4, elems, rng), {}},
+                 {kA, random_request(22, 4, elems, rng), {}},
+                 {kC, random_request(23, 4, elems, rng), {}}};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.emplace_back([&, i] {
+      TcpClient c("127.0.0.1", port, 2000);
+      Row& row = rows[i];
+      row.reply = row.stream == 0 ? c.roundtrip(row.request)
+                                  : c.stream_step(row.stream, row.request);
+    });
+    wait_for(&Server::Stats::admitted, 4 + i);  // 2 warm steps, the gate
+  }
+  // C's step sits queued behind the gate; close C under it.
+  EXPECT_TRUE(owner.stream_close(kC).ok);
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  gate.join();
+  for (std::thread& t : clients) t.join();
+
+  const auto expect_bitwise = [](const TcpClient::Reply& reply,
+                                 const float* want, const char* what) {
+    ASSERT_TRUE(reply.ok) << what << ": " << reply.error.message;
+    EXPECT_EQ(std::memcmp(reply.response.spike_counts.data(), want,
+                          reply.response.spike_counts.size() * sizeof(float)),
+              0)
+        << what;
+  };
+  const std::vector<float> plain_want =
+      reference_counts(s.model, s.per_sample, rows[0].request);
+  expect_bitwise(rows[0].reply, plain_want.data(), "plain row");
+  EXPECT_EQ(rows[0].reply.response.batch, 2u);
+  const infer::InferenceResult b_want =
+      ref.run(&b_ptr, 1, request_window(s.per_sample, rows[1].request));
+  expect_bitwise(rows[1].reply, b_want.spike_counts.data(), "stream B");
+  EXPECT_EQ(rows[1].reply.response.batch, 2u);
+  ASSERT_FALSE(rows[2].reply.ok);
+  ASSERT_FALSE(rows[2].reply.disconnected);
+  EXPECT_EQ(rows[2].reply.error.code, ErrorCode::kInternalError);
+  ASSERT_FALSE(rows[3].reply.ok);
+  ASSERT_FALSE(rows[3].reply.disconnected);
+  EXPECT_EQ(rows[3].reply.error.code, ErrorCode::kBadRequest);
+
+  // Nothing is wedged in flight: B's next chunk and a new stream run.
+  const InferRequest b_next = random_request(30, 4, elems, rng);
+  const infer::InferenceResult b_next_want =
+      ref.run(&b_ptr, 1, request_window(s.per_sample, b_next));
+  expect_bitwise(owner.stream_step(kB, b_next), b_next_want.spike_counts.data(),
+                 "stream B, next chunk");
+  ASSERT_TRUE(owner.stream_open(4).ok);
+  EXPECT_TRUE(owner.stream_step(4, random_request(31, 4, elems, rng)).ok);
+
+  s.server->drain_and_stop();
+  const Server::Stats stats = s.server->stats();
+  EXPECT_EQ(stats.internal_errors, 1);
+  EXPECT_EQ(stats.stream_orphan_steps, 1);
+  EXPECT_EQ(unanswered(stats), 0);
 }
 
 // --- counter table (serve/counters.h) ---------------------------------------

@@ -213,6 +213,45 @@ TEST(StreamParity, MixedAgeBatchMatchesSoloStreams) {
                               .cumulative_counts(),
                           "batched vs solo");
     }
+    // A mixed batch: a null entry is a plain row on a fresh scratch stream.
+    // It must match a fresh solo stream, leave nothing behind for the next
+    // call (hence two calls), and not disturb its non-null batchmates.
+    const std::int64_t out = model.output_shape()[0];
+    std::vector<StreamState*> mixed = ptrs;
+    mixed[0] = nullptr;
+    mixed[2] = nullptr;
+    for (int call = 0; call < 2; ++call) {
+      SCOPED_TRACE("mixed call=" + std::to_string(call));
+      const auto window = sample_window(3, Shape{kStreams, 24}, 0.35, warm);
+      const InferenceResult got = batched.run(mixed.data(), kStreams, window);
+      for (std::int64_t s = 0; s < kStreams; ++s) {
+        SCOPED_TRACE("row=" + std::to_string(s));
+        StreamState fresh = solo.make_stream();
+        StreamState& want = mixed[static_cast<std::size_t>(s)] == nullptr
+                                ? fresh
+                                : replicas[static_cast<std::size_t>(s)];
+        for (const Tensor& step : window) {
+          Tensor row{Shape{elems}};
+          std::memcpy(row.data(), step.data() + s * elems,
+                      static_cast<std::size_t>(elems) * sizeof(float));
+          solo.step(want, row);
+        }
+        if (mixed[static_cast<std::size_t>(s)] == nullptr) {
+          expect_counts_equal(
+              fresh.cumulative_counts(),
+              {got.spike_counts.data() + s * out,
+               got.spike_counts.data() + (s + 1) * out},
+              "null row vs fresh solo stream");
+        } else {
+          EXPECT_EQ(streams[static_cast<std::size_t>(s)].steps_done(),
+                    want.steps_done());
+          expect_counts_equal(
+              want.cumulative_counts(),
+              streams[static_cast<std::size_t>(s)].cumulative_counts(),
+              "stream row beside null rows vs solo");
+        }
+      }
+    }
   }
 }
 
