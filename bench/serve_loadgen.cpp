@@ -20,7 +20,7 @@
 // result is worthless.
 //
 // Unhappy paths are tallied separately, never lumped: overload rejections,
-// shutdown drops, deadline misses (--deadline-us arms a v2 per-request
+// shutdown drops, deadline misses (--deadline-us arms a per-request
 // budget), internal errors, bad requests, and raw disconnects each get
 // their own count in the table and the JSON.  With --retries N, transient
 // failures (overload, internal error, disconnect) are retried with
@@ -839,8 +839,7 @@ int main(int argc, char** argv) {
                 "open-loop target rate (0 = closed loop at --conns "
                 "concurrency)");
   flags.declare("deadline-us", "0",
-                "per-request latency budget sent on the wire (protocol v2; "
-                "0 = none)");
+                "per-request latency budget sent on the wire (0 = none)");
   flags.declare("retries", "0",
                 "retry budget per request for transient failures "
                 "(overload / disconnect / internal error; 0 = give up "

@@ -72,10 +72,8 @@ void encode_header(const FrameHeader& h, std::uint8_t out[kHeaderBytes]) {
   std::uint8_t* p = out;
   std::memcpy(p, &h.magic, 4);
   p += 4;
-  // Version 1 is encoded as a zero byte so v1 frames (and replies to v1
-  // peers) stay byte-identical to the pre-versioning wire format.
-  const std::uint32_t ver = h.version <= 1 ? 0 : h.version;
-  const std::uint32_t kind_ver = static_cast<std::uint32_t>(h.kind) | (ver << 8);
+  const std::uint32_t kind_ver =
+      static_cast<std::uint32_t>(h.kind) | (kProtocolVersion << 8);
   std::memcpy(p, &kind_ver, 4);
   p += 4;
   std::memcpy(p, &h.request_id, 8);
@@ -95,19 +93,13 @@ FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]) {
   std::memcpy(&kind_ver, p, 4);
   p += 4;
   const std::uint32_t kind = kind_ver & 0xffu;
-  // Version 1 peers predate the version byte and send zero there.
-  h.version = (kind_ver >> 8) == 0 ? 1 : (kind_ver >> 8);
-  ST_REQUIRE(h.version <= kProtocolVersion,
-             "frame version " + std::to_string(h.version) +
-                 " is newer than this daemon speaks (max " +
+  const std::uint32_t version = kind_ver >> 8;
+  ST_REQUIRE(version == kProtocolVersion,
+             "frame version " + std::to_string(version) +
+                 " is not supported (this daemon speaks only version " +
                  std::to_string(kProtocolVersion) + ")");
   ST_REQUIRE(kind >= 1 && kind <= 8, "unknown frame kind " +
                                          std::to_string(kind));
-  // The streaming opcodes shipped with v3; an older version byte on one is
-  // a peer bug (or a fuzzer), not a legacy frame.
-  ST_REQUIRE(kind <= 5 || h.version >= 3,
-             "frame kind " + std::to_string(kind) +
-                 " requires protocol version >= 3");
   h.kind = static_cast<FrameKind>(kind);
   std::memcpy(&h.request_id, p, 8);
   p += 8;
@@ -116,25 +108,58 @@ FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]) {
              "frame payload of " + std::to_string(h.payload_bytes) +
                  " bytes exceeds the " + std::to_string(kMaxPayloadBytes) +
                  "-byte protocol cap");
+  // A stat request has no payload to decode; bytes there would be ignored,
+  // so a frame that carries some is refused rather than half-read.
+  ST_REQUIRE(h.kind != FrameKind::kStatRequest || h.payload_bytes == 0,
+             "a stat request carries no payload");
   return h;
 }
 
-namespace detail {
+namespace {
 
-std::vector<std::uint8_t> encode_request_payload(const InferRequest& r,
-                                                 std::uint32_t version) {
+// The infer-request layout, appended to `out`: a plain request's whole
+// payload, and a stream step's payload after its stream id.
+void put_request(std::vector<std::uint8_t>& out, const InferRequest& r) {
   ST_REQUIRE(r.data.size() == static_cast<std::size_t>(r.num_steps) *
                                   r.elems_per_step,
              "request data does not match num_steps * elems_per_step");
-  ST_REQUIRE(version >= 2 || r.deadline_us == 0,
-             "deadline_us needs protocol version >= 2");
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + r.data.size() * sizeof(float));
   put(out, r.num_steps);
   put(out, r.elems_per_step);
-  if (version >= 2) put(out, r.deadline_us);
+  put(out, r.deadline_us);
   const auto* p = reinterpret_cast<const std::uint8_t*>(r.data.data());
   out.insert(out.end(), p, p + r.data.size() * sizeof(float));
+}
+
+// Reads the infer-request layout from payload[off, end).
+InferRequest get_request(std::uint64_t request_id,
+                         const std::vector<std::uint8_t>& payload,
+                         std::size_t off) {
+  InferRequest r;
+  r.request_id = request_id;
+  r.num_steps = get<std::uint32_t>(payload, off, "num_steps");
+  r.elems_per_step = get<std::uint32_t>(payload, off, "elems_per_step");
+  r.deadline_us = get<std::uint64_t>(payload, off, "deadline_us");
+  const std::size_t n =
+      static_cast<std::size_t>(r.num_steps) * r.elems_per_step;
+  // Checked by division: n * sizeof(float) can wrap modulo 2^64 for hostile
+  // dims (e.g. num_steps = elems_per_step = 2^31), which would let a tiny
+  // payload pass and turn resize(n) into an allocation bomb.
+  const std::size_t body = payload.size() - off;
+  ST_REQUIRE(body % sizeof(float) == 0 && body / sizeof(float) == n,
+             "request payload size does not match num_steps * elems");
+  r.data.resize(n);
+  std::memcpy(r.data.data(), payload.data() + off, n * sizeof(float));
+  return r;
+}
+
+}  // namespace
+
+namespace detail {
+
+std::vector<std::uint8_t> encode_request_payload(const InferRequest& r) {
+  std::vector<std::uint8_t> out;
+  out.reserve(16 + r.data.size() * sizeof(float));
+  put_request(out, r);
   return out;
 }
 
@@ -178,15 +203,13 @@ std::vector<std::uint8_t> encode_stream_control_payload(
 std::vector<std::uint8_t> encode_stream_step_payload(
     const StreamStepRequest& r) {
   ST_REQUIRE(r.stream_id != 0, "stream_id 0 is reserved");
-  // The chunk body is exactly the v3 (== v2) infer-request layout, so the
-  // batcher and workers treat a step like any other request after the
-  // stream id is peeled off.
+  // The chunk body is exactly the infer-request layout, so the batcher and
+  // workers treat a step like any other request after the stream id is
+  // peeled off.
   std::vector<std::uint8_t> out;
   out.reserve(24 + r.request.data.size() * sizeof(float));
   put(out, r.stream_id);
-  const std::vector<std::uint8_t> body =
-      encode_request_payload(r.request, /*version=*/3);
-  out.insert(out.end(), body.begin(), body.end());
+  put_request(out, r.request);
   return out;
 }
 
@@ -205,9 +228,9 @@ std::vector<std::uint8_t> encode_stream_close_reply_payload(
 
 }  // namespace detail
 
-RequestBuilder::RequestBuilder(std::uint32_t version) : version_(version) {
-  ST_REQUIRE(version_ >= 1 && version_ <= kProtocolVersion,
-             "unsupported protocol version " + std::to_string(version_));
+RequestBuilder::RequestBuilder(std::uint32_t version) {
+  ST_REQUIRE(version == kProtocolVersion,
+             "unsupported protocol version " + std::to_string(version));
 }
 
 std::vector<std::uint8_t> RequestBuilder::frame(
@@ -215,7 +238,6 @@ std::vector<std::uint8_t> RequestBuilder::frame(
     std::vector<std::uint8_t> payload) const {
   FrameHeader h;
   h.kind = kind;
-  h.version = version_;
   h.request_id = request_id;
   h.payload_bytes = static_cast<std::uint32_t>(payload.size());
   std::vector<std::uint8_t> out(kHeaderBytes + payload.size());
@@ -228,7 +250,7 @@ std::vector<std::uint8_t> RequestBuilder::frame(
 std::vector<std::uint8_t> RequestBuilder::infer_request(
     const InferRequest& r) const {
   return frame(FrameKind::kInferRequest, r.request_id,
-               detail::encode_request_payload(r, version_));
+               detail::encode_request_payload(r));
 }
 
 std::vector<std::uint8_t> RequestBuilder::infer_response(
@@ -255,7 +277,6 @@ std::vector<std::uint8_t> RequestBuilder::stat_response(
 
 std::vector<std::uint8_t> RequestBuilder::stream_open(
     const StreamControl& c) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
   return frame(FrameKind::kStreamOpen, c.request_id,
                detail::encode_stream_control_payload(c));
 }
@@ -267,46 +288,25 @@ std::vector<std::uint8_t> RequestBuilder::stream_open_ack(
 
 std::vector<std::uint8_t> RequestBuilder::stream_step(
     const StreamStepRequest& r) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
   return frame(FrameKind::kStreamStep, r.request.request_id,
                detail::encode_stream_step_payload(r));
 }
 
 std::vector<std::uint8_t> RequestBuilder::stream_close(
     const StreamControl& c) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
   return frame(FrameKind::kStreamClose, c.request_id,
                detail::encode_stream_control_payload(c));
 }
 
 std::vector<std::uint8_t> RequestBuilder::stream_close_reply(
     const StreamCloseReply& r) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
   return frame(FrameKind::kStreamClose, r.request_id,
                detail::encode_stream_close_reply_payload(r));
 }
 
 InferRequest decode_request(std::uint64_t request_id,
-                            const std::vector<std::uint8_t>& payload,
-                            std::uint32_t version) {
-  InferRequest r;
-  r.request_id = request_id;
-  std::size_t off = 0;
-  r.num_steps = get<std::uint32_t>(payload, off, "num_steps");
-  r.elems_per_step = get<std::uint32_t>(payload, off, "elems_per_step");
-  if (version >= 2)
-    r.deadline_us = get<std::uint64_t>(payload, off, "deadline_us");
-  const std::size_t n =
-      static_cast<std::size_t>(r.num_steps) * r.elems_per_step;
-  // Checked by division: n * sizeof(float) can wrap modulo 2^64 for hostile
-  // dims (e.g. num_steps = elems_per_step = 2^31), which would let a tiny
-  // payload pass and turn resize(n) into an allocation bomb.
-  const std::size_t body = payload.size() - off;
-  ST_REQUIRE(body % sizeof(float) == 0 && body / sizeof(float) == n,
-             "request payload size does not match num_steps * elems");
-  r.data.resize(n);
-  std::memcpy(r.data.data(), payload.data() + off, n * sizeof(float));
-  return r;
+                            const std::vector<std::uint8_t>& payload) {
+  return get_request(request_id, payload, 0);
 }
 
 InferResponse decode_response(std::uint64_t request_id,
@@ -359,9 +359,7 @@ StreamStepRequest decode_stream_step(std::uint64_t request_id,
   std::size_t off = 0;
   r.stream_id = get<std::uint64_t>(payload, off, "stream_id");
   ST_REQUIRE(r.stream_id != 0, "stream_id 0 is reserved");
-  const std::vector<std::uint8_t> body(
-      payload.begin() + static_cast<std::ptrdiff_t>(off), payload.end());
-  r.request = decode_request(request_id, body, /*version=*/3);
+  r.request = get_request(request_id, payload, off);
   return r;
 }
 

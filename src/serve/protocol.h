@@ -5,22 +5,21 @@
 // frame is a fixed 20-byte header followed by `payload_bytes` of payload:
 //
 //   u32 magic        'STSV' (0x53545356) — rejects stray connections early
-//   u32 kind_ver     low byte: FrameKind; next byte: protocol version
+//   u32 kind_ver     low byte: FrameKind; upper 24 bits: protocol version
 //   u64 request_id   client-chosen, echoed verbatim on the response
 //   u32 payload_bytes
 //
-// Versioning: the original protocol (version 1) left the upper 24 bits of
-// the kind word zero, so a legacy frame decodes as version 1 and keeps
-// working — a v1 infer-request simply has no deadline (budget 0 = none).
-// Version 2 adds a per-request `deadline_us` budget to the infer-request
-// payload and two new error codes (`deadline-exceeded`, `internal-error`).
-// Version 3 adds the streaming opcodes (STREAM_OPEN / STREAM_STEP /
-// STREAM_CLOSE, kinds 6-8): a client opens a persistent stream under a
-// 64-bit id, feeds it spike chunks incrementally (the daemon keeps the
-// stream's membrane state between chunks — see infer/stream.h), and reads
-// cumulative totals back at close.  v1/v2 frames are byte-identical to
-// before, and the daemon answers every frame with the version the request
-// carried, so an old peer never sees a new header.
+// Versioning: the daemon speaks exactly one version, kProtocolVersion (3).
+// decode_header rejects every other version — including the zero version
+// bits of the original, pre-versioning format — and the daemon treats that
+// like any framing error: it logs, counts a bad request and drops that one
+// connection (a pre-v3 peer could not parse a v3 error frame anyway).  The
+// v3 infer-request payload carries a per-request `deadline_us` budget, and
+// v3 has the streaming opcodes (STREAM_OPEN / STREAM_STEP / STREAM_CLOSE,
+// kinds 6-8): a client opens a persistent stream under a 64-bit id, feeds
+// it spike chunks incrementally (the daemon keeps the stream's membrane
+// state between chunks — see infer/stream.h), and reads cumulative totals
+// back at close.
 //
 // One inference request carries ONE sample's spike window, shaped
 // [num_steps, elems_per_step]; the daemon coalesces concurrent requests
@@ -51,8 +50,8 @@ namespace spiketune::serve {
 
 inline constexpr std::uint32_t kMagic = 0x53545356u;  // "STSV"
 
-/// Current protocol version.  Version 1 (no version byte on the wire) is
-/// still decoded; anything above kProtocolVersion is rejected.
+/// The one protocol version the daemon speaks; decode_header rejects every
+/// other version byte.
 inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Hard upper bound on a frame's payload.  `payload_bytes` arrives from an
@@ -69,9 +68,9 @@ enum class FrameKind : std::uint32_t {
   kError = 3,
   kStatRequest = 4,   // empty payload: "snapshot your live stats"
   kStatResponse = 5,  // payload: one UTF-8 JSON document
-  // Version 3 streaming opcodes.  Direction disambiguates request vs
-  // reply: the daemon acks kStreamOpen with an echo frame of the same kind
-  // and answers kStreamClose with a totals frame of the same kind.
+  // Streaming opcodes.  Direction disambiguates request vs reply: the
+  // daemon acks kStreamOpen with an echo frame of the same kind and
+  // answers kStreamClose with a totals frame of the same kind.
   kStreamOpen = 6,   // c->s: {stream_id}; s->c ack: {stream_id}
   kStreamStep = 7,   // c->s: stream chunk; answered with kInferResponse
   kStreamClose = 8,  // c->s: {stream_id}; s->c: lifetime totals
@@ -82,8 +81,8 @@ enum class ErrorCode : std::uint32_t {
   kOverloaded = 1,        // admission control: queue at max depth — back off
   kBadRequest = 2,        // malformed frame or shape mismatch with the model
   kShuttingDown = 3,      // daemon is draining; no new work accepted
-  kDeadlineExceeded = 4,  // v2: deadline_us expired before inference — shed
-  kInternalError = 5,     // v2: inference failed for this request only
+  kDeadlineExceeded = 4,  // deadline_us expired before inference — shed
+  kInternalError = 5,     // inference failed for this request only
 };
 
 const char* error_code_name(ErrorCode code);
@@ -91,22 +90,21 @@ const char* error_code_name(ErrorCode code);
 struct FrameHeader {
   std::uint32_t magic = kMagic;
   FrameKind kind = FrameKind::kInferRequest;
-  std::uint32_t version = kProtocolVersion;
   std::uint64_t request_id = 0;
   std::uint32_t payload_bytes = 0;
 };
 inline constexpr std::size_t kHeaderBytes = 20;
 
 /// One sample's spike window: [num_steps, elems_per_step] floats.
-/// `deadline_us` (version >= 2) is the client's end-to-end latency budget
-/// measured from the instant the daemon finishes reading the frame; 0 means
-/// no deadline.  A request still queued when its budget expires is shed
-/// with kDeadlineExceeded instead of wasting inference on a stale answer.
+/// `deadline_us` is the client's end-to-end latency budget measured from
+/// the instant the daemon finishes reading the frame; 0 means no deadline.
+/// A request still queued when its budget expires is shed with
+/// kDeadlineExceeded instead of wasting inference on a stale answer.
 struct InferRequest {
   std::uint64_t request_id = 0;
   std::uint32_t num_steps = 0;
   std::uint32_t elems_per_step = 0;
-  std::uint64_t deadline_us = 0;  // 0 = no deadline (and the v1 meaning)
+  std::uint64_t deadline_us = 0;  // 0 = no deadline
   std::vector<float> data;        // num_steps * elems_per_step
 };
 
@@ -134,7 +132,7 @@ struct ErrorResponse {
   std::string message;
 };
 
-// --- v3 streaming messages --------------------------------------------------
+// --- streaming messages -----------------------------------------------------
 
 /// STREAM_OPEN / STREAM_CLOSE request, and the STREAM_OPEN ack: just the
 /// 64-bit stream id (nonzero; 0 is the "plain request" sentinel).
@@ -161,24 +159,20 @@ struct StreamCloseReply {
   std::vector<float> cumulative_counts;  // out_features
 };
 
-/// Header <-> raw bytes.  decode_header throws InvalidArgument on a bad
-/// magic (including byte-swapped: wrong-endian peer), unknown kind, a
-/// version above kProtocolVersion, a streaming kind on a pre-v3 frame, or a
-/// payload_bytes above kMaxPayloadBytes.  A legacy header (zero version
-/// byte) decodes as version 1.
+/// Header <-> raw bytes.  encode_header always writes kProtocolVersion.
+/// decode_header throws InvalidArgument on a bad magic (including
+/// byte-swapped: wrong-endian peer), a version other than kProtocolVersion,
+/// an unknown kind, a stat request with a payload, or a payload_bytes above
+/// kMaxPayloadBytes.
 void encode_header(const FrameHeader& h, std::uint8_t out[kHeaderBytes]);
 FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]);
 
 /// Builds complete frames (header + payload, one contiguous buffer ready
-/// for send()) for one protocol version, stated once at construction so
-/// the header fields cannot drift from the payload layout.  Streaming
-/// frames require version >= 3 and throw below it, exactly like a nonzero
-/// deadline requires version >= 2.
+/// for send()).  The constructor takes the protocol version so a caller
+/// states the version it frames for; anything but kProtocolVersion throws.
 class RequestBuilder {
  public:
   explicit RequestBuilder(std::uint32_t version = kProtocolVersion);
-
-  std::uint32_t version() const { return version_; }
 
   std::vector<std::uint8_t> infer_request(const InferRequest& r) const;
   std::vector<std::uint8_t> infer_response(const InferResponse& r) const;
@@ -187,7 +181,7 @@ class RequestBuilder {
   std::vector<std::uint8_t> stat_response(std::uint64_t request_id,
                                           const std::string& json) const;
 
-  // v3 streaming frames (request and reply directions).
+  // Streaming frames (request and reply directions).
   std::vector<std::uint8_t> stream_open(const StreamControl& c) const;
   std::vector<std::uint8_t> stream_open_ack(const StreamControl& c) const;
   std::vector<std::uint8_t> stream_step(const StreamStepRequest& r) const;
@@ -198,14 +192,12 @@ class RequestBuilder {
  private:
   std::vector<std::uint8_t> frame(FrameKind kind, std::uint64_t request_id,
                                   std::vector<std::uint8_t> payload) const;
-  std::uint32_t version_;
 };
 
 /// Canonical payload-only encoders (no header).  RequestBuilder composes
 /// these; the server writes replies through them onto an open Connection.
 namespace detail {
-std::vector<std::uint8_t> encode_request_payload(const InferRequest& r,
-                                                 std::uint32_t version);
+std::vector<std::uint8_t> encode_request_payload(const InferRequest& r);
 std::vector<std::uint8_t> encode_response_payload(const InferResponse& r);
 std::vector<std::uint8_t> encode_error_payload(const ErrorResponse& r);
 std::vector<std::uint8_t> encode_stat_payload(const std::string& json);
@@ -219,10 +211,8 @@ std::vector<std::uint8_t> encode_stream_close_reply_payload(
 
 /// Payload decoders; throw InvalidArgument on truncated or inconsistent
 /// payloads (e.g. num_steps * elems disagreeing with the payload size).
-/// decode_request selects the layout by the header's `version`.
 InferRequest decode_request(std::uint64_t request_id,
-                            const std::vector<std::uint8_t>& payload,
-                            std::uint32_t version = kProtocolVersion);
+                            const std::vector<std::uint8_t>& payload);
 InferResponse decode_response(std::uint64_t request_id,
                               const std::vector<std::uint8_t>& payload);
 ErrorResponse decode_error(std::uint64_t request_id,

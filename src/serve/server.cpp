@@ -190,14 +190,13 @@ void Server::reap_idle_connections() {
 
 void Server::respond_error(const std::shared_ptr<Connection>& conn,
                            std::uint64_t request_id, ErrorCode code,
-                           const std::string& message,
-                           std::uint32_t version) {
+                           const std::string& message) {
   ErrorResponse err;
   err.request_id = request_id;
   err.code = code;
   err.message = message;
   conn->write_frame(FrameKind::kError, request_id,
-                    detail::encode_error_payload(err), version);
+                    detail::encode_error_payload(err));
 }
 
 void Server::shed_expired(std::vector<PendingRequest>& expired) {
@@ -212,8 +211,7 @@ void Server::shed_expired(std::vector<PendingRequest>& expired) {
     // whether or not the peer is still there to read it.
     respond_error(p.conn, p.request.request_id, ErrorCode::kDeadlineExceeded,
                   "deadline of " + std::to_string(p.request.deadline_us) +
-                      "us expired before inference",
-                  p.version);
+                      "us expired before inference");
   }
   expired.clear();
 }
@@ -245,8 +243,7 @@ void Server::reader_main(ReaderSlot* slot) {
                            header.request_id);
         bump(Counter::stat_requests);
         conn->write_frame(FrameKind::kStatResponse, header.request_id,
-                          detail::encode_stat_payload(stat_json()),
-                          header.version);
+                          detail::encode_stat_payload(stat_json()));
         continue;
       }
       if (header.kind == FrameKind::kStreamOpen ||
@@ -261,42 +258,39 @@ void Server::reader_main(ReaderSlot* slot) {
         } catch (const std::exception& e) {
           bump(Counter::bad_requests);
           respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                        e.what(), header.version);
+                        e.what());
           continue;
         }
         if (header.kind == FrameKind::kStreamOpen) {
           if (batcher_.draining()) {
             bump(Counter::rejected_draining);
             respond_error(conn, header.request_id, ErrorCode::kShuttingDown,
-                          "daemon is draining", header.version);
+                          "daemon is draining");
             continue;
           }
           switch (streams_->open(ctl.stream_id)) {
             case infer::StreamManager::OpenResult::kOk:
               owned_streams.insert(ctl.stream_id);
               conn->write_frame(FrameKind::kStreamOpen, header.request_id,
-                                detail::encode_stream_control_payload(ctl),
-                                header.version);
+                                detail::encode_stream_control_payload(ctl));
               break;
             case infer::StreamManager::OpenResult::kExists:
               bump(Counter::bad_requests);
               respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                             "stream " + std::to_string(ctl.stream_id) +
-                                " is already open",
-                            header.version);
+                                " is already open");
               break;
             case infer::StreamManager::OpenResult::kInvalid:
               bump(Counter::bad_requests);
               respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                            "stream id 0 is reserved", header.version);
+                            "stream id 0 is reserved");
               break;
             case infer::StreamManager::OpenResult::kCapacity:
               bump(Counter::rejected_overload);
               w_rejected_.add();
               respond_error(conn, header.request_id, ErrorCode::kOverloaded,
                             "stream capacity reached (no checkpoint "
-                            "directory configured for eviction)",
-                            header.version);
+                            "directory configured for eviction)");
               break;
           }
         } else {  // kStreamClose: tear down, reply with lifetime totals.
@@ -318,22 +312,20 @@ void Server::reader_main(ReaderSlot* slot) {
             ST_LOG_WARN << "serve: closing stream " << ctl.stream_id
                         << " lost its totals (" << e.what() << ")";
             respond_error(conn, header.request_id, ErrorCode::kInternalError,
-                          e.what(), header.version);
+                          e.what());
             continue;
           }
           if (!known) {
             bump(Counter::bad_requests);
             respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                           "stream " + std::to_string(ctl.stream_id) +
-                              " is not open",
-                          header.version);
+                              " is not open");
             continue;
           }
           owned_streams.erase(ctl.stream_id);
           totals.steps_done = static_cast<std::uint64_t>(steps_done);
           conn->write_frame(FrameKind::kStreamClose, header.request_id,
-                            detail::encode_stream_close_reply_payload(totals),
-                            header.version);
+                            detail::encode_stream_close_reply_payload(totals));
         }
         continue;
       }
@@ -341,12 +333,11 @@ void Server::reader_main(ReaderSlot* slot) {
           header.kind != FrameKind::kStreamStep) {
         bump(Counter::bad_requests);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                      "expected an infer-request frame", header.version);
+                      "expected an infer-request frame");
         continue;
       }
       PendingRequest pending;
       pending.recv_ns = recv_ns;
-      pending.version = header.version;
       try {
         if (header.kind == FrameKind::kStreamStep) {
           StreamStepRequest sr =
@@ -354,8 +345,7 @@ void Server::reader_main(ReaderSlot* slot) {
           pending.stream_id = sr.stream_id;
           pending.request = std::move(sr.request);
         } else {
-          pending.request =
-              decode_request(header.request_id, payload, header.version);
+          pending.request = decode_request(header.request_id, payload);
         }
         ST_REQUIRE(pending.request.num_steps >= 1 &&
                        pending.request.num_steps <=
@@ -371,7 +361,7 @@ void Server::reader_main(ReaderSlot* slot) {
       } catch (const std::exception& e) {
         bump(Counter::bad_requests);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                      e.what(), header.version);
+                      e.what());
         continue;
       }
       if (pending.stream_id != 0 && !streams_->contains(pending.stream_id)) {
@@ -382,8 +372,7 @@ void Server::reader_main(ReaderSlot* slot) {
         bump(Counter::bad_requests);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                       "stream " + std::to_string(pending.stream_id) +
-                          " is not open",
-                      header.version);
+                          " is not open");
         continue;
       }
       if (pending.request.deadline_us > 0) {
@@ -403,7 +392,6 @@ void Server::reader_main(ReaderSlot* slot) {
         obs::trace_flow_at("serve.request", pending.server_id, 's',
                            pending.recv_ns);
       }
-      const std::uint32_t version = pending.version;
       const std::uint64_t server_id = pending.server_id;
       switch (batcher_.submit(std::move(pending))) {
         case AdmitResult::kAdmitted:
@@ -419,12 +407,12 @@ void Server::reader_main(ReaderSlot* slot) {
           bump(Counter::rejected_overload);
           w_rejected_.add();
           respond_error(conn, header.request_id, ErrorCode::kOverloaded,
-                        "queue at max depth; back off", version);
+                        "queue at max depth; back off");
           break;
         case AdmitResult::kDraining:
           bump(Counter::rejected_draining);
           respond_error(conn, header.request_id, ErrorCode::kShuttingDown,
-                        "daemon is draining", version);
+                        "daemon is draining");
           break;
       }
     }
@@ -488,7 +476,7 @@ void Server::worker_main(int index) {
   const auto fail = [&](const PendingRequest& p, Counter c, ErrorCode code,
                         const std::string& message) {
     bump(c);
-    respond_error(p.conn, p.request.request_id, code, message, p.version);
+    respond_error(p.conn, p.request.request_id, code, message);
   };
 
   // Sends request `p`'s response from row `row` of `result` (a run of `n`
@@ -523,8 +511,7 @@ void Server::worker_main(int index) {
         result.spike_counts.data() + (row + 1) * out_features);
     const bool sent =
         p.conn->write_frame(FrameKind::kInferResponse, resp.request_id,
-                            detail::encode_response_payload(resp),
-                            p.version);
+                            detail::encode_response_payload(resp));
     bump(sent ? Counter::served : Counter::dropped_responses);
     obs::flight_record(obs::FlightEventId::kResponseSent, p.server_id,
                        sent ? 1 : 0);

@@ -19,13 +19,14 @@
 // paths are bit-identical (DESIGN.md §10, §11).  bench/serve_loadgen's
 // parity gate enforces this end to end.
 //
-// Protocol v3 adds streaming: STREAM_OPEN and STREAM_CLOSE are handled
-// inline at the reader (like STAT), while STREAM_STEP rides the same
-// batcher as plain requests — a worker swaps each stream's persistent
-// StreamState in around the batched session.run, so chunks from thousands
-// of concurrent streams coalesce into the same dynamic batches.  The
-// infer::StreamManager bounds in-memory state with LRU checkpoint/restore
-// (DESIGN.md §15); v1/v2 clients are untouched.
+// The daemon speaks protocol v3 only (serve/protocol.h): a frame with any
+// other version drops its own connection and nothing else.  Streaming:
+// STREAM_OPEN and STREAM_CLOSE are handled inline at the reader (like
+// STAT), while STREAM_STEP rides the same batcher as plain requests — a
+// worker swaps each stream's persistent StreamState in around the batched
+// session.run, so chunks from thousands of concurrent streams coalesce
+// into the same dynamic batches.  The infer::StreamManager bounds
+// in-memory state with LRU checkpoint/restore (DESIGN.md §15).
 //
 // Unhappy paths are first-class (DESIGN.md §13).  Every admitted request
 // is answered exactly once, by exactly one of: a response (served), a
@@ -192,8 +193,7 @@ class Server {
   void worker_main(int index);
   void respond_error(const std::shared_ptr<Connection>& conn,
                      std::uint64_t request_id, ErrorCode code,
-                     const std::string& message,
-                     std::uint32_t version = kProtocolVersion);
+                     const std::string& message);
   /// Answers every request in `expired` with kDeadlineExceeded.
   void shed_expired(std::vector<PendingRequest>& expired);
   void reap_finished_readers();

@@ -164,11 +164,9 @@ bool TcpConnection::write_all_bounded(const std::uint8_t* p, std::size_t n,
 }
 
 bool TcpConnection::write_frame(FrameKind kind, std::uint64_t request_id,
-                                const std::vector<std::uint8_t>& payload,
-                                std::uint32_t version) {
+                                const std::vector<std::uint8_t>& payload) {
   FrameHeader h;
   h.kind = kind;
-  h.version = version;
   h.request_id = request_id;
   h.payload_bytes = static_cast<std::uint32_t>(payload.size());
   std::uint8_t raw[kHeaderBytes];

@@ -61,8 +61,7 @@ class Connection {
   /// the peer is gone or the send timeout expired — callers treat that as
   /// "response dropped".
   virtual bool write_frame(FrameKind kind, std::uint64_t request_id,
-                           const std::vector<std::uint8_t>& payload,
-                           std::uint32_t version = kProtocolVersion) = 0;
+                           const std::vector<std::uint8_t>& payload) = 0;
 
   /// Hard-closes the connection (idempotent); pending reads/writes fail.
   /// Only safe once no other thread is blocked inside this connection.
@@ -117,8 +116,7 @@ class TcpConnection : public Connection {
   bool read_frame(FrameHeader& header, std::vector<std::uint8_t>& payload,
                   int wake_fd) override;
   bool write_frame(FrameKind kind, std::uint64_t request_id,
-                   const std::vector<std::uint8_t>& payload,
-                   std::uint32_t version = kProtocolVersion) override;
+                   const std::vector<std::uint8_t>& payload) override;
   void close() override;
   void abort() override;
   void set_send_timeout_ms(int timeout_ms,

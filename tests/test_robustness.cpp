@@ -91,7 +91,6 @@ TEST(CheckpointV2, MetaRoundTrips) {
   save_checkpoint(path, sample_records(1.0f), meta);
 
   const Checkpoint ckpt = load_checkpoint_full(path);
-  EXPECT_EQ(ckpt.version, 2u);
   ASSERT_TRUE(ckpt.meta.present);
   EXPECT_EQ(ckpt.meta.epoch, 7);
   EXPECT_EQ(ckpt.meta.opt_step, 91);
@@ -111,19 +110,27 @@ TEST(CheckpointV2, NoMetaSnapshotLoadsWithPresentFalse) {
   const std::string path = tmp_path("nometa.stk");
   save_checkpoint(path, sample_records(1.0f));
   const Checkpoint ckpt = load_checkpoint_full(path);
-  EXPECT_EQ(ckpt.version, 2u);
   EXPECT_FALSE(ckpt.meta.present);
 }
 
-TEST(CheckpointV1, LegacyRoundTripStillLoads) {
+TEST(CheckpointV1, LegacyStk1FileIsRejectedByName) {
+  // The whole of an empty STK1 file: magic, u32 version 1, u64 count 0.
+  const std::uint32_t magic = 0x53544b31;  // "STK1"
+  const std::uint32_t version = 1;
+  const std::uint64_t count = 0;
+  std::string bytes;
+  bytes.append(reinterpret_cast<const char*>(&magic), sizeof magic);
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof version);
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof count);
   const std::string path = tmp_path("legacy.stk");
-  save_checkpoint_v1(path, sample_records(9.0f));
-  const Checkpoint ckpt = load_checkpoint_full(path);
-  EXPECT_EQ(ckpt.version, 1u);
-  EXPECT_FALSE(ckpt.meta.present);
-  ASSERT_EQ(ckpt.records.size(), 2u);
-  EXPECT_FLOAT_EQ(ckpt.records[0].value[0], 9.0f);
-  EXPECT_FLOAT_EQ(ckpt.records[1].value[2], 10.0f);
+  write_file(path, bytes);
+  try {
+    load_checkpoint(path);
+    ADD_FAILURE() << "an STK1 file was loaded";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("STK1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointCorruption, ZeroLengthFileRejected) {

@@ -490,27 +490,6 @@ TEST(StreamProtocol, ControlStepAndCloseReplyRoundTrip) {
   EXPECT_THROW(decode_stream_control(5, {1, 2, 3}), InvalidArgument);
 }
 
-TEST(StreamProtocol, StreamingKindsRequireVersion3) {
-  // A v3 header with a streaming kind round-trips...
-  FrameHeader h;
-  h.kind = FrameKind::kStreamStep;
-  h.version = 3;
-  h.request_id = 1;
-  std::uint8_t raw[kHeaderBytes];
-  encode_header(h, raw);
-  EXPECT_EQ(decode_header(raw).kind, FrameKind::kStreamStep);
-  // ...but the same kind on a v2 frame is a malformed peer.
-  h.version = 2;
-  encode_header(h, raw);
-  EXPECT_THROW(decode_header(raw), InvalidArgument);
-
-  // RequestBuilder enforces the same rule at build time.
-  RequestBuilder v2(2);
-  StreamControl ctl;
-  ctl.stream_id = 1;
-  EXPECT_THROW(v2.stream_open(ctl), InvalidArgument);
-}
-
 TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
   // RequestBuilder replaced the four hand-paired encode_header +
   // encode_<payload> call sites; the frames it emits must be the header
@@ -541,7 +520,7 @@ TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
   };
   const Case cases[] = {
       {"infer_request", b.infer_request(req), FrameKind::kInferRequest,
-       detail::encode_request_payload(req, kProtocolVersion)},
+       detail::encode_request_payload(req)},
       {"infer_response", b.infer_response(resp), FrameKind::kInferResponse,
        detail::encode_response_payload(resp)},
       {"error", b.error(err), FrameKind::kError,
@@ -555,7 +534,7 @@ TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
     ASSERT_EQ(c.frame.size(), kHeaderBytes + c.payload.size());
     const FrameHeader h = decode_header(c.frame.data());
     EXPECT_EQ(h.kind, c.kind);
-    EXPECT_EQ(h.version, kProtocolVersion);
+    EXPECT_EQ(c.frame[5], kProtocolVersion);
     EXPECT_EQ(h.request_id, 77u);
     EXPECT_EQ(h.payload_bytes, c.payload.size());
     EXPECT_EQ(std::vector<std::uint8_t>(c.frame.begin() + kHeaderBytes,
