@@ -1,13 +1,15 @@
 // INFER — serving-throughput benchmark for the sparsity-aware inference
 // engine.  Compiles a model-zoo network into a CompiledModel, then times
-// identical InferenceSession windows with the crossover forced to each
+// identical InferenceSession windows with the conv crossover forced to each
 // side:
 //
-//   * sparse  — the event-driven gather-accumulate kernels,
-//   * dense   — the training-stack im2col+GEMM kernels,
+//   * sparse  — the event-driven scatter kernel on every conv layer,
+//   * dense   — the training stack's im2col+GEMM body on every conv layer.
 //
-// reporting FPS, latency percentiles, and the achieved input density the
-// dispatch heuristic saw.  Because both paths are bit-identical to
+// Linear layers run their one zero-skipping kernel in both modes, so the
+// two paths differ only in conv time and the dispatch counts are conv
+// layer-steps.  Reports FPS, latency percentiles, and the achieved input
+// density of the conv and linear layers.  Because both paths are bit-identical to
 // SpikingNetwork::forward, the bench first asserts spike-count parity
 // against the dense training path and aborts on any mismatch — a
 // performance number for a wrong result is worthless.
@@ -52,7 +54,7 @@ struct PathResult {
   double p90_ms = 0.0;
   double p99_ms = 0.0;
   double first_window_ms = 0.0;  // the excluded allocation-warming window
-  double input_density = 0.0;  // what the dispatch heuristic measured
+  double input_density = 0.0;  // conv and linear layers, exact counts
   std::int64_t sparse_dispatches = 0;
   std::int64_t dense_dispatches = 0;
 };

@@ -102,6 +102,11 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// Minimum elements per slice for elementwise loops (LIF membranes, nonzero
+/// counts, spike-count adds); below this the fork-join handshake costs more
+/// than the arithmetic.
+constexpr std::int64_t kElemGrain = 2048;
+
 /// Runs `fn(slice_begin, slice_end)` over [begin, end), statically split
 /// into at most num_threads() slices of at least `grain` indices each.
 /// Runs inline when serial, when the range is a single slice, or when

@@ -9,9 +9,9 @@ void declare_standard_flags(CliFlags& flags, DriverKind kind) {
   declare_threads_flag(flags);
   obs::declare_telemetry_flags(flags);
   flags.declare("sparse-crossover", "0.35",
-                "input density at or below which inference layers take the "
-                "sparse gather-accumulate path (DESIGN.md §11; both paths "
-                "are bit-identical, so this only moves time)");
+                "input density at or below which inference conv layers take "
+                "the sparse scatter kernel (DESIGN.md §10; both kernels are "
+                "bit-identical, so this only moves time)");
   switch (kind) {
     case DriverKind::kPlain:
       break;

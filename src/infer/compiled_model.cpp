@@ -6,22 +6,9 @@
 #include "snn/lif.h"
 #include "snn/linear.h"
 #include "snn/pool.h"
+#include "tensor/tensor_ops.h"
 
 namespace spiketune::infer {
-
-namespace {
-
-Tensor transpose_2d(const Tensor& w, std::int64_t rows, std::int64_t cols) {
-  // w is [rows, cols]; returns [cols, rows].
-  Tensor t(Shape{cols, rows});
-  const float* src = w.data();
-  float* dst = t.data();
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
-  return t;
-}
-
-}  // namespace
 
 const char* op_kind_name(OpKind kind) {
   switch (kind) {
@@ -61,14 +48,13 @@ CompiledModel CompiledModel::compile(const snn::SpikingNetwork& net,
                          cfg.kernel,      cfg.kernel,     cfg.pad,
                          cfg.pad,         1,              1};
       cl.weight = conv->weight().value;  // [OC, IC*KH*KW]
-      cl.weight_t =
-          transpose_2d(cl.weight, cfg.out_channels, cl.geom.col_rows());
+      cl.weight_t = ops::transpose_2d(cl.weight);
       if (cfg.bias) cl.bias = conv->bias().value;
     } else if (const auto* lin = dynamic_cast<const snn::Linear*>(&src)) {
       cl.kind = OpKind::kLinear;
       const auto& cfg = lin->config();
       cl.weight = lin->weight().value;  // [out, in]
-      cl.weight_t = transpose_2d(cl.weight, cfg.out_features, cfg.in_features);
+      cl.weight_t = ops::transpose_2d(cl.weight);
       if (cfg.bias) cl.bias = lin->bias().value;
     } else if (const auto* lif = dynamic_cast<const snn::Lif*>(&src)) {
       cl.kind = OpKind::kLif;

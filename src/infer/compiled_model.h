@@ -1,8 +1,8 @@
 // CompiledModel: a trained SpikingNetwork frozen for inference.
 //
 // compile() walks the network once and snapshots everything the serving hot
-// path needs — weights (plus a [K, out] transpose for the sparse scatter
-// kernels), biases, conv geometry, pool kernels, LIF constants, and the
+// path needs — weights (plus the [K, out] transpose that the linear kernel
+// and the sparse conv scatter read), biases, conv geometry, pool kernels, LIF constants, and the
 // per-layer shapes for a given per-sample input — so an InferenceSession can
 // run windows with no layer objects, no gradient caches, and no per-step
 // shape inference.  The source network is not retained: a CompiledModel is a
@@ -43,9 +43,10 @@ struct CompiledLayer {
   std::int64_t out_elems = 0;  // per-sample output numel
 
   // kConv2d / kLinear.  `weight` keeps the training layout ([OC, IC*KH*KW]
-  // for conv, [out, in] for linear) for the dense kernels; `weight_t` is its
-  // [K, out] transpose so the sparse kernels touch contiguous rows per input
-  // event.  `bias` is empty when the layer has none.
+  // for conv, [out, in] for linear); the dense conv kernel reads it.
+  // `weight_t` is its [K, out] transpose, read by snn::Linear::forward_rows
+  // and the sparse conv scatter so each nonzero input touches one contiguous
+  // row.  `bias` is empty when the layer has none.
   Tensor weight;
   Tensor weight_t;
   Tensor bias;

@@ -18,9 +18,11 @@ struct InferOptions {
   /// Initial buffer capacity in samples.  Running a larger batch grows the
   /// buffers (a one-off reallocation); steady state never allocates.
   std::int64_t max_batch = 32;
-  /// Batch-wide input density at or below which a conv/linear layer takes
-  /// the sparse kernel.  Set < 0 to force the dense path, >= 1 to force the
-  /// sparse path (both paths stay bit-identical; only speed changes).
+  /// Batch-wide input density at or below which a conv layer takes the
+  /// sparse scatter kernel instead of im2col+GEMM.  Set < 0 to force the
+  /// dense path, >= 1 to force the sparse path (both paths stay
+  /// bit-identical; only speed changes).  Linear layers have one kernel and
+  /// ignore it.
   double sparse_crossover = 0.35;
   /// Populate InferenceResult::stats (one counting pass per layer boundary,
   /// identical to ForwardOptions::record_stats).

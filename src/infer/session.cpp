@@ -8,29 +8,12 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "tensor/gemm.h"
-#include "tensor/im2col.h"
+#include "snn/conv2d.h"
+#include "snn/linear.h"
+#include "snn/pool.h"
+#include "tensor/tensor_ops.h"
 
 namespace spiketune::infer {
-
-namespace {
-
-// Matches snn::Lif's slicing economics for elementwise loops.
-constexpr std::int64_t kElemGrain = 2048;
-
-// Same nonzero predicate as ops::count_nonzero; per-slice integer tallies
-// sum exactly for any slicing.
-std::int64_t count_nonzero(const float* p, std::int64_t n) {
-  std::atomic<std::int64_t> total{0};
-  parallel_for(0, n, kElemGrain, [&](std::int64_t b, std::int64_t e) {
-    std::int64_t local = 0;
-    for (std::int64_t i = b; i < e; ++i) local += (p[i] != 0.0f);
-    total.fetch_add(local, std::memory_order_relaxed);
-  });
-  return total.load(std::memory_order_relaxed);
-}
-
-}  // namespace
 
 InferenceSession::InferenceSession(const CompiledModel& model,
                                    InferOptions config)
@@ -43,8 +26,6 @@ InferenceSession::InferenceSession(const CompiledModel& model,
       const std::int64_t spatial = l.geom.col_cols();
       scratch_stride_ = std::max(scratch_stride_, spatial * l.out_shape[0]);
       cols_stride_ = std::max(cols_stride_, l.geom.col_rows() * spatial);
-      idx_stride_ = std::max(idx_stride_, l.in_elems);
-    } else if (l.kind == OpKind::kLinear) {
       idx_stride_ = std::max(idx_stride_, l.in_elems);
     }
   }
@@ -90,15 +71,15 @@ std::int64_t InferenceSession::build_index_lists(const float* in,
 
 namespace {
 
-// --- Conv2d -----------------------------------------------------------------
+// --- Sparse conv ------------------------------------------------------------
 //
-// Sparse path: per sample, scatter each nonzero input pixel through the
-// [K, OC] transposed weights into a zeroed [spatial, OC] scratch, then
-// transpose into the [OC, OH, OW] output fusing the bias add.  For any fixed
-// output element, contributions land in ascending p = (ic, kh, kw) order —
-// the dense im2col+GEMM reduction order — and the terms that differ between
-// the two paths are exact ±0.0 products, so the result is bit-identical to
-// the dense kernel (DESIGN.md §10).
+// Per sample, scatter each nonzero input pixel through the [K, OC]
+// transposed weights into a zeroed [spatial, OC] scratch, then transpose
+// into the [OC, OH, OW] output fusing the bias add.  For any fixed output
+// element, contributions land in ascending p = (ic, kh, kw) order — the
+// reduction order of snn::Conv2d::forward_sample's im2col+GEMM — and the
+// terms that differ between the two are exact ±0.0 products, so the result
+// is bit-identical to the dense body (DESIGN.md §10).
 
 void conv_sparse(const CompiledLayer& l, const float* in, std::int64_t n,
                  const std::int32_t* nz_idx, std::int64_t idx_stride,
@@ -158,77 +139,6 @@ void conv_sparse(const CompiledLayer& l, const float* in, std::int64_t n,
   });
 }
 
-// Dense fallback: exactly snn::Conv2d::forward_step, with the im2col buffer
-// drawn from the session's preallocated arena instead of a per-slice vector.
-void conv_dense(const CompiledLayer& l, const float* in, std::int64_t n,
-                float* cols, std::int64_t cols_stride, float* out) {
-  ST_PROF_SCOPE("infer.conv_dense");
-  const ConvGeom& g = l.geom;
-  const std::int64_t spatial = g.col_cols();
-  const std::int64_t kk = g.col_rows();
-  const std::int64_t ocn = l.out_shape[0];
-  const float* b = l.bias.numel() > 0 ? l.bias.data() : nullptr;
-
-  parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t s = sb; s < se; ++s) {
-      float* c = cols + s * cols_stride;
-      im2col(g, in + s * l.in_elems, c);
-      gemm(ocn, spatial, kk, 1.0f, l.weight.data(), c, 0.0f,
-           out + s * l.out_elems);
-      if (b != nullptr) {
-        float* o = out + s * l.out_elems;
-        for (std::int64_t oc = 0; oc < ocn; ++oc) {
-          const float bv = b[oc];
-          float* plane = o + oc * spatial;
-          for (std::int64_t sp = 0; sp < spatial; ++sp) plane[sp] += bv;
-        }
-      }
-    }
-  });
-}
-
-// --- Linear -----------------------------------------------------------------
-
-void linear_sparse(const CompiledLayer& l, const float* in, std::int64_t n,
-                   const std::int32_t* nz_idx, std::int64_t idx_stride,
-                   const std::int64_t* nz_count, float* out) {
-  ST_PROF_SCOPE("infer.linear_sparse");
-  const std::int64_t out_f = l.out_shape[0];
-  const float* wt = l.weight_t.data();
-  const float* b = l.bias.numel() > 0 ? l.bias.data() : nullptr;
-
-  parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t s = sb; s < se; ++s) {
-      float* o = out + s * out_f;
-      std::fill(o, o + out_f, 0.0f);
-      const float* x = in + s * l.in_elems;
-      const std::int32_t* idx = nz_idx + s * idx_stride;
-      const std::int64_t cnt = nz_count[s];
-      for (std::int64_t e = 0; e < cnt; ++e) {
-        const std::int64_t f = idx[e];
-        const float v = x[f];
-        const float* wrow = wt + f * out_f;
-        for (std::int64_t j = 0; j < out_f; ++j) o[j] += v * wrow[j];
-      }
-      if (b != nullptr)
-        for (std::int64_t j = 0; j < out_f; ++j) o[j] += b[j];
-    }
-  });
-}
-
-// Dense fallback: exactly snn::Linear::forward_step.
-void linear_dense(const CompiledLayer& l, const float* in, std::int64_t n,
-                  float* out) {
-  ST_PROF_SCOPE("infer.linear_dense");
-  const std::int64_t out_f = l.out_shape[0];
-  gemm_nt(n, out_f, l.in_elems, 1.0f, in, l.weight.data(), 0.0f, out);
-  if (l.bias.numel() > 0) {
-    const float* b = l.bias.data();
-    for (std::int64_t i = 0; i < n; ++i)
-      for (std::int64_t j = 0; j < out_f; ++j) out[i * out_f + j] += b[j];
-  }
-}
-
 // --- LIF --------------------------------------------------------------------
 //
 // In-place membrane update, no caches.  Identical elementwise recurrence to
@@ -278,69 +188,6 @@ std::int64_t lif_step(const CompiledLayer& l, const float* in, std::int64_t n,
   return fired.load(std::memory_order_relaxed);
 }
 
-// --- Pooling ----------------------------------------------------------------
-//
-// Same per-window arithmetic as snn::MaxPool2d / snn::AvgPool2d (first-
-// element init + strict > for max; ascending (dy, dx) accumulation for avg),
-// parallelized over planes — each plane's output is computed independently.
-
-void maxpool(const CompiledLayer& l, const float* in, std::int64_t n,
-             float* out) {
-  ST_PROF_SCOPE("infer.maxpool");
-  const std::int64_t h = l.in_shape[1];
-  const std::int64_t w = l.in_shape[2];
-  const std::int64_t oh = l.out_shape[1];
-  const std::int64_t ow = l.out_shape[2];
-  const std::int64_t k = l.pool_kernel;
-  parallel_for(0, n * l.in_shape[0], 1,
-               [&](std::int64_t pb, std::int64_t pe) {
-                 for (std::int64_t p = pb; p < pe; ++p) {
-                   const float* iplane = in + p * h * w;
-                   float* oplane = out + p * oh * ow;
-                   for (std::int64_t y = 0; y < oh; ++y) {
-                     for (std::int64_t x = 0; x < ow; ++x) {
-                       const std::int64_t y0 = y * k;
-                       const std::int64_t x0 = x * k;
-                       float best = iplane[y0 * w + x0];
-                       for (std::int64_t dy = 0; dy < k; ++dy)
-                         for (std::int64_t dx = 0; dx < k; ++dx) {
-                           const float v = iplane[(y0 + dy) * w + (x0 + dx)];
-                           if (v > best) best = v;
-                         }
-                       oplane[y * ow + x] = best;
-                     }
-                   }
-                 }
-               });
-}
-
-void avgpool(const CompiledLayer& l, const float* in, std::int64_t n,
-             float* out) {
-  ST_PROF_SCOPE("infer.avgpool");
-  const std::int64_t h = l.in_shape[1];
-  const std::int64_t w = l.in_shape[2];
-  const std::int64_t oh = l.out_shape[1];
-  const std::int64_t ow = l.out_shape[2];
-  const std::int64_t k = l.pool_kernel;
-  const float inv = 1.0f / static_cast<float>(k * k);
-  parallel_for(0, n * l.in_shape[0], 1,
-               [&](std::int64_t pb, std::int64_t pe) {
-                 for (std::int64_t p = pb; p < pe; ++p) {
-                   const float* iplane = in + p * h * w;
-                   float* oplane = out + p * oh * ow;
-                   for (std::int64_t y = 0; y < oh; ++y) {
-                     for (std::int64_t x = 0; x < ow; ++x) {
-                       float acc = 0.0f;
-                       for (std::int64_t dy = 0; dy < k; ++dy)
-                         for (std::int64_t dx = 0; dx < k; ++dx)
-                           acc += iplane[(y * k + dy) * w + (x * k + dx)];
-                       oplane[y * ow + x] = acc * inv;
-                     }
-                   }
-                 }
-               });
-}
-
 }  // namespace
 
 void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
@@ -360,6 +207,7 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
         streams[s]->steps_done_ == 0 ? 1 : 0;
   }
 
+  const bool timed = config_.record_stage_times;
   std::int64_t prev_out_nz = -1;  // boundary count carried layer to layer
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const CompiledLayer& l = layers[li];
@@ -369,43 +217,51 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
     std::int64_t out_nz = -1;
 
     switch (l.kind) {
-      case OpKind::kConv2d:
-      case OpKind::kLinear: {
+      case OpKind::kConv2d: {
         // Exact batch-wide density drives the kernel choice, so dispatch
         // is deterministic for any thread count.
-        const bool timed = config_.record_stage_times;
         const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
-        const std::int64_t nz = build_index_lists(x, n, l.in_elems);
+        in_nz = build_index_lists(x, n, l.in_elems);
         const std::uint64_t t1 = timed ? obs::telemetry_now_ns() : 0;
         if (timed) result.index_ns += t1 - t0;
-        in_nz = nz;
-        totals.dispatch_nz += nz;
-        totals.dispatch_elems += in_total;
-        const double density =
-            static_cast<double>(nz) / static_cast<double>(in_total);
-        obs::flight_record(density <= config_.sparse_crossover
-                               ? obs::FlightEventId::kInferSparseDispatch
-                               : obs::FlightEventId::kInferDenseDispatch,
+        const bool sparse = static_cast<double>(in_nz) /
+                                static_cast<double>(in_total) <=
+                            config_.sparse_crossover;
+        obs::flight_record(sparse ? obs::FlightEventId::kInferSparseDispatch
+                                  : obs::FlightEventId::kInferDenseDispatch,
                            static_cast<std::uint64_t>(li),
-                           static_cast<std::uint64_t>(nz));
-        if (density <= config_.sparse_crossover) {
+                           static_cast<std::uint64_t>(in_nz));
+        if (sparse) {
           ++result.sparse_dispatches;
-          if (l.kind == OpKind::kConv2d)
-            conv_sparse(l, x, n, nz_idx_.data(), idx_stride_,
-                        nz_count_.data(), scratch_.data(), scratch_stride_,
-                        out);
-          else
-            linear_sparse(l, x, n, nz_idx_.data(), idx_stride_,
-                          nz_count_.data(), out);
+          conv_sparse(l, x, n, nz_idx_.data(), idx_stride_, nz_count_.data(),
+                      scratch_.data(), scratch_stride_, out);
           if (timed) result.sparse_kernel_ns += obs::telemetry_now_ns() - t1;
         } else {
+          ST_PROF_SCOPE("infer.conv_dense");
           ++result.dense_dispatches;
-          if (l.kind == OpKind::kConv2d)
-            conv_dense(l, x, n, cols_.data(), cols_stride_, out);
-          else
-            linear_dense(l, x, n, out);
+          parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
+            for (std::int64_t s = sb; s < se; ++s)
+              snn::Conv2d::forward_sample(
+                  l.geom, l.weight, l.bias, x + s * l.in_elems,
+                  cols_.data() + s * cols_stride_, out + s * l.out_elems);
+          });
           if (timed) result.dense_kernel_ns += obs::telemetry_now_ns() - t1;
         }
+        totals.dispatch_nz += in_nz;
+        totals.dispatch_elems += in_total;
+        break;
+      }
+      case OpKind::kLinear: {
+        // One zero-skipping kernel at every density; its time counts as
+        // sparse-kernel time.
+        ST_PROF_SCOPE("infer.linear");
+        const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
+        in_nz = snn::Linear::forward_rows(
+            x, n, l.in_elems, l.out_elems, l.weight_t.data(),
+            l.bias.numel() > 0 ? l.bias.data() : nullptr, out);
+        if (timed) result.sparse_kernel_ns += obs::telemetry_now_ns() - t0;
+        totals.dispatch_nz += in_nz;
+        totals.dispatch_elems += in_total;
         break;
       }
       case OpKind::kLif: {
@@ -416,12 +272,19 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
         totals.spikes += out_nz;
         break;
       }
-      case OpKind::kMaxPool2d:
-        maxpool(l, x, n, out);
+      case OpKind::kMaxPool2d: {
+        ST_PROF_SCOPE("infer.maxpool");
+        snn::MaxPool2d::forward_planes(x, n * l.in_shape[0], l.in_shape[1],
+                                       l.in_shape[2], l.pool_kernel, out,
+                                       nullptr);
         break;
-      case OpKind::kAvgPool2d:
-        avgpool(l, x, n, out);
+      }
+      case OpKind::kAvgPool2d: {
+        ST_PROF_SCOPE("infer.avgpool");
+        snn::AvgPool2d::forward_planes(x, n * l.in_shape[0], l.in_shape[1],
+                                       l.in_shape[2], l.pool_kernel, out);
         break;
+      }
       case OpKind::kFlatten:
         std::copy(x, x + in_total, out);
         if (in_nz >= 0) out_nz = in_nz;  // reshape preserves nonzeros
@@ -429,8 +292,8 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
     }
 
     if (config_.record_stats) {
-      if (in_nz < 0) in_nz = count_nonzero(x, in_total);
-      if (out_nz < 0) out_nz = count_nonzero(out, n * l.out_elems);
+      if (in_nz < 0) in_nz = ops::count_nonzero(x, in_total);
+      if (out_nz < 0) out_nz = ops::count_nonzero(out, n * l.out_elems);
       result.stats.add_step(li, in_nz, in_total, out_nz, n * l.out_elems);
       prev_out_nz = out_nz;
     }

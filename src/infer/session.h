@@ -17,19 +17,22 @@
 //     so window results are bitwise-identical to streaming results by
 //     construction, not by parallel maintenance (DESIGN.md §15).
 //
-// Per step, each conv/linear layer inspects the exact nonzero count of its
-// input (the spike index lists are rebuilt every step) and dispatches either
+// Every layer runs the training stack's own forward body, so there is no
+// second copy to keep in sync: snn::Linear::forward_rows for linear layers,
+// snn::Conv2d::forward_sample for dense conv, and the pool layers'
+// forward_planes.  Linear has that one zero-skipping kernel at every
+// density.  Conv has two: per step it counts the exact nonzeros of its input
+// (building per-sample spike index lists) and dispatches either
 //
-//   * the sparse gather-accumulate kernel, which touches only the nonzero
-//     input columns via the model's [K, out] transposed weights, or
-//   * the dense im2col+GEMM / GEMM kernel — the same kernels the training
-//     stack runs — once batch-wide input density exceeds
+//   * the sparse scatter kernel, which touches only the nonzero input
+//     pixels via the model's [K, OC] transposed weights, or
+//   * the dense im2col+GEMM body once batch-wide input density exceeds
 //     InferOptions::sparse_crossover.
 //
-// Both paths, at any thread count, produce bit-identical activations to
-// SpikingNetwork::forward (see DESIGN.md §10 for the determinism argument),
-// so spike counts, accuracies, and recorded densities match the training
-// path exactly.
+// Both conv kernels, at any thread count, produce bit-identical activations
+// to SpikingNetwork::forward (see DESIGN.md §10 for the determinism
+// argument), so spike counts, accuracies, and recorded densities match the
+// training path exactly.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +50,15 @@ struct InferenceResult {
   snn::SpikeRecord stats;  // populated when InferOptions::record_stats
   std::int64_t timesteps = 0;
 
-  /// Achieved input density over all conv/linear dispatch decisions this
-  /// window (exact integer counts; what the crossover heuristic saw).
+  /// Achieved input density over every conv and linear layer-step this
+  /// window (exact integer counts).
   double mean_input_density = 0.0;
-  std::int64_t sparse_dispatches = 0;  // layer-steps on the sparse kernel
-  std::int64_t dense_dispatches = 0;   // layer-steps on the dense kernel
+  std::int64_t sparse_dispatches = 0;  // conv layer-steps on the scatter
+  std::int64_t dense_dispatches = 0;   // conv layer-steps on im2col+GEMM
 
   /// Wall-clock stage split, populated when record_stage_times: time in
-  /// build_index_lists, in sparse kernels, and in dense kernels.  The
+  /// build_index_lists (conv only), in zero-skipping kernels (the conv
+  /// scatter and every linear layer), and in dense conv kernels.  The
   /// serving span log forwards the kernel split per request.
   std::uint64_t index_ns = 0;
   std::uint64_t sparse_kernel_ns = 0;
@@ -107,8 +111,8 @@ class InferenceSession {
   };
 
   void ensure_capacity(std::int64_t batch);
-  /// Fills per-sample nonzero index lists for `layer`'s input and returns
-  /// the batch-wide nonzero total.
+  /// Fills per-sample nonzero index lists for a conv layer's input and
+  /// returns the batch-wide nonzero total.
   std::int64_t build_index_lists(const float* in, std::int64_t batch,
                                  std::int64_t in_elems);
   /// One timestep for `n` stream rows: runs every layer on the batch `x`
@@ -131,7 +135,7 @@ class InferenceSession {
   std::vector<float*> m_rows_;            // per-row membrane planes (1 layer)
   std::vector<unsigned char> fresh_;      // per-row "stream has no history"
   std::vector<StreamState> pool_;         // scratch streams for null rows
-  std::int64_t idx_stride_ = 0;      // max conv/linear in_elems
+  std::int64_t idx_stride_ = 0;      // max conv in_elems
   std::int64_t scratch_stride_ = 0;  // max conv spatial*OC
   std::int64_t cols_stride_ = 0;     // max conv col_rows*spatial
 };

@@ -54,7 +54,7 @@ enum class FlightEventId : std::uint16_t {
   kStreamClose = 13,    // a0 = stream id, a1 = live streams
   kStreamEvict = 14,    // a0 = stream id, a1 = in-memory streams
   kStreamRestore = 15,  // a0 = stream id, a1 = steps done at restore
-  // infer: dispatch-path choice per layer step.
+  // infer: dispatch-path choice per conv layer step.
   kInferSparseDispatch = 20,  // a0 = layer index, a1 = nonzero count
   kInferDenseDispatch = 21,   // a0 = layer index, a1 = nonzero count
   // train: epoch / checkpoint boundaries.

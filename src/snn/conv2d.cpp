@@ -41,16 +41,30 @@ void Conv2d::begin_window(std::int64_t, bool training) {
   input_cache_.clear();
 }
 
+void Conv2d::forward_sample(const ConvGeom& g, const Tensor& weight,
+                            const Tensor& bias, const float* in, float* cols,
+                            float* out) {
+  const std::int64_t ocn = weight.shape()[0];
+  const std::int64_t spatial = g.col_cols();
+  im2col(g, in, cols);
+  // out[OC, OHW] = W[OC, K] * cols[K, OHW]
+  gemm(ocn, spatial, g.col_rows(), 1.0f, weight.data(), cols, 0.0f, out);
+  if (bias.numel() == 0) return;
+  const float* b = bias.data();
+  for (std::int64_t oc = 0; oc < ocn; ++oc) {
+    const float bv = b[oc];
+    float* plane = out + oc * spatial;
+    for (std::int64_t s = 0; s < spatial; ++s) plane[s] += bv;
+  }
+}
+
 Tensor Conv2d::forward_step(const Tensor& input) {
   ST_PROF_SCOPE("conv2d.fwd");
   const ConvGeom g = geom_for(input.shape());
   const std::int64_t n = input.shape()[0];
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t kk = g.col_rows();    // IC*KH*KW
-  const std::int64_t spatial = oh * ow;
+  const std::int64_t spatial = g.col_cols();
 
-  Tensor output(Shape{n, config_.out_channels, oh, ow});
+  Tensor output(Shape{n, config_.out_channels, g.out_h(), g.out_w()});
 
   const std::int64_t in_stride = g.channels * g.height * g.width;
   const std::int64_t out_stride = config_.out_channels * spatial;
@@ -59,22 +73,11 @@ Tensor Conv2d::forward_step(const Tensor& input) {
   // writes its own output block.  (With a single-sample batch the slice
   // runs inline and the im2col/gemm kernels parallelize internally.)
   parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-    std::vector<float> cols(static_cast<std::size_t>(kk * spatial));
-    for (std::int64_t i = sb; i < se; ++i) {
-      im2col(g, input.data() + i * in_stride, cols.data());
-      // out[OC, OHW] = W[OC, K] * cols[K, OHW]
-      gemm(config_.out_channels, spatial, kk, 1.0f, weight_.value.data(),
-           cols.data(), 0.0f, output.data() + i * out_stride);
-      if (config_.bias) {
-        float* out = output.data() + i * out_stride;
-        const float* b = bias_.value.data();
-        for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
-          const float bv = b[oc];
-          float* plane = out + oc * spatial;
-          for (std::int64_t s = 0; s < spatial; ++s) plane[s] += bv;
-        }
-      }
-    }
+    std::vector<float> cols(static_cast<std::size_t>(g.col_rows() * spatial));
+    for (std::int64_t i = sb; i < se; ++i)
+      forward_sample(g, weight_.value, bias_.value,
+                     input.data() + i * in_stride, cols.data(),
+                     output.data() + i * out_stride);
   });
 
   if (training_) input_cache_.push_back(input);

@@ -41,6 +41,14 @@ class Conv2d final : public Layer {
   const Param& weight() const { return weight_; }
   const Param& bias() const { return bias_; }
 
+  /// Dense forward of one sample: im2col of `in` ([IC, H, W]) into `cols`
+  /// ([IC*KH*KW, OH*OW] scratch), out[OC, OH*OW] = weight * cols, then
+  /// + bias per channel (an empty bias means none).  The one dense conv
+  /// body: forward_step and infer::InferenceSession both run it per sample.
+  static void forward_sample(const ConvGeom& g, const Tensor& weight,
+                             const Tensor& bias, const float* in, float* cols,
+                             float* out);
+
   /// Synaptic fan-out of one input spike: the number of MACs it triggers
   /// (= OC * KH * KW for interior pixels); used by the hardware workload
   /// extractor.

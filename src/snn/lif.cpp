@@ -9,12 +9,6 @@
 
 namespace spiketune::snn {
 
-namespace {
-// Minimum elements per slice for the elementwise membrane loops; below
-// this the fork-join handshake costs more than the arithmetic.
-constexpr std::int64_t kElemGrain = 2048;
-}  // namespace
-
 Lif::Lif(LifConfig config) : config_(config) {
   ST_REQUIRE(config_.beta >= 0.0f && config_.beta <= 1.0f,
              "beta must be in [0, 1]");

@@ -1,7 +1,12 @@
 #include "snn/linear.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "core/error.h"
+#include "core/parallel.h"
 #include "tensor/gemm.h"
+#include "tensor/tensor_ops.h"
 
 namespace spiketune::snn {
 
@@ -23,25 +28,47 @@ Linear::Linear(LinearConfig config, Rng& rng)
 void Linear::begin_window(std::int64_t, bool training) {
   training_ = training;
   input_cache_.clear();
+  weight_t_ = ops::transpose_2d(weight_.value);
+}
+
+std::int64_t Linear::forward_rows(const float* x, std::int64_t n,
+                                  std::int64_t in_f, std::int64_t out_f,
+                                  const float* weight_t, const float* bias,
+                                  float* out) {
+  std::atomic<std::int64_t> total{0};
+  parallel_for(0, n, 1, [&](std::int64_t rb, std::int64_t re) {
+    std::int64_t local = 0;
+    for (std::int64_t r = rb; r < re; ++r) {
+      const float* xr = x + r * in_f;
+      float* o = out + r * out_f;
+      std::fill(o, o + out_f, 0.0f);
+      for (std::int64_t f = 0; f < in_f; ++f) {
+        const float v = xr[f];
+        if (v == 0.0f) continue;
+        ++local;
+        const float* wrow = weight_t + f * out_f;
+        for (std::int64_t j = 0; j < out_f; ++j) o[j] += v * wrow[j];
+      }
+      if (bias != nullptr)
+        for (std::int64_t j = 0; j < out_f; ++j) o[j] += bias[j];
+    }
+    total.fetch_add(local, std::memory_order_relaxed);
+  });
+  return total.load(std::memory_order_relaxed);
 }
 
 Tensor Linear::forward_step(const Tensor& input) {
   const Shape& s = input.shape();
   ST_REQUIRE(s.rank() == 2 && s[1] == config_.in_features,
              "linear expects [N, in_features], got " + s.str());
+  ST_REQUIRE(weight_t_.numel() == weight_.value.numel(),
+             "linear forward_step before begin_window");
   const std::int64_t n = s[0];
 
   Tensor output(Shape{n, config_.out_features});
-  // y[N, out] = x[N, in] * W[out, in]^T
-  gemm_nt(n, config_.out_features, config_.in_features, 1.0f, input.data(),
-          weight_.value.data(), 0.0f, output.data());
-  if (config_.bias) {
-    float* out = output.data();
-    const float* b = bias_.value.data();
-    for (std::int64_t i = 0; i < n; ++i)
-      for (std::int64_t j = 0; j < config_.out_features; ++j)
-        out[i * config_.out_features + j] += b[j];
-  }
+  forward_rows(input.data(), n, config_.in_features, config_.out_features,
+               weight_t_.data(), config_.bias ? bias_.value.data() : nullptr,
+               output.data());
   if (training_) input_cache_.push_back(input);
   return output;
 }

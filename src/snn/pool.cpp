@@ -1,6 +1,7 @@
 #include "snn/pool.h"
 
 #include "core/error.h"
+#include "core/parallel.h"
 
 namespace spiketune::snn {
 
@@ -24,50 +25,55 @@ void MaxPool2d::begin_window(std::int64_t, bool training) {
   cache_.clear();
 }
 
+void MaxPool2d::forward_planes(const float* in, std::int64_t planes,
+                               std::int64_t h, std::int64_t w, std::int64_t k,
+                               float* out, std::int64_t* argmax) {
+  const std::int64_t oh = h / k;
+  const std::int64_t ow = w / k;
+  parallel_for(0, planes, 1, [&](std::int64_t pb, std::int64_t pe) {
+    for (std::int64_t p = pb; p < pe; ++p) {
+      const std::int64_t ibase = p * h * w;
+      const float* iplane = in + ibase;
+      float* oplane = out + p * oh * ow;
+      std::int64_t* aplane = argmax != nullptr ? argmax + p * oh * ow : nullptr;
+      for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t x = 0; x < ow; ++x) {
+          const std::int64_t y0 = y * k;
+          const std::int64_t x0 = x * k;
+          float best = iplane[y0 * w + x0];
+          std::int64_t best_idx = y0 * w + x0;
+          for (std::int64_t dy = 0; dy < k; ++dy) {
+            for (std::int64_t dx = 0; dx < k; ++dx) {
+              const std::int64_t idx = (y0 + dy) * w + (x0 + dx);
+              if (iplane[idx] > best) {
+                best = iplane[idx];
+                best_idx = idx;
+              }
+            }
+          }
+          oplane[y * ow + x] = best;
+          if (aplane != nullptr) aplane[y * ow + x] = ibase + best_idx;
+        }
+      }
+    }
+  });
+}
+
 Tensor MaxPool2d::forward_step(const Tensor& input) {
   require_4d(input.shape(), "maxpool");
   const Shape out_shape = pooled_shape(input.shape(), kernel_);
   ST_REQUIRE(out_shape[2] > 0 && out_shape[3] > 0,
              "maxpool input smaller than kernel");
 
-  const std::int64_t h = input.shape()[2];
-  const std::int64_t w = input.shape()[3];
-  const std::int64_t oh = out_shape[2];
-  const std::int64_t ow = out_shape[3];
-  const std::int64_t planes = out_shape[0] * out_shape[1];
-
   Tensor output(out_shape);
   StepCache cache;
-  cache.input_shape = input.shape();
-  cache.argmax.resize(static_cast<std::size_t>(output.numel()));
-
-  const float* in = input.data();
-  float* out = output.data();
-  for (std::int64_t p = 0; p < planes; ++p) {
-    const float* iplane = in + p * h * w;
-    const std::int64_t ibase = p * h * w;
-    float* oplane = out + p * oh * ow;
-    std::int64_t* aplane = cache.argmax.data() + p * oh * ow;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t x = 0; x < ow; ++x) {
-        const std::int64_t y0 = y * kernel_;
-        const std::int64_t x0 = x * kernel_;
-        float best = iplane[y0 * w + x0];
-        std::int64_t best_idx = y0 * w + x0;
-        for (std::int64_t dy = 0; dy < kernel_; ++dy) {
-          for (std::int64_t dx = 0; dx < kernel_; ++dx) {
-            const std::int64_t idx = (y0 + dy) * w + (x0 + dx);
-            if (iplane[idx] > best) {
-              best = iplane[idx];
-              best_idx = idx;
-            }
-          }
-        }
-        oplane[y * ow + x] = best;
-        aplane[y * ow + x] = ibase + best_idx;
-      }
-    }
+  if (training_) {
+    cache.input_shape = input.shape();
+    cache.argmax.resize(static_cast<std::size_t>(output.numel()));
   }
+  forward_planes(input.data(), out_shape[0] * out_shape[1], input.shape()[2],
+                 input.shape()[3], kernel_, output.data(),
+                 training_ ? cache.argmax.data() : nullptr);
   if (training_) cache_.push_back(std::move(cache));
   return output;
 }
@@ -103,35 +109,38 @@ void AvgPool2d::begin_window(std::int64_t, bool training) {
   shapes_.clear();
 }
 
+void AvgPool2d::forward_planes(const float* in, std::int64_t planes,
+                               std::int64_t h, std::int64_t w, std::int64_t k,
+                               float* out) {
+  const std::int64_t oh = h / k;
+  const std::int64_t ow = w / k;
+  const float inv = 1.0f / static_cast<float>(k * k);
+  parallel_for(0, planes, 1, [&](std::int64_t pb, std::int64_t pe) {
+    for (std::int64_t p = pb; p < pe; ++p) {
+      const float* iplane = in + p * h * w;
+      float* oplane = out + p * oh * ow;
+      for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t x = 0; x < ow; ++x) {
+          float acc = 0.0f;
+          for (std::int64_t dy = 0; dy < k; ++dy)
+            for (std::int64_t dx = 0; dx < k; ++dx)
+              acc += iplane[(y * k + dy) * w + (x * k + dx)];
+          oplane[y * ow + x] = acc * inv;
+        }
+      }
+    }
+  });
+}
+
 Tensor AvgPool2d::forward_step(const Tensor& input) {
   require_4d(input.shape(), "avgpool");
   const Shape out_shape = pooled_shape(input.shape(), kernel_);
   ST_REQUIRE(out_shape[2] > 0 && out_shape[3] > 0,
              "avgpool input smaller than kernel");
 
-  const std::int64_t h = input.shape()[2];
-  const std::int64_t w = input.shape()[3];
-  const std::int64_t oh = out_shape[2];
-  const std::int64_t ow = out_shape[3];
-  const std::int64_t planes = out_shape[0] * out_shape[1];
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
   Tensor output(out_shape);
-  const float* in = input.data();
-  float* out = output.data();
-  for (std::int64_t p = 0; p < planes; ++p) {
-    const float* iplane = in + p * h * w;
-    float* oplane = out + p * oh * ow;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t x = 0; x < ow; ++x) {
-        float acc = 0.0f;
-        for (std::int64_t dy = 0; dy < kernel_; ++dy)
-          for (std::int64_t dx = 0; dx < kernel_; ++dx)
-            acc += iplane[(y * kernel_ + dy) * w + (x * kernel_ + dx)];
-        oplane[y * ow + x] = acc * inv;
-      }
-    }
-  }
+  forward_planes(input.data(), out_shape[0] * out_shape[1], input.shape()[2],
+                 input.shape()[3], kernel_, output.data());
   if (training_) shapes_.push_back(input.shape());
   return output;
 }

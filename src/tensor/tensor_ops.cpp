@@ -1,10 +1,12 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
 #include "core/error.h"
+#include "core/parallel.h"
 
 namespace spiketune::ops {
 
@@ -133,11 +135,18 @@ double zero_fraction(const Tensor& a) {
                    static_cast<double>(a.numel());
 }
 
+std::int64_t count_nonzero(const float* p, std::int64_t n) {
+  std::atomic<std::int64_t> total{0};
+  parallel_for(0, n, kElemGrain, [&](std::int64_t b, std::int64_t e) {
+    std::int64_t local = 0;
+    for (std::int64_t i = b; i < e; ++i) local += (p[i] != 0.0f);
+    total.fetch_add(local, std::memory_order_relaxed);
+  });
+  return total.load(std::memory_order_relaxed);
+}
+
 std::int64_t count_nonzero(const Tensor& a) {
-  std::int64_t n = 0;
-  const float* p = a.data();
-  for (std::int64_t i = 0, sz = a.numel(); i < sz; ++i) n += (p[i] != 0.0f);
-  return n;
+  return count_nonzero(a.data(), a.numel());
 }
 
 float l2_norm(const Tensor& a) {
@@ -146,6 +155,19 @@ float l2_norm(const Tensor& a) {
   for (std::int64_t i = 0, n = a.numel(); i < n; ++i)
     acc += static_cast<double>(p[i]) * p[i];
   return static_cast<float>(std::sqrt(acc));
+}
+
+Tensor transpose_2d(const Tensor& m) {
+  ST_REQUIRE(m.shape().rank() == 2,
+             "transpose_2d expects [rows, cols], got " + m.shape().str());
+  const std::int64_t rows = m.shape()[0];
+  const std::int64_t cols = m.shape()[1];
+  Tensor t(Shape{cols, rows});
+  const float* src = m.data();
+  float* dst = t.data();
+  for (std::int64_t r = 0; r < rows; ++r)
+    for (std::int64_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  return t;
 }
 
 Tensor softmax_rows(const Tensor& logits, std::int64_t cols) {

@@ -43,12 +43,17 @@ float min(const Tensor& a);
 std::int64_t argmax(const Tensor& a);
 /// Fraction of elements equal to zero.
 double zero_fraction(const Tensor& a);
-/// Number of nonzero elements.
+/// Number of nonzero elements.  Runs in parallel; per-slice integer tallies
+/// sum exactly, so the count is the same at any thread count.
+std::int64_t count_nonzero(const float* p, std::int64_t n);
 std::int64_t count_nonzero(const Tensor& a);
 /// sqrt(sum of squares)
 float l2_norm(const Tensor& a);
 
 // ---- nn helpers ------------------------------------------------------------
+
+/// Transpose of a rank-2 [rows, cols] tensor, as [cols, rows].
+Tensor transpose_2d(const Tensor& m);
 
 /// Numerically stable row-wise softmax of a [rows, cols] matrix.
 Tensor softmax_rows(const Tensor& logits, std::int64_t cols);

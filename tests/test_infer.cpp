@@ -121,36 +121,61 @@ TEST(InferParity, CsnnMatchesDenseForwardAtBothDensities) {
 }
 
 TEST(InferParity, CrossoverForcesEachKernelWithoutChangingResults) {
-  snn::MlpConfig cfg;
-  cfg.in_features = 40;
-  cfg.hidden = 20;
-  auto net = snn::make_snn_mlp(cfg);
+  snn::CsnnConfig cfg;
+  cfg.image_size = 12;
+  cfg.fc_hidden = 24;
+  auto net = snn::make_svhn_csnn(cfg);
   Rng rng(0xc0ffee);
   const std::int64_t steps = 5;
-  auto window = random_window(steps, Shape{4, 40}, 0.5, rng);
+  auto window = random_window(steps, Shape{4, 3, 12, 12}, 0.5, rng);
   const auto dense = net->forward(window, {.record_stats = true});
-  const auto model = CompiledModel::compile(*net, Shape{40});
-  const std::int64_t weighted_layers = 2;  // two Linear stages
+  const auto model = CompiledModel::compile(*net, Shape{3, 12, 12});
+  // The crossover chooses between the two conv kernels only; the linear
+  // layers have one kernel and are not counted as dispatches.
+  const std::int64_t conv_layers = 2;
 
-  // >= 1 forces the sparse gather kernel on every layer-step.
+  // >= 1 forces the sparse scatter kernel on every conv layer-step.
   InferenceSession sparse_only(model, {.max_batch = 4,
                                        .sparse_crossover = 1.5,
                                        .record_stats = true});
   const auto got_sparse = sparse_only.run(window);
-  EXPECT_EQ(got_sparse.sparse_dispatches, steps * weighted_layers);
+  EXPECT_EQ(got_sparse.sparse_dispatches, steps * conv_layers);
   EXPECT_EQ(got_sparse.dense_dispatches, 0);
   expect_bitwise_equal(dense.spike_counts, got_sparse.spike_counts);
   expect_records_equal(dense.stats, got_sparse.stats);
 
-  // < 0 forces the dense GEMM fallback on every layer-step.
+  // < 0 forces the dense im2col+GEMM body on every conv layer-step.
   InferenceSession dense_only(model, {.max_batch = 4,
                                       .sparse_crossover = -1.0,
                                       .record_stats = true});
   const auto got_dense = dense_only.run(window);
   EXPECT_EQ(got_dense.sparse_dispatches, 0);
-  EXPECT_EQ(got_dense.dense_dispatches, steps * weighted_layers);
+  EXPECT_EQ(got_dense.dense_dispatches, steps * conv_layers);
   expect_bitwise_equal(dense.spike_counts, got_dense.spike_counts);
   expect_records_equal(dense.stats, got_dense.stats);
+  EXPECT_EQ(got_dense.mean_input_density, got_sparse.mean_input_density);
+}
+
+TEST(InferParity, LinearOnlyModelHasNoDispatchesAtAnyCrossover) {
+  snn::MlpConfig cfg;
+  cfg.in_features = 40;
+  cfg.hidden = 20;
+  auto net = snn::make_snn_mlp(cfg);
+  Rng rng(0xfeed);
+  auto window = random_window(5, Shape{4, 40}, 0.5, rng);
+  const auto dense = net->forward(window, {.record_stats = true});
+  const auto model = CompiledModel::compile(*net, Shape{40});
+  for (double crossover : {-1.0, 0.35, 1.5}) {
+    SCOPED_TRACE("crossover=" + std::to_string(crossover));
+    InferenceSession session(model, {.max_batch = 4,
+                                     .sparse_crossover = crossover,
+                                     .record_stats = true});
+    const auto got = session.run(window);
+    EXPECT_EQ(got.sparse_dispatches, 0);
+    EXPECT_EQ(got.dense_dispatches, 0);
+    expect_bitwise_equal(dense.spike_counts, got.spike_counts);
+    expect_records_equal(dense.stats, got.stats);
+  }
 }
 
 TEST(InferSession, ReusesStateAcrossWindowsAndGrowsPastMaxBatch) {

@@ -2,13 +2,17 @@
 // gradient checks of every backward path.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <utility>
 
 #include "core/error.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "snn/conv2d.h"
 #include "snn/linear.h"
 #include "snn/pool.h"
+#include "tensor/gemm.h"
 #include "tensor/gradcheck.h"
 #include "tensor/tensor_ops.h"
 
@@ -27,6 +31,32 @@ double weighted_sum(const Tensor& out, const Tensor& probe) {
   for (std::int64_t i = 0; i < out.numel(); ++i)
     acc += static_cast<double>(out[i]) * probe[i];
   return acc;
+}
+
+struct ThreadGuard {
+  explicit ThreadGuard(int threads) { set_num_threads(threads); }
+  ~ThreadGuard() { set_num_threads(1); }
+};
+
+void expect_bitwise_equal(const Tensor& want, const Tensor& got) {
+  ASSERT_EQ(want.shape(), got.shape());
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        static_cast<std::size_t>(want.numel()) * sizeof(float)),
+            0);
+}
+
+// y = x W^T + b as the strict gemm_nt dot product: the reference the
+// zero-skipping Linear forward must reproduce byte for byte.
+Tensor gemm_nt_reference(const Linear& fc, const Tensor& x) {
+  const std::int64_t n = x.shape()[0];
+  const std::int64_t out_f = fc.config().out_features;
+  Tensor y(Shape{n, out_f});
+  gemm_nt(n, out_f, fc.config().in_features, 1.0f, x.data(),
+          fc.weight().value.data(), 0.0f, y.data());
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t j = 0; j < out_f; ++j)
+      y[i * out_f + j] += fc.bias().value[j];
+  return y;
 }
 
 TEST(Linear, ForwardMatchesManual) {
@@ -121,6 +151,50 @@ TEST(Linear, GradAccumulatesAcrossSteps) {
   const float after_one = fc.weight().grad[0];
   fc.backward_step(g);
   EXPECT_NEAR(fc.weight().grad[0], 2.0f * after_one, 1e-6f);
+}
+
+TEST(Linear, ForwardIsBitwiseTheGemmNtProductAtAnyThreadCount) {
+  Rng rng(21);
+  Linear fc(LinearConfig{37, 19}, rng);
+  // Every fifth weight is tiny, so products with small inputs land in the
+  // subnormal range or underflow to +-0.
+  Tensor& w = fc.weight().value;
+  for (std::int64_t i = 0; i < w.numel(); i += 5) w[i] *= 1e-36f;
+  Tensor x = Tensor::uniform(Shape{9, 37}, rng, -2.0f, 2.0f);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    switch (i % 6) {
+      case 0: x[i] = 0.0f; break;
+      case 1: x[i] = -0.0f; break;
+      case 2: x[i] = 3e-6f; break;
+      case 3: x[i] = -2e-9f; break;
+      default: break;  // uniform, about half negative
+    }
+  }
+  for (std::int64_t j = 0; j < 37; ++j) {
+    x[2 * 37 + j] = 0.0f;   // an all-zero row
+    x[5 * 37 + j] = -0.0f;  // an all-negative-zero row
+  }
+  const Tensor want = gemm_nt_reference(fc, x);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadGuard guard(threads);
+    fc.begin_window(9, false);
+    expect_bitwise_equal(want, fc.forward_step(x));
+  }
+}
+
+TEST(Linear, WeightEditBetweenWindowsReachesNextWindow) {
+  Rng rng(22);
+  Linear fc(LinearConfig{4, 3}, rng);
+  const Tensor x = Tensor::uniform(Shape{2, 4}, rng, -1.0f, 1.0f);
+  fc.begin_window(2, false);
+  const Tensor before = fc.forward_step(x);
+  // As an optimizer step would, between windows.
+  fc.weight().value[0] += 1.0f;
+  fc.begin_window(2, false);
+  const Tensor after = fc.forward_step(x);
+  EXPECT_NE(after[0], before[0]);
+  expect_bitwise_equal(gemm_nt_reference(fc, x), after);
 }
 
 TEST(Conv2d, ForwardMatchesManualKernel) {
@@ -267,6 +341,49 @@ TEST(MaxPool, GradCheckOnDistinctValues) {
   };
   const auto res = check_gradient(f, x, gin, 1e-3);
   EXPECT_TRUE(res.ok(1e-2, 1e-4)) << res.max_rel_error;
+}
+
+TEST(MaxPool, TiedMaximaRouteToFirstIndex) {
+  MaxPool2d pool(2);
+  Tensor x(Shape{1, 1, 2, 2}, {3, 3, 3, 3});
+  pool.begin_window(1, true);
+  pool.forward_step(x);
+  Tensor gin = pool.backward_step(Tensor(Shape{1, 1, 1, 1}, {5.0f}));
+  EXPECT_EQ(gin[0], 5.0f);
+  EXPECT_EQ(gin[1], 0.0f);
+  EXPECT_EQ(gin[2], 0.0f);
+  EXPECT_EQ(gin[3], 0.0f);
+}
+
+// Forward then backward of one pool layer at `threads` participants.
+template <class Pool>
+std::pair<Tensor, Tensor> pool_round_trip(const Tensor& x, const Tensor& g,
+                                          int threads) {
+  ThreadGuard guard(threads);
+  Pool pool(2);
+  pool.begin_window(x.shape()[0], true);
+  Tensor out = pool.forward_step(x);
+  Tensor gin = pool.backward_step(g);
+  return {std::move(out), std::move(gin)};
+}
+
+TEST(Pool, ForwardAndBackwardAreBitwiseEqualAcrossThreadCounts) {
+  Rng rng(23);
+  // Values from {-1, 0, 1, 2}: most windows hold tied maxima, so the
+  // first-max rule decides where max-pool gradients land.  The 7-wide
+  // planes leave a ragged border.
+  Tensor x(Shape{3, 5, 6, 7});
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = static_cast<float>(rng.uniform_int(4)) - 1.0f;
+  const Tensor g = Tensor::uniform(Shape{3, 5, 3, 3}, rng, -1.0f, 1.0f);
+  const auto max1 = pool_round_trip<MaxPool2d>(x, g, 1);
+  const auto max4 = pool_round_trip<MaxPool2d>(x, g, 4);
+  expect_bitwise_equal(max1.first, max4.first);
+  expect_bitwise_equal(max1.second, max4.second);
+  const auto avg1 = pool_round_trip<AvgPool2d>(x, g, 1);
+  const auto avg4 = pool_round_trip<AvgPool2d>(x, g, 4);
+  expect_bitwise_equal(avg1.first, avg4.first);
+  expect_bitwise_equal(avg1.second, avg4.second);
 }
 
 TEST(AvgPool, ForwardAverages) {
