@@ -117,7 +117,10 @@ NamedTensor read_record(Reader& in) {
   Tensor value(shape);
   const std::size_t bytes =
       static_cast<std::size_t>(value.numel()) * sizeof(float);
-  std::memcpy(value.data(), in.take(bytes), bytes);
+  const char* src = in.take(bytes);
+  // An empty tensor's data() is null, and memcpy from or to null is
+  // undefined even for zero bytes.
+  if (bytes > 0) std::memcpy(value.data(), src, bytes);
   rec.value = std::move(value);
   return rec;
 }

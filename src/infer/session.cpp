@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "snn/conv2d.h"
+#include "snn/lif.h"
 #include "snn/linear.h"
 #include "snn/pool.h"
 #include "tensor/tensor_ops.h"
@@ -35,8 +36,11 @@ InferenceSession::InferenceSession(const CompiledModel& model,
 void InferenceSession::ensure_capacity(std::int64_t batch) {
   if (batch <= capacity_) return;
   const auto& layers = model_->layers();
-  for (std::size_t li = 0; li < layers.size(); ++li)
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    // Flatten has no plane: step_batch passes its input through.
+    if (layers[li].kind == OpKind::kFlatten) continue;
     acts_[li].resize(static_cast<std::size_t>(batch * layers[li].out_elems));
+  }
   nz_idx_.resize(static_cast<std::size_t>(batch * idx_stride_));
   nz_count_.resize(static_cast<std::size_t>(batch));
   scratch_.resize(static_cast<std::size_t>(batch * scratch_stride_));
@@ -139,55 +143,6 @@ void conv_sparse(const CompiledLayer& l, const float* in, std::int64_t n,
   });
 }
 
-// --- LIF --------------------------------------------------------------------
-//
-// In-place membrane update, no caches.  Identical elementwise recurrence to
-// snn::Lif::forward_step, but each row's membrane plane lives in its own
-// stream's arena (m_rows[s]) and carries its own freshness flag: a fresh
-// stream's step reads no membrane term at all, matching the dense layer's
-// has_membrane_ gate on timestep 0.  The flat [0, n*out_elems) slicing and
-// the per-element arithmetic are unchanged from the pre-streaming kernel —
-// only the address each element's membrane lives at differs — so outputs
-// are bit-identical at any thread count.  Returns the spike tally (exact:
-// per-slice integer counts).
-
-std::int64_t lif_step(const CompiledLayer& l, const float* in, std::int64_t n,
-                      const unsigned char* fresh, float* const* m_rows,
-                      float* out) {
-  ST_PROF_SCOPE("infer.lif");
-  const float beta = l.beta;
-  const float theta = l.threshold;
-  const std::int64_t stride = l.out_elems;
-  const std::int64_t total = n * stride;
-  std::atomic<std::int64_t> fired{0};
-  parallel_for(0, total, kElemGrain, [&](std::int64_t b, std::int64_t e) {
-    std::int64_t local = 0;
-    std::int64_t i = b;
-    std::int64_t s = b / stride;
-    std::int64_t j = b - s * stride;
-    while (i < e) {
-      const std::int64_t row_end = std::min(e, i + (stride - j));
-      float* m = m_rows[s] + j;
-      const bool first_step = fresh[s] != 0;
-      for (std::int64_t k = 0; i < row_end; ++i, ++k) {
-        float u = in[i];
-        if (!first_step) u += beta * m[k];
-        const bool fire = u > theta;
-        out[i] = fire ? 1.0f : 0.0f;
-        if (fire) {
-          u -= theta;
-          ++local;
-        }
-        m[k] = u;
-      }
-      ++s;
-      j = 0;
-    }
-    fired.fetch_add(local, std::memory_order_relaxed);
-  });
-  return fired.load(std::memory_order_relaxed);
-}
-
 }  // namespace
 
 void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
@@ -212,6 +167,7 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const CompiledLayer& l = layers[li];
     float* out = acts_[li].data();
+    const float* y = out;  // this layer's output, read by the next
     const std::int64_t in_total = n * l.in_elems;
     std::int64_t in_nz = prev_out_nz;
     std::int64_t out_nz = -1;
@@ -265,10 +221,14 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
         break;
       }
       case OpKind::kLif: {
+        // Each row's membrane plane lives in its own stream's arena and a
+        // fresh stream reads none, as on timestep 0 of a training window.
+        ST_PROF_SCOPE("infer.lif");
         for (std::int64_t s = 0; s < n; ++s)
           m_rows_[static_cast<std::size_t>(s)] =
               streams[s]->arena_.data() + l.membrane_offset;
-        out_nz = lif_step(l, x, n, fresh_.data(), m_rows_.data(), out);
+        out_nz = snn::Lif::step_rows(x, n, l.out_elems, m_rows_.data(),
+                                     fresh_.data(), l.beta, l.threshold, out);
         totals.spikes += out_nz;
         break;
       }
@@ -286,18 +246,19 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
         break;
       }
       case OpKind::kFlatten:
-        std::copy(x, x + in_total, out);
-        if (in_nz >= 0) out_nz = in_nz;  // reshape preserves nonzeros
+        // A reshape: the next layer reads this layer's input as it is.
+        y = x;
+        if (in_nz >= 0) out_nz = in_nz;
         break;
     }
 
     if (config_.record_stats) {
       if (in_nz < 0) in_nz = ops::count_nonzero(x, in_total);
-      if (out_nz < 0) out_nz = ops::count_nonzero(out, n * l.out_elems);
+      if (out_nz < 0) out_nz = ops::count_nonzero(y, n * l.out_elems);
       result.stats.add_step(li, in_nz, in_total, out_nz, n * l.out_elems);
       prev_out_nz = out_nz;
     }
-    x = out;
+    x = y;
   }
 
   // window counts += final-layer spikes; disjoint elementwise adds of

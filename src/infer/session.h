@@ -19,10 +19,13 @@
 //
 // Every layer runs the training stack's own forward body, so there is no
 // second copy to keep in sync: snn::Linear::forward_rows for linear layers,
-// snn::Conv2d::forward_sample for dense conv, and the pool layers'
-// forward_planes.  Linear has that one zero-skipping kernel at every
-// density.  Conv has two: per step it counts the exact nonzeros of its input
-// (building per-sample spike index lists) and dispatches either
+// snn::Conv2d::forward_sample for dense conv, the pool layers'
+// forward_planes, and snn::Lif::step_rows for LIF, each row reading and
+// writing its own stream's membrane plane.  Flatten is a reshape: the next
+// layer reads its input as it stands, with no copy and no plane.  Linear
+// has that one zero-skipping kernel at every density.  Conv has two: per
+// step it counts the exact nonzeros of its input (building per-sample spike
+// index lists) and dispatches either
 //
 //   * the sparse scatter kernel, which touches only the nonzero input
 //     pixels via the model's [K, OC] transposed weights, or
@@ -127,7 +130,8 @@ class InferenceSession {
   InferOptions config_;
   std::int64_t capacity_ = 0;  // samples the buffers are sized for
 
-  std::vector<std::vector<float>> acts_;  // per layer: capacity*out_elems
+  // Per layer: capacity * out_elems activation floats (none for Flatten).
+  std::vector<std::vector<float>> acts_;
   std::vector<std::int32_t> nz_idx_;      // capacity * idx_stride_
   std::vector<std::int64_t> nz_count_;    // per-sample nonzero counts
   std::vector<float> scratch_;            // conv scatter: [spatial, OC]

@@ -17,6 +17,9 @@
 //
 // With `detach_reset` the reset path is excluded from the gradient (the
 // `- theta * c[t]` term is dropped), mirroring snnTorch's option.
+//
+// Both are written once, as the static bodies step_rows and backward_rows,
+// which Lif, Rlif and infer::InferenceSession all call.
 #pragma once
 
 #include "snn/layers.h"
@@ -40,6 +43,31 @@ class Lif final : public Layer {
   void begin_backward() override;
   Tensor backward_step(const Tensor& grad_output) override;
 
+  /// Advances `n` rows of `row_elems` neurons one step, row s updating its
+  /// membrane plane m_rows[s] in place (a row with fresh[s] set has no
+  /// history, and its plane is not read).  Per element
+  ///   u = in[i] (+ beta * m unless fresh) (+ extra[i]),  out[i] = u > theta,
+  ///   u_pre[i] = u,  m = u, less theta on a spike.
+  /// `extra` (an additive current, Rlif's V s[t-1]) and `u_pre` (the
+  /// pre-reset potential training caches) may be null.  Elementwise, so the
+  /// bits do not depend on the thread count; returns the exact spike count.
+  static std::int64_t step_rows(const float* in, std::int64_t n,
+                                std::int64_t row_elems, float* const* m_rows,
+                                const unsigned char* fresh, float beta,
+                                float theta, float* out,
+                                const float* extra = nullptr,
+                                float* u_pre = nullptr);
+
+  /// Surrogate backward over `count` elements, with c = carry[i] (0 when
+  /// carry is null) and g_s = go[i] (+ grad_rec[i] when not null):
+  ///   gi[i] = c + (g_s - theta * c) * sg'(u_pre[i] - theta),
+  ///   carry_out[i] = beta * gi[i]  (carry_out may alias carry),
+  /// with no `theta * c` term under detach_reset.
+  static void backward_rows(std::int64_t count, const LifConfig& config,
+                            const float* go, const float* grad_rec,
+                            const float* u_pre, const float* carry,
+                            float* grad_input, float* carry_out);
+
   Shape output_shape(const Shape& input) const override { return input; }
   bool spiking() const override { return true; }
   std::string name() const override { return "lif"; }
@@ -49,11 +77,14 @@ class Lif final : public Layer {
   std::int64_t window_spike_count() const { return window_spikes_; }
   /// Output elements produced across all forward steps since begin_window.
   std::int64_t window_element_count() const { return window_elements_; }
+  /// Membrane potential u_post after the latest forward step ([N, ...]);
+  /// exposed for bit-exactness tests, like StreamState::membrane_arena().
+  const Tensor& membrane() const { return membrane_; }
 
  private:
   LifConfig config_;
   bool training_ = false;
-  Tensor membrane_;                 // u_post of the latest step
+  Tensor membrane_;                 // u_post of the latest step, in place
   bool has_membrane_ = false;
   std::vector<Tensor> pre_cache_;   // u_pre per step (training only)
   Tensor grad_carry_;               // c[t] during the reverse sweep

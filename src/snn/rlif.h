@@ -12,6 +12,10 @@
 // flowing into the previous step's spikes through V, which joins that
 // step's incoming spike gradient.  Implements the paper's "future work"
 // direction of richer neuron models within the same training stack.
+//
+// The neuron is Lif's: V s[t-1] enters Lif::step_rows as its `extra`
+// current, so u_pre sums as (I + beta * u_post) + V s[t-1], and the
+// recurrent spike gradient enters Lif::backward_rows as `grad_rec`.
 #pragma once
 
 #include "core/rng.h"
@@ -47,7 +51,7 @@ class Rlif final : public Layer {
   Param recurrent_;  // V: [N, N]
   bool training_ = false;
 
-  Tensor membrane_;       // u_post of the latest step
+  Tensor membrane_;       // u_post of the latest step, in place
   Tensor prev_spikes_;    // s of the latest step
   bool has_state_ = false;
 
@@ -58,7 +62,7 @@ class Rlif final : public Layer {
   };
   std::vector<StepCache> cache_;
 
-  Tensor grad_carry_;        // dL/du_post carried backwards
+  Tensor grad_carry_;        // dL/du_post carried backwards, in place
   Tensor grad_spike_carry_;  // dL/ds[t-1] via the recurrent synapse
   bool has_carry_ = false;
 };

@@ -211,13 +211,4 @@ void clamp_(Tensor& a, float lo, float hi) {
     p[i] = std::min(hi, std::max(lo, p[i]));
 }
 
-Tensor heaviside(const Tensor& a, float threshold) {
-  Tensor out(a.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  for (std::int64_t i = 0, n = a.numel(); i < n; ++i)
-    po[i] = pa[i] > threshold ? 1.0f : 0.0f;
-  return out;
-}
-
 }  // namespace spiketune::ops

@@ -64,7 +64,4 @@ std::vector<std::int64_t> argmax_rows(const Tensor& m, std::int64_t cols);
 /// Clamps every element to [lo, hi] in place.
 void clamp_(Tensor& a, float lo, float hi);
 
-/// Heaviside step: out[i] = (a[i] > threshold) ? 1 : 0.
-Tensor heaviside(const Tensor& a, float threshold);
-
 }  // namespace spiketune::ops

@@ -1,9 +1,9 @@
 // Dense-vs-session parity for the sparsity-aware inference engine.
 //
 // InferenceSession promises results *bit-identical* to
-// SpikingNetwork::forward — same spike counts, same recorded activity —
-// for every model-zoo topology, at any thread count, on either side of the
-// sparse/dense crossover.  These tests pin that contract with random
+// SpikingNetwork::forward — same spike counts, same recorded activity, same
+// membrane potentials — for every model-zoo topology, at any thread count,
+// on either side of the sparse/dense crossover.  These tests pin that contract with random
 // weights and density-controlled random inputs, and exercise the session
 // lifecycle (reuse across windows, buffer growth past max_batch) plus the
 // compile-time rejection of unsupported layers.
@@ -70,26 +70,63 @@ void expect_records_equal(const snn::SpikeRecord& want,
   EXPECT_DOUBLE_EQ(want.mean_firing_rate(), got.mean_firing_rate());
 }
 
+// Every LIF layer's final membrane in the training net (one [N, ...]
+// tensor) must equal, byte for byte, that layer's plane in each stream
+// row's arena — a last-bit pre-activation error shows here even when no
+// spike flips.
+void expect_membranes_equal(const snn::SpikingNetwork& net,
+                            const CompiledModel& model,
+                            const std::vector<StreamState>& rows) {
+  for (std::size_t li = 0; li < model.num_layers(); ++li) {
+    const CompiledLayer& l = model.layers()[li];
+    if (l.kind != OpKind::kLif) continue;
+    const Tensor& want =
+        dynamic_cast<const snn::Lif&>(net.layer(li)).membrane();
+    const std::int64_t plane = l.out_elems;
+    ASSERT_EQ(want.numel(), static_cast<std::int64_t>(rows.size()) * plane)
+        << "layer " << li;
+    for (std::size_t s = 0; s < rows.size(); ++s)
+      EXPECT_EQ(std::memcmp(
+                    want.data() + static_cast<std::int64_t>(s) * plane,
+                    rows[s].membrane_arena().data() + l.membrane_offset,
+                    static_cast<std::size_t>(plane) * sizeof(float)),
+                0)
+          << "layer " << li << " (" << l.name << ") row " << s
+          << ": membrane differs bitwise";
+  }
+}
+
 // Runs the window through the dense training path once, then through a
-// session at 1 and 4 threads, asserting bitwise-equal spike counts and
-// identical activity records every time.
+// session on explicit stream rows at 1 and 4 threads, at the given conv
+// crossover and with each conv kernel forced (< 0 dense, >= 1 sparse),
+// asserting bitwise-equal spike counts and membranes and identical activity
+// records every time.
 void check_parity(snn::SpikingNetwork& net, const Shape& per_sample,
                   const std::vector<Tensor>& window, double crossover) {
   const auto dense = net.forward(window, {.record_stats = true});
   const auto model = CompiledModel::compile(net, per_sample);
+  const std::int64_t n = window.front().shape()[0];
   for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadGuard guard(threads);
-    InferenceSession session(model,
-                             {.max_batch = window.front().shape()[0],
-                              .sparse_crossover = crossover,
-                              .record_stats = true});
-    const auto got = session.run(window);
-    EXPECT_EQ(got.timesteps, dense.timesteps);
-    expect_bitwise_equal(dense.spike_counts, got.spike_counts);
-    expect_records_equal(dense.stats, got.stats);
-    EXPECT_GE(got.mean_input_density, 0.0);
-    EXPECT_LE(got.mean_input_density, 1.0);
+    for (double xover : {crossover, -1.0, 1.5}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " crossover=" + std::to_string(xover));
+      InferenceSession session(model, {.max_batch = n,
+                                       .sparse_crossover = xover,
+                                       .record_stats = true});
+      std::vector<StreamState> rows;
+      for (std::int64_t s = 0; s < n; ++s)
+        rows.push_back(session.make_stream());
+      std::vector<StreamState*> ptrs;
+      for (StreamState& r : rows) ptrs.push_back(&r);
+      const auto got = session.run(ptrs.data(), n, window);
+      EXPECT_EQ(got.timesteps, dense.timesteps);
+      expect_bitwise_equal(dense.spike_counts, got.spike_counts);
+      expect_records_equal(dense.stats, got.stats);
+      expect_membranes_equal(net, model, rows);
+      EXPECT_GE(got.mean_input_density, 0.0);
+      EXPECT_LE(got.mean_input_density, 1.0);
+    }
   }
 }
 

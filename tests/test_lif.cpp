@@ -1,7 +1,9 @@
 // LIF neuron dynamics (paper Eq. 1-2) and BPTT gradient checks.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/error.h"
 #include "snn/lif.h"
@@ -21,6 +23,8 @@ LifConfig config(float beta, float theta,
 }
 
 Tensor scalar_input(float v) { return Tensor(Shape{1, 1}, {v}); }
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
 
 TEST(Lif, SubThresholdIntegrationDecays) {
   // With theta = 10, constant input 1 never fires: u_t = sum beta^i.
@@ -137,6 +141,8 @@ TEST(Lif, ConfigValidation) {
 // and compare with a hand-rolled reference implementation of
 //   dL/du_pre[t] = c[t] + (g_s[t] - theta c[t]) sg'(u_pre[t]-theta),
 //   c[t-1] = beta dL/du_pre[t].
+// The reference performs the layer's operations in the layer's order, so
+// the gradients must agree bit for bit, not just to a tolerance.
 TEST(Lif, BackwardMatchesHandRolledRecurrence) {
   const float beta = 0.6f;
   const float theta = 1.0f;
@@ -177,9 +183,10 @@ TEST(Lif, BackwardMatchesHandRolledRecurrence) {
     carry = beta * gi;
   }
   for (int t = 0; t < 3; ++t)
-    EXPECT_NEAR(got[static_cast<std::size_t>(t)],
-                expect[static_cast<std::size_t>(t)], 1e-6f)
-        << "t=" << t;
+    EXPECT_EQ(bits(got[static_cast<std::size_t>(t)]),
+              bits(expect[static_cast<std::size_t>(t)]))
+        << "t=" << t << ": " << got[static_cast<std::size_t>(t)] << " vs "
+        << expect[static_cast<std::size_t>(t)];
 }
 
 TEST(Lif, DetachResetDropsResetPath) {

@@ -108,14 +108,6 @@ TEST(Ops, Clamp) {
   EXPECT_EQ(t[2], 1.0f);
 }
 
-TEST(Ops, HeavisideStrictlyGreater) {
-  Tensor t(Shape{3}, {0.9f, 1.0f, 1.1f});
-  Tensor h = ops::heaviside(t, 1.0f);
-  EXPECT_EQ(h[0], 0.0f);
-  EXPECT_EQ(h[1], 0.0f);  // strictly greater, not >=
-  EXPECT_EQ(h[2], 1.0f);
-}
-
 TEST(Ops, EmptyReductionsThrow) {
   Tensor t(Shape{0});
   EXPECT_THROW(ops::mean(t), InvalidArgument);
