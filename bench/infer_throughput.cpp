@@ -4,7 +4,8 @@
 // side:
 //
 //   * sparse  — the event-driven scatter kernel on every conv layer,
-//   * dense   — the training stack's im2col+GEMM body on every conv layer.
+//   * dense   — the training stack's direct-conv forward body
+//               (snn::Conv2d::forward_samples) on every conv layer.
 //
 // Linear layers run their one zero-skipping kernel in both modes, so the
 // two paths differ only in conv time and the dispatch counts are conv

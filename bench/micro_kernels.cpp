@@ -1,9 +1,13 @@
 // MICRO — google-benchmark suite for the hot kernels underpinning training
-// and simulation: GEMM variants, im2col, conv forward/backward, the LIF
+// and simulation: GEMM variants, im2col, conv forward/backward (and the
+// direct conv's paired ratio against its im2col+GEMM oracle), the LIF
 // step, spike encoders, the end-to-end CSNN timestep, and the hardware
 // models (allocator, analytic analysis, event-sim tick).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <vector>
 
 #include "core/parallel.h"
@@ -16,6 +20,7 @@
 #include "snn/model_zoo.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/tensor_ops.h"
 
 using namespace spiketune;
 
@@ -118,6 +123,100 @@ BENCHMARK(BM_ConvForward)
     ->UseRealTime()
     ->ArgNames({"img", "threads"})
     ->ArgsProduct({{16, 32}, kThreadCounts});
+
+// The dense conv forward body against the im2col + gemm + bias oracle it
+// replaced, at the CSNN's two conv shapes (batch 32, one thread): layer 1
+// reads [3, 32, 32] binary spikes at density 0.5, layer 2 reads
+// [32, 15, 15] graded avg-pooled spikes at density 0.5.  It first asserts
+// the two agree bit for bit (a mismatch fails the benchmark), then times
+// them rep by rep, alternating which runs first.  The reported time is the
+// direct conv's; the counters are the quartiles of the per-pair ratio
+// oracle / direct, so above 1 means the direct conv is faster.
+void conv_oracle(const ConvGeom& g, const Tensor& weight, const Tensor& bias,
+                 const float* in, std::int64_t n, float* cols, float* out) {
+  const std::int64_t ocn = weight.shape()[0];
+  const std::int64_t spatial = g.col_cols();
+  for (std::int64_t s = 0; s < n; ++s) {
+    float* o = out + s * ocn * spatial;
+    im2col(g, in + s * g.channels * g.height * g.width, cols);
+    gemm(ocn, spatial, g.col_rows(), 1.0f, weight.data(), cols, 0.0f, o);
+    for (std::int64_t oc = 0; oc < ocn; ++oc)
+      for (std::int64_t i = 0; i < spatial; ++i) o[oc * spatial + i] += bias[oc];
+  }
+}
+
+void BM_ConvDirectVsIm2colGemm(benchmark::State& state) {
+  const bool conv1 = state.range(0) == 1;
+  const std::int64_t n = 32;
+  const std::int64_t ic = conv1 ? 3 : 32;
+  const std::int64_t size = conv1 ? 32 : 15;
+  Rng rng(conv1 ? 41 : 42);
+  snn::Conv2d conv(snn::Conv2dConfig{ic, 32, 3}, rng);
+  const ConvGeom g{ic, size, size, 3, 3};
+  Tensor x(Shape{n, ic, size, size});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    if (rng.uniform(0.0, 1.0) >= 0.5) continue;
+    x[i] = conv1 ? 1.0f
+                 : 0.25f * static_cast<float>(1 + (rng.next_u64() & 3));
+  }
+  const Tensor weight_t = ops::transpose_2d(conv.weight().value);
+  const std::int64_t out_elems = n * 32 * g.col_cols();
+  std::vector<float> cols(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+  std::vector<float> want(static_cast<std::size_t>(out_elems));
+  std::vector<float> got(static_cast<std::size_t>(out_elems));
+  const auto oracle = [&] {
+    conv_oracle(g, conv.weight().value, conv.bias().value, x.data(), n,
+                cols.data(), want.data());
+    benchmark::DoNotOptimize(want.data());
+  };
+  const auto direct = [&] {
+    snn::Conv2d::forward_samples(g, weight_t, conv.bias().value, x.data(), n,
+                                 nullptr, got.data());
+    benchmark::DoNotOptimize(got.data());
+  };
+  oracle();
+  direct();
+  if (std::memcmp(want.data(), got.data(), want.size() * sizeof(float)) != 0) {
+    state.SkipWithError("direct conv differs from the im2col+gemm oracle");
+    return;
+  }
+  const auto seconds = [](const auto& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    benchmark::ClobberMemory();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  std::vector<double> ratios;
+  bool direct_first = false;
+  for (auto _ : state) {
+    direct_first = !direct_first;
+    double t_direct = 0.0;
+    double t_oracle = 0.0;
+    if (direct_first) {
+      t_direct = seconds(direct);
+      t_oracle = seconds(oracle);
+    } else {
+      t_oracle = seconds(oracle);
+      t_direct = seconds(direct);
+    }
+    state.SetIterationTime(t_direct);
+    ratios.push_back(t_oracle / t_direct);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const auto quantile = [&](double q) {
+    return ratios[static_cast<std::size_t>(
+        q * static_cast<double>(ratios.size() - 1) + 0.5)];
+  };
+  state.counters["ratio_q1"] = quantile(0.25);
+  state.counters["ratio_p50"] = quantile(0.5);
+  state.counters["ratio_q3"] = quantile(0.75);
+}
+BENCHMARK(BM_ConvDirectVsIm2colGemm)
+    ->UseManualTime()
+    ->ArgNames({"layer"})
+    ->Arg(1)
+    ->Arg(2);
 
 void BM_ConvBackward(benchmark::State& state) {
   const std::int64_t img = state.range(0);

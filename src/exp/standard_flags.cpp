@@ -1,5 +1,7 @@
 #include "exp/standard_flags.h"
 
+#include <sstream>
+
 #include "exp/ledger_flags.h"
 #include "train/fit_flags.h"
 
@@ -8,7 +10,9 @@ namespace spiketune::exp {
 void declare_standard_flags(CliFlags& flags, DriverKind kind) {
   declare_threads_flag(flags);
   obs::declare_telemetry_flags(flags);
-  flags.declare("sparse-crossover", "0.35",
+  std::ostringstream crossover;  // shortest form, e.g. "0.35"
+  crossover << infer::InferOptions{}.sparse_crossover;
+  flags.declare("sparse-crossover", crossover.str(),
                 "input density at or below which inference conv layers take "
                 "the sparse scatter kernel (DESIGN.md §10; both kernels are "
                 "bit-identical, so this only moves time)");

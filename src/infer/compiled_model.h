@@ -43,10 +43,11 @@ struct CompiledLayer {
   std::int64_t out_elems = 0;  // per-sample output numel
 
   // kConv2d / kLinear.  `weight` keeps the training layout ([OC, IC*KH*KW]
-  // for conv, [out, in] for linear); the dense conv kernel reads it.
-  // `weight_t` is its [K, out] transpose, read by snn::Linear::forward_rows
-  // and the sparse conv scatter so each nonzero input touches one contiguous
-  // row.  `bias` is empty when the layer has none.
+  // for conv, [out, in] for linear); the kernels do not read it.
+  // `weight_t` is its [K, out] transpose, read by snn::Linear::forward_rows,
+  // the dense conv (snn::Conv2d::forward_samples) and the sparse conv
+  // scatter: one contiguous row per input element or kernel tap.  `bias`
+  // is empty when the layer has none.
   Tensor weight;
   Tensor weight_t;
   Tensor bias;

@@ -19,11 +19,13 @@ struct InferOptions {
   /// buffers (a one-off reallocation); steady state never allocates.
   std::int64_t max_batch = 32;
   /// Batch-wide input density at or below which a conv layer takes the
-  /// sparse scatter kernel instead of im2col+GEMM.  Set < 0 to force the
-  /// dense path, >= 1 to force the sparse path (both paths stay
-  /// bit-identical; only speed changes).  Linear layers have one kernel and
-  /// ignore it.
-  double sparse_crossover = 0.35;
+  /// sparse scatter kernel instead of the dense direct conv.  The default
+  /// sits between the measured crossings at the CSNN's two conv shapes
+  /// (DESIGN.md §10).  Set < 0 to force the dense path, >= 1 to force the
+  /// sparse path (both paths stay bit-identical; only speed changes).
+  /// Linear layers have one kernel and ignore it.  The --sparse-crossover
+  /// flag and serve::ServerConfig read their defaults from here.
+  double sparse_crossover = 0.05;
   /// Populate InferenceResult::stats (one counting pass per layer boundary,
   /// identical to ForwardOptions::record_stats).
   bool record_stats = false;

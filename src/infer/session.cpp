@@ -1,7 +1,6 @@
 #include "infer/session.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "core/error.h"
 #include "core/parallel.h"
@@ -26,7 +25,8 @@ InferenceSession::InferenceSession(const CompiledModel& model,
     if (l.kind == OpKind::kConv2d) {
       const std::int64_t spatial = l.geom.col_cols();
       scratch_stride_ = std::max(scratch_stride_, spatial * l.out_shape[0]);
-      cols_stride_ = std::max(cols_stride_, l.geom.col_rows() * spatial);
+      padded_stride_ =
+          std::max(padded_stride_, snn::Conv2d::padded_elems(l.geom));
       idx_stride_ = std::max(idx_stride_, l.in_elems);
     }
   }
@@ -44,7 +44,7 @@ void InferenceSession::ensure_capacity(std::int64_t batch) {
   nz_idx_.resize(static_cast<std::size_t>(batch * idx_stride_));
   nz_count_.resize(static_cast<std::size_t>(batch));
   scratch_.resize(static_cast<std::size_t>(batch * scratch_stride_));
-  cols_.resize(static_cast<std::size_t>(batch * cols_stride_));
+  padded_.resize(static_cast<std::size_t>(batch * padded_stride_));
   m_rows_.resize(static_cast<std::size_t>(batch));
   fresh_.resize(static_cast<std::size_t>(batch));
   // One scratch stream per row, for the rows run() is handed as null.
@@ -53,12 +53,9 @@ void InferenceSession::ensure_capacity(std::int64_t batch) {
   capacity_ = batch;
 }
 
-std::int64_t InferenceSession::build_index_lists(const float* in,
-                                                 std::int64_t batch,
-                                                 std::int64_t in_elems) {
-  std::atomic<std::int64_t> total{0};
+void InferenceSession::build_index_lists(const float* in, std::int64_t batch,
+                                         std::int64_t in_elems) {
   parallel_for(0, batch, 1, [&](std::int64_t sb, std::int64_t se) {
-    std::int64_t local = 0;
     for (std::int64_t s = sb; s < se; ++s) {
       const float* x = in + s * in_elems;
       std::int32_t* idx = nz_idx_.data() + s * idx_stride_;
@@ -66,11 +63,8 @@ std::int64_t InferenceSession::build_index_lists(const float* in,
       for (std::int64_t i = 0; i < in_elems; ++i)
         if (x[i] != 0.0f) idx[c++] = static_cast<std::int32_t>(i);
       nz_count_[static_cast<std::size_t>(s)] = c;
-      local += c;
     }
-    total.fetch_add(local, std::memory_order_relaxed);
   });
-  return total.load(std::memory_order_relaxed);
 }
 
 namespace {
@@ -81,9 +75,9 @@ namespace {
 // transposed weights into a zeroed [spatial, OC] scratch, then transpose
 // into the [OC, OH, OW] output fusing the bias add.  For any fixed output
 // element, contributions land in ascending p = (ic, kh, kw) order — the
-// reduction order of snn::Conv2d::forward_sample's im2col+GEMM — and the
-// terms that differ between the two are exact ±0.0 products, so the result
-// is bit-identical to the dense body (DESIGN.md §10).
+// reduction order of snn::Conv2d::forward_samples — and the terms that
+// differ between the two are exact ±0.0 products, so the result is
+// bit-identical to the dense body (DESIGN.md §10).
 
 void conv_sparse(const CompiledLayer& l, const float* in, std::int64_t n,
                  const std::int32_t* nz_idx, std::int64_t idx_stride,
@@ -175,14 +169,16 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
     switch (l.kind) {
       case OpKind::kConv2d: {
         // Exact batch-wide density drives the kernel choice, so dispatch
-        // is deterministic for any thread count.
+        // is deterministic for any thread count.  Only the sparse kernel
+        // reads the index lists, so only its branch builds them.
         const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
-        in_nz = build_index_lists(x, n, l.in_elems);
-        const std::uint64_t t1 = timed ? obs::telemetry_now_ns() : 0;
-        if (timed) result.index_ns += t1 - t0;
+        in_nz = ops::count_nonzero(x, in_total);
         const bool sparse = static_cast<double>(in_nz) /
                                 static_cast<double>(in_total) <=
                             config_.sparse_crossover;
+        if (sparse) build_index_lists(x, n, l.in_elems);
+        const std::uint64_t t1 = timed ? obs::telemetry_now_ns() : 0;
+        if (timed) result.index_ns += t1 - t0;
         obs::flight_record(sparse ? obs::FlightEventId::kInferSparseDispatch
                                   : obs::FlightEventId::kInferDenseDispatch,
                            static_cast<std::uint64_t>(li),
@@ -195,12 +191,8 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
         } else {
           ST_PROF_SCOPE("infer.conv_dense");
           ++result.dense_dispatches;
-          parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-            for (std::int64_t s = sb; s < se; ++s)
-              snn::Conv2d::forward_sample(
-                  l.geom, l.weight, l.bias, x + s * l.in_elems,
-                  cols_.data() + s * cols_stride_, out + s * l.out_elems);
-          });
+          snn::Conv2d::forward_samples(l.geom, l.weight_t, l.bias, x, n,
+                                       padded_.data(), out);
           if (timed) result.dense_kernel_ns += obs::telemetry_now_ns() - t1;
         }
         totals.dispatch_nz += in_nz;

@@ -1,12 +1,12 @@
-// 2-D convolution layer (stride-1/optional-padding, im2col + GEMM).
+// 2-D convolution layer (stride-1, optional zero padding).
 //
 // Input  per step: [N, IC, H, W]
 // Output per step: [N, OC, OH, OW]
 // Weight: [OC, IC*KH*KW] (filter-major, im2col order), bias: [OC].
 //
-// The GEMM kernels skip zero elements of the spike matrix, so the forward
-// pass is effectively event-driven when fed binary spike trains — the same
-// compute-skipping the sparsity-aware accelerator performs in hardware.
+// The forward pass is a register-tiled direct convolution over the
+// [IC*KH*KW, OC] weight transpose, refreshed in begin_window, so after
+// every optimizer step.  The backward pass lowers onto im2col + GEMM.
 #pragma once
 
 #include "core/rng.h"
@@ -41,13 +41,24 @@ class Conv2d final : public Layer {
   const Param& weight() const { return weight_; }
   const Param& bias() const { return bias_; }
 
-  /// Dense forward of one sample: im2col of `in` ([IC, H, W]) into `cols`
-  /// ([IC*KH*KW, OH*OW] scratch), out[OC, OH*OW] = weight * cols, then
-  /// + bias per channel (an empty bias means none).  The one dense conv
-  /// body: forward_step and infer::InferenceSession both run it per sample.
-  static void forward_sample(const ConvGeom& g, const Tensor& weight,
-                             const Tensor& bias, const float* in, float* cols,
-                             float* out);
+  /// The one dense conv forward body, shared with infer::InferenceSession:
+  /// out[s] ([OC, OH, OW]) = conv(in[s] ([IC, H, W])) + bias (an empty bias
+  /// means none) for n samples, reading `weight_t` ([IC*KH*KW, OC], the
+  /// weight transpose).  Each tile of consecutive output pixels in one row
+  /// keeps its [pixels, OC] accumulator in registers and reuses every
+  /// weight row across the tile.  Every output sums its terms in ascending
+  /// p = (ic, kh, kw) from +0, then adds the bias: bit-identical to
+  /// im2col + gemm + bias, whose skipped zero-weight and padding terms are
+  /// exact +-0 products (DESIGN.md §10).  `padded` holds
+  /// n * padded_elems(g) floats of scratch (none without padding).  Runs in
+  /// parallel over (sample, output row); results do not depend on the
+  /// thread count.
+  static void forward_samples(const ConvGeom& g, const Tensor& weight_t,
+                              const Tensor& bias, const float* in,
+                              std::int64_t n, float* padded, float* out);
+  /// Scratch floats per sample forward_samples needs for a zero-padded
+  /// [IC, H+2*pad_h, W+2*pad_w] copy of its input; 0 without padding.
+  static std::int64_t padded_elems(const ConvGeom& g);
 
   /// Synaptic fan-out of one input spike: the number of MACs it triggers
   /// (= OC * KH * KW for interior pixels); used by the hardware workload
@@ -63,9 +74,10 @@ class Conv2d final : public Layer {
   Param weight_;
   Param bias_;
   bool training_ = false;
+  Tensor weight_t_;  // [IC*KH*KW, OC] transpose of weight_, set in begin_window
   std::vector<Tensor> input_cache_;  // per-step inputs (training only)
-  std::vector<float> col_buf_;       // backward scratch reused across steps
-                                     // (forward uses per-slice buffers)
+  std::vector<float> pad_buf_;       // forward padded-plane scratch
+  std::vector<float> col_buf_;       // backward im2col scratch
 };
 
 }  // namespace spiketune::snn

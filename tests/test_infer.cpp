@@ -181,7 +181,7 @@ TEST(InferParity, CrossoverForcesEachKernelWithoutChangingResults) {
   expect_bitwise_equal(dense.spike_counts, got_sparse.spike_counts);
   expect_records_equal(dense.stats, got_sparse.stats);
 
-  // < 0 forces the dense im2col+GEMM body on every conv layer-step.
+  // < 0 forces the dense direct-conv body on every conv layer-step.
   InferenceSession dense_only(model, {.max_batch = 4,
                                       .sparse_crossover = -1.0,
                                       .record_stats = true});

@@ -4,7 +4,9 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/error.h"
 #include "core/parallel.h"
@@ -14,6 +16,7 @@
 #include "snn/pool.h"
 #include "tensor/gemm.h"
 #include "tensor/gradcheck.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor_ops.h"
 
 namespace spiketune::snn {
@@ -210,6 +213,109 @@ TEST(Conv2d, ForwardMatchesManualKernel) {
   EXPECT_EQ(out.shape(), Shape({1, 1, 2, 2}));
   EXPECT_FLOAT_EQ(out.at({0, 0, 0, 0}), 2.0f * x.at({0, 0, 1, 1}));
   EXPECT_FLOAT_EQ(out.at({0, 0, 1, 1}), 2.0f * x.at({0, 0, 2, 2}));
+}
+
+// The dense conv body the direct conv replaced: per sample, im2col, then
+// out = W * cols by gemm, then + bias per channel.  This is the oracle
+// that Conv2d::forward_samples must reproduce byte for byte.
+Tensor im2col_gemm_reference(const ConvGeom& g, const Tensor& weight,
+                             const Tensor& bias, const Tensor& x) {
+  const std::int64_t n = x.shape()[0];
+  const std::int64_t ocn = weight.shape()[0];
+  const std::int64_t spatial = g.col_cols();
+  Tensor out(Shape{n, ocn, g.out_h(), g.out_w()});
+  std::vector<float> cols(static_cast<std::size_t>(g.col_rows() * spatial));
+  for (std::int64_t s = 0; s < n; ++s) {
+    float* o = out.data() + s * ocn * spatial;
+    im2col(g, x.data() + s * g.channels * g.height * g.width, cols.data());
+    gemm(ocn, spatial, g.col_rows(), 1.0f, weight.data(), cols.data(), 0.0f,
+         o);
+    if (bias.numel() == 0) continue;
+    for (std::int64_t oc = 0; oc < ocn; ++oc)
+      for (std::int64_t i = 0; i < spatial; ++i) o[oc * spatial + i] += bias[oc];
+  }
+  return out;
+}
+
+TEST(Conv2d, ForwardSampleMatchesIm2colGemmBitwise) {
+  Rng rng(30);
+  int combo = 0;
+  for (std::int64_t ic : {1, 3, 32})
+    for (std::int64_t oc : {1, 5, 16, 32, 33, 48})
+      for (std::int64_t hw : {1, 3, 7, 16, 33})
+        for (std::int64_t k : {1, 3, 5})
+          for (std::int64_t pad : {0, 1, 2}) {
+            if (hw + 2 * pad - k + 1 <= 0) continue;
+            const bool with_bias = combo++ % 2 == 0;
+            SCOPED_TRACE("ic=" + std::to_string(ic) + " oc=" +
+                         std::to_string(oc) + " hw=" + std::to_string(hw) +
+                         " k=" + std::to_string(k) + " pad=" +
+                         std::to_string(pad) +
+                         " bias=" + std::to_string(with_bias));
+            const ConvGeom g{ic, hw, hw, k, k, pad, pad};
+            // Exact +-0 weights (which gemm skips) and tiny ones, whose
+            // products with small inputs are subnormal or underflow.
+            Tensor w = Tensor::uniform(Shape{oc, ic * k * k}, rng, -1, 1);
+            for (std::int64_t i = 0; i < w.numel(); ++i) {
+              if (i % 7 == 0) w[i] = 0.0f;
+              if (i % 7 == 1) w[i] = -0.0f;
+              if (i % 7 == 2) w[i] *= 1e-36f;
+            }
+            const Tensor b = with_bias
+                                 ? Tensor::uniform(Shape{oc}, rng, -1, 1)
+                                 : Tensor(Shape{0});
+            // The full-size images run as one sample to keep the oracle
+            // cheap; the rest as two.
+            const std::int64_t n = hw == 33 ? 1 : 2;
+            Tensor x = Tensor::uniform(Shape{n, ic, hw, hw}, rng, -2, 2);
+            for (std::int64_t i = 0; i < x.numel(); ++i) {
+              switch (i % 6) {
+                case 0: x[i] = 0.0f; break;
+                case 1: x[i] = -0.0f; break;
+                case 2: x[i] = 3e-6f; break;
+                case 3: x[i] = -2e-9f; break;
+                default: break;  // uniform, about half negative
+              }
+            }
+            const Tensor want = im2col_gemm_reference(g, w, b, x);
+            const Tensor wt = ops::transpose_2d(w);
+            std::vector<float> padded(
+                static_cast<std::size_t>(n * Conv2d::padded_elems(g)));
+            for (int threads : {1, 4}) {
+              ThreadGuard guard(threads);
+              // The whole batch and, split across threads, its first
+              // sample as a batch of one.
+              for (std::int64_t rows : {n, std::int64_t{1}}) {
+                if (rows == 1 && (n == 1 || threads == 1)) continue;
+                Tensor got(Shape{rows, oc, g.out_h(), g.out_w()});
+                Conv2d::forward_samples(g, wt, b, x.data(), rows,
+                                        padded.data(), got.data());
+                ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                      static_cast<std::size_t>(got.numel()) *
+                                          sizeof(float)),
+                          0)
+                    << "threads=" << threads << " rows=" << rows;
+              }
+            }
+          }
+}
+
+TEST(Conv2d, WeightEditBetweenWindowsReachesNextWindow) {
+  Rng rng(32);
+  Conv2d conv(Conv2dConfig{2, 3, 3, /*pad=*/1}, rng);
+  const Tensor x = Tensor::uniform(Shape{2, 2, 5, 5}, rng, -1.0f, 1.0f);
+  conv.begin_window(2, false);
+  const Tensor before = conv.forward_step(x);
+  // As an optimizer step would, between windows: the centre tap of
+  // filter 0, which output (0, 0, 0) reads from x[0, 0, 0, 0].
+  conv.weight().value[4] += 1.0f;
+  conv.begin_window(2, false);
+  const Tensor after = conv.forward_step(x);
+  EXPECT_NE(after[0], before[0]);
+  const ConvGeom g{2, 5, 5, 3, 3, 1, 1};
+  expect_bitwise_equal(
+      im2col_gemm_reference(g, conv.weight().value, conv.bias().value, x),
+      after);
 }
 
 TEST(Conv2d, InputGradCheck) {
