@@ -16,6 +16,7 @@
 #include "core/table.h"
 #include "exp/experiment.h"
 #include "exp/standard_flags.h"
+#include "exp/sweep.h"
 #include "hw/baseline.h"
 
 using namespace spiketune;
@@ -25,7 +26,8 @@ exp::ExperimentResult run_point(exp::ExperimentConfig base, double beta,
                                 double theta, const char* tag) {
   base.model.lif.beta = static_cast<float>(beta);
   base.model.lif.threshold = static_cast<float>(theta);
-  base.model.lif.surrogate = snn::Surrogate::fast_sigmoid(0.25f);
+  base.model.lif.surrogate = snn::Surrogate::fast_sigmoid(
+      static_cast<float>(exp::kFig2FastSigmoidSlope));
   if (!base.trainer.checkpoint_dir.empty())
     base.trainer.checkpoint_dir += std::string("/") + tag;
   if (!base.ledger.dir.empty()) {

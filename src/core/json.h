@@ -1,14 +1,14 @@
 // Minimal JSON value: build, serialize, parse.
 //
-// The run ledger (obs/ledger.h) writes self-describing JSONL records whose
-// epoch entries carry nested per-layer arrays and hardware-projection
-// objects, which the sweep journal's flat parser cannot represent.  This is
-// the shared JSON layer: an ordered-object value type (insertion order is
-// preserved so written records keep a stable, diff-friendly field order), a
-// compact single-line serializer suitable for JSONL, and a strict recursive
-// parser that rejects torn or trailing input.  Numbers are IEEE doubles;
-// exact 64-bit identities (fingerprints, seeds) are carried as hex strings
-// by convention.
+// The shared JSON layer of the run ledger (obs/ledger.h), the sweep
+// journal (exp/journal.h) and the span log (obs/spans.h).  An
+// ordered-object value type (insertion order is preserved so written
+// records keep a stable, diff-friendly field order), a compact single-line
+// serializer suitable for JSONL, and a strict recursive parser that
+// rejects torn or trailing input.  Numbers are IEEE doubles written with
+// %.17g, so every finite double round-trips bit for bit; a non-finite
+// number is written as null.  Exact 64-bit identities (fingerprints,
+// seeds) are carried as hex strings by convention.
 #pragma once
 
 #include <cstdint>

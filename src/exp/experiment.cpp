@@ -321,16 +321,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   if (ledger.enabled()) {
     obs::LedgerFinal f;
-    f.values = {{"accuracy", result.accuracy},
-                {"loss", result.loss},
-                {"firing_rate", result.firing_rate},
-                {"sparsity", result.sparsity},
-                {"latency_us", result.latency_us},
-                {"throughput_fps", result.throughput_fps},
-                {"watts", result.watts},
-                {"fps_per_watt", result.fps_per_watt},
-                {"final_train_accuracy", result.final_train_accuracy},
-                {"train_seconds", result.train_seconds}};
+    for (const ResultField& field : kResultFields)
+      f.values.emplace_back(field.name, result.*field.member);
     ledger.write_final(f);
   }
   return result;

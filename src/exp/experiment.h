@@ -85,21 +85,52 @@ struct ExperimentConfig {
   static ExperimentConfig for_profile(Profile profile);
 };
 
+// Every scalar result of a sweep point, declared once.  Each row yields
+// with no other edit: the ExperimentResult member, its sweep-journal and
+// ledger-final key (the field name), and, when `in_csv`, its column in the
+// Fig. 1 / Fig. 2 CSVs.  Rows are in journal, ledger and CSV order.
+//
+// X(field, in_csv):
+//   in_csv  the column is in the sweep CSVs, which are byte-identical
+//           across thread counts and journal resumes; a field that is not
+//           deterministic for a given config (wall-clock time) must be false
+// clang-format off
+#define SPIKETUNE_RESULT_FIELDS(X)                                         \
+  /* Learning metrics (on the held-out split). */                          \
+  X(accuracy, true)                                                        \
+  X(loss, false)                                                           \
+  X(firing_rate, true)  /* spikes / neuron / step over spiking layers */   \
+  X(sparsity, false)    /* 1 - firing_rate */                              \
+  /* Hardware metrics from the mapped model. */                            \
+  X(latency_us, true)                                                      \
+  X(throughput_fps, true)                                                  \
+  X(watts, true)                                                           \
+  X(fps_per_watt, true)                                                    \
+  /* Provenance. */                                                        \
+  X(final_train_accuracy, false)  /* last epoch's training accuracy */     \
+  X(train_seconds, false)         /* wall clock */
+// clang-format on
+
 struct ExperimentResult {
-  // Learning metrics (on the held-out split).
-  double accuracy = 0.0;
-  double loss = 0.0;
-  double firing_rate = 0.0;   // spikes / neuron / step over spiking layers
-  double sparsity = 0.0;      // 1 - firing_rate
-  // Hardware metrics from the mapped model.
+#define SPIKETUNE_X(field, in_csv) double field = 0.0;
+  SPIKETUNE_RESULT_FIELDS(SPIKETUNE_X)
+#undef SPIKETUNE_X
+  /// The mapped model's hardware report.  Not journaled: a journal restore
+  /// leaves it default-constructed.
   hw::MappingReport mapping;
-  double latency_us = 0.0;
-  double throughput_fps = 0.0;
-  double watts = 0.0;
-  double fps_per_watt = 0.0;
-  // Provenance.
-  double final_train_accuracy = 0.0;  // last epoch's training accuracy
-  double train_seconds = 0.0;
+};
+
+struct ResultField {
+  const char* name;  // journal / ledger key and CSV column
+  double ExperimentResult::*member;
+  bool in_csv;
+};
+
+inline constexpr ResultField kResultFields[] = {
+#define SPIKETUNE_X(field, in_csv) \
+  {#field, &ExperimentResult::field, in_csv},
+    SPIKETUNE_RESULT_FIELDS(SPIKETUNE_X)
+#undef SPIKETUNE_X
 };
 
 /// Fail-fast validation: checks every by-name selection (dataset, encoder,

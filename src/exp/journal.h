@@ -1,9 +1,12 @@
 // Append-only JSONL journal for long hyperparameter sweeps.
 //
 // Each sweep point writes one line as it finishes — `{"key":...,
-// "status":"done", ...scalar result fields...}` on success or
-// `{"key":..., "status":"failed", "error":...}` when run_experiment throws.
-// Lines are flushed and fsynced per append, so a crash anywhere in a
+// "status":"done", ...result fields...}` on success or `{"key":...,
+// "status":"failed", "error":...}` when run_experiment throws.  The result
+// fields are the rows of SPIKETUNE_RESULT_FIELDS (exp/experiment.h), keyed
+// by field name in table order; lines are written and read through
+// core/json, so a non-finite value is written as `null` and read back as
+// NaN.  Lines are flushed and fsynced per append, so a crash anywhere in a
 // 25-point sweep loses at most the point that was mid-training; on restart
 // completed points are restored from the journal and skipped instead of
 // retrained.  Failed points are re-attempted (their last entry wins, so a
@@ -11,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,9 @@ struct JournalEntry {
   std::string key;     // human-readable point label (unique per sweep point)
   std::string status;  // "done" | "failed"
   std::string error;   // populated when status == "failed"
-  std::map<std::string, double> values;  // scalar ExperimentResult fields
+  /// The table's scalar fields (absent ones read 0.0); `mapping` is left
+  /// default-constructed.
+  ExperimentResult result;
 };
 
 class SweepJournal {
@@ -32,7 +36,9 @@ class SweepJournal {
   SweepJournal() = default;
 
   /// Opens (and replays) the journal at `path`, creating it on first write.
-  /// Throws InvalidArgument if an existing file has malformed lines.
+  /// Throws InvalidArgument naming `path:line` if an existing file has a
+  /// malformed line (a torn final line included).  Unknown fields are
+  /// ignored.
   explicit SweepJournal(std::string path);
 
   bool enabled() const { return !path_.empty(); }
@@ -47,15 +53,6 @@ class SweepJournal {
 
   /// Appends a "failed" line with the error text.
   void record_failed(const std::string& key, const std::string& error);
-
-  /// The scalar fields persisted per point (hardware mapping sub-reports are
-  /// recomputable and intentionally not journaled).
-  static std::map<std::string, double> result_values(
-      const ExperimentResult& result);
-
-  /// Rebuilds an ExperimentResult's scalar fields from a "done" entry; the
-  /// nested mapping report is left default-constructed.
-  static ExperimentResult to_result(const JournalEntry& entry);
 
  private:
   void append(const JournalEntry& entry);

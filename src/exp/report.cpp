@@ -33,6 +33,25 @@ void append_failure_note(std::ostream& os, const std::vector<Point>& points) {
     if (p.status != "done") os << "  failed: " << p.error << "\n";
 }
 
+// A sweep CSV row: the point's coordinate cells, then every in_csv result
+// field in table order, then status.  in_csv keeps wall-clock fields such
+// as train_seconds out, so the CSV is byte-identical across thread counts
+// and journal resumes.
+std::vector<std::string> csv_header(std::vector<std::string> coords) {
+  for (const ResultField& field : kResultFields)
+    if (field.in_csv) coords.push_back(field.name);
+  coords.push_back("status");
+  return coords;
+}
+
+std::vector<std::string> csv_row(std::vector<std::string> coords,
+                                 const SweepPoint& p) {
+  for (const ResultField& field : kResultFields)
+    if (field.in_csv) coords.push_back(CsvWriter::cell(p.result.*field.member));
+  coords.push_back(p.status);
+  return coords;
+}
+
 }  // namespace
 
 std::string render_fig1(const std::vector<SurrogateSweepPoint>& points) {
@@ -219,34 +238,17 @@ std::string render_fig2(const std::vector<BetaThetaPoint>& points) {
 
 void write_fig1_csv(const std::vector<SurrogateSweepPoint>& points,
                     const std::string& path) {
-  CsvWriter csv(path, {"surrogate", "scale", "accuracy", "firing_rate",
-                       "latency_us", "throughput_fps", "watts",
-                       "fps_per_watt", "status"});
-  for (const auto& p : points) {
-    csv.write_row({p.surrogate, CsvWriter::cell(p.scale),
-                   CsvWriter::cell(p.result.accuracy),
-                   CsvWriter::cell(p.result.firing_rate),
-                   CsvWriter::cell(p.result.latency_us),
-                   CsvWriter::cell(p.result.throughput_fps),
-                   CsvWriter::cell(p.result.watts),
-                   CsvWriter::cell(p.result.fps_per_watt), p.status});
-  }
+  CsvWriter csv(path, csv_header({"surrogate", "scale"}));
+  for (const auto& p : points)
+    csv.write_row(csv_row({p.surrogate, CsvWriter::cell(p.scale)}, p));
 }
 
 void write_fig2_csv(const std::vector<BetaThetaPoint>& points,
                     const std::string& path) {
-  CsvWriter csv(path, {"beta", "theta", "accuracy", "firing_rate",
-                       "latency_us", "throughput_fps", "watts",
-                       "fps_per_watt", "status"});
-  for (const auto& p : points) {
-    csv.write_row({CsvWriter::cell(p.beta), CsvWriter::cell(p.theta),
-                   CsvWriter::cell(p.result.accuracy),
-                   CsvWriter::cell(p.result.firing_rate),
-                   CsvWriter::cell(p.result.latency_us),
-                   CsvWriter::cell(p.result.throughput_fps),
-                   CsvWriter::cell(p.result.watts),
-                   CsvWriter::cell(p.result.fps_per_watt), p.status});
-  }
+  CsvWriter csv(path, csv_header({"beta", "theta"}));
+  for (const auto& p : points)
+    csv.write_row(
+        csv_row({CsvWriter::cell(p.beta), CsvWriter::cell(p.theta)}, p));
 }
 
 }  // namespace spiketune::exp

@@ -18,7 +18,8 @@ std::string render_fig1(const std::vector<SurrogateSweepPoint>& points);
 /// budget), and its deltas vs the best-accuracy configuration.
 std::string render_fig2(const std::vector<BetaThetaPoint>& points);
 
-/// Writes sweep points as CSV.
+/// Writes sweep points as CSV: the point's coordinates, the in_csv rows of
+/// SPIKETUNE_RESULT_FIELDS (exp/experiment.h) in table order, then status.
 void write_fig1_csv(const std::vector<SurrogateSweepPoint>& points,
                     const std::string& path);
 void write_fig2_csv(const std::vector<BetaThetaPoint>& points,

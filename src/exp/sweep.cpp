@@ -19,11 +19,6 @@ std::vector<double> fig2_thetas() { return {0.5, 1.0, 1.5, 2.0, 2.5}; }
 
 namespace {
 
-SweepJournal open_journal(const SweepOptions& options) {
-  return options.journal_path.empty() ? SweepJournal()
-                                      : SweepJournal(options.journal_path);
-}
-
 void apply_point_options(const SweepOptions& options, const std::string& key,
                          ExperimentConfig& cfg) {
   // Point keys double as checkpoint/ledger names; sanitize_run_id keeps
@@ -42,19 +37,47 @@ void apply_point_options(const SweepOptions& options, const std::string& key,
   }
 }
 
-/// Restores a journaled "done" result into `point`, returning true when the
-/// point can be skipped.  Failed entries return false so the point is
-/// re-attempted (its new entry supersedes the failure on replay).
-template <typename Point>
-bool restore_from_journal(const SweepJournal& journal, bool resume,
-                          const std::string& key, Point& point) {
-  if (!journal.enabled() || !resume) return false;
-  const JournalEntry* entry = journal.find(key);
-  if (!entry || entry->status != "done") return false;
-  point.result = SweepJournal::to_result(*entry);
-  point.status = "done";
-  point.from_journal = true;
-  return true;
+/// The one sweep loop.  For each point, in order: builds its key with
+/// `key_of`, reports progress, and on resume restores a journaled "done"
+/// result (a "failed" entry is re-attempted; its new entry supersedes the
+/// failure on replay).  Otherwise it trains `base` changed by `configure`
+/// and records the outcome; a throwing point is marked failed and the sweep
+/// goes on.
+template <typename Point, typename KeyOf, typename Configure>
+std::vector<Point> run_sweep(const ExperimentConfig& base,
+                             std::vector<Point> points,
+                             const Progress& progress,
+                             const SweepOptions& options, KeyOf key_of,
+                             Configure configure) {
+  validate(base);  // fail fast before hours of training
+  SweepJournal journal = options.journal_path.empty()
+                             ? SweepJournal()
+                             : SweepJournal(options.journal_path);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    Point& p = points[i];
+    const std::string key = key_of(p);
+    if (progress) progress(i, points.size(), key);
+    const JournalEntry* entry =
+        options.resume ? journal.find(key) : nullptr;
+    if (entry && entry->status == "done") {
+      p.result = entry->result;
+      p.from_journal = true;
+      continue;
+    }
+    try {
+      ExperimentConfig cfg = base;
+      configure(p, cfg);
+      apply_point_options(options, key, cfg);
+      p.result = run_experiment(cfg);
+      journal.record_done(key, p.result);
+    } catch (const std::exception& ex) {
+      p.status = "failed";
+      p.error = ex.what();
+      journal.record_failed(key, ex.what());
+      ST_LOG_WARN << "sweep point '" << key << "' failed: " << ex.what();
+    }
+  }
+  return points;
 }
 
 }  // namespace
@@ -65,44 +88,25 @@ std::vector<SurrogateSweepPoint> run_surrogate_sweep(
     const SweepOptions& options) {
   ST_REQUIRE(!surrogates.empty() && !scales.empty(),
              "sweep grids must not be empty");
-  validate(base);  // fail fast before hours of training
-  SweepJournal journal = open_journal(options);
   std::vector<SurrogateSweepPoint> points;
-  points.reserve(surrogates.size() * scales.size());
-  const std::size_t total = surrogates.size() * scales.size();
-  std::size_t index = 0;
   for (const auto& surrogate : surrogates) {
     for (double scale : scales) {
-      std::ostringstream label;
-      label << surrogate << " scale=" << scale;
-      const std::string key = label.str();
-      if (progress) progress(index, total, key);
-      ++index;
-
-      SurrogateSweepPoint p;
+      SurrogateSweepPoint& p = points.emplace_back();
       p.surrogate = surrogate;
       p.scale = scale;
-      if (restore_from_journal(journal, options.resume, key, p)) {
-        points.push_back(std::move(p));
-        continue;
-      }
-      try {
-        ExperimentConfig cfg = base;
-        cfg.model.lif.surrogate =
-            snn::Surrogate::by_name(surrogate, static_cast<float>(scale));
-        apply_point_options(options, key, cfg);
-        p.result = run_experiment(cfg);
-        journal.record_done(key, p.result);
-      } catch (const std::exception& ex) {
-        p.status = "failed";
-        p.error = ex.what();
-        journal.record_failed(key, ex.what());
-        ST_LOG_WARN << "sweep point '" << key << "' failed: " << ex.what();
-      }
-      points.push_back(std::move(p));
     }
   }
-  return points;
+  return run_sweep(
+      base, std::move(points), progress, options,
+      [](const SurrogateSweepPoint& p) {
+        std::ostringstream key;
+        key << p.surrogate << " scale=" << p.scale;
+        return key.str();
+      },
+      [](const SurrogateSweepPoint& p, ExperimentConfig& cfg) {
+        cfg.model.lif.surrogate =
+            snn::Surrogate::by_name(p.surrogate, static_cast<float>(p.scale));
+      });
 }
 
 std::vector<BetaThetaPoint> run_beta_theta_sweep(
@@ -111,46 +115,27 @@ std::vector<BetaThetaPoint> run_beta_theta_sweep(
     const SweepOptions& options) {
   ST_REQUIRE(!betas.empty() && !thetas.empty(),
              "sweep grids must not be empty");
-  validate(base);  // fail fast before hours of training
-  SweepJournal journal = open_journal(options);
   std::vector<BetaThetaPoint> points;
-  points.reserve(betas.size() * thetas.size());
-  const std::size_t total = betas.size() * thetas.size();
-  std::size_t index = 0;
   for (double beta : betas) {
     for (double theta : thetas) {
-      std::ostringstream label;
-      label << "beta=" << beta << " theta=" << theta;
-      const std::string key = label.str();
-      if (progress) progress(index, total, key);
-      ++index;
-
-      BetaThetaPoint p;
+      BetaThetaPoint& p = points.emplace_back();
       p.beta = beta;
       p.theta = theta;
-      if (restore_from_journal(journal, options.resume, key, p)) {
-        points.push_back(std::move(p));
-        continue;
-      }
-      try {
-        ExperimentConfig cfg = base;
-        cfg.model.lif.surrogate = snn::Surrogate::fast_sigmoid(
-            static_cast<float>(kFig2FastSigmoidSlope));
-        cfg.model.lif.beta = static_cast<float>(beta);
-        cfg.model.lif.threshold = static_cast<float>(theta);
-        apply_point_options(options, key, cfg);
-        p.result = run_experiment(cfg);
-        journal.record_done(key, p.result);
-      } catch (const std::exception& ex) {
-        p.status = "failed";
-        p.error = ex.what();
-        journal.record_failed(key, ex.what());
-        ST_LOG_WARN << "sweep point '" << key << "' failed: " << ex.what();
-      }
-      points.push_back(std::move(p));
     }
   }
-  return points;
+  return run_sweep(
+      base, std::move(points), progress, options,
+      [](const BetaThetaPoint& p) {
+        std::ostringstream key;
+        key << "beta=" << p.beta << " theta=" << p.theta;
+        return key.str();
+      },
+      [](const BetaThetaPoint& p, ExperimentConfig& cfg) {
+        cfg.model.lif.surrogate = snn::Surrogate::fast_sigmoid(
+            static_cast<float>(kFig2FastSigmoidSlope));
+        cfg.model.lif.beta = static_cast<float>(p.beta);
+        cfg.model.lif.threshold = static_cast<float>(p.theta);
+      });
 }
 
 void declare_sweep_flags(CliFlags& flags) {

@@ -1,10 +1,15 @@
 // Sweep grids for the paper's experiments.
 //
+// Both sweeps run through one loop: a sweep supplies only its grid points
+// and how each point changes the base config; the loop owns the point key,
+// progress, journal restore, failure capture and journal record.
+//
 // Sweeps are restartable: give SweepOptions a journal path and every
-// completed (or failed) point is durably recorded as one JSONL line; a rerun
-// with resume=true skips completed points and re-attempts failed ones.  A
-// point whose training throws is recorded as "failed" and the sweep moves on
-// to the next point instead of losing hours of prior work.
+// completed (or failed) point is durably recorded as one JSONL line (see
+// exp/journal.h); a rerun with resume=true skips completed points and
+// re-attempts failed ones.  A point whose training throws is recorded as
+// "failed" and the sweep moves on to the next point instead of losing hours
+// of prior work.
 #pragma once
 
 #include <functional>
@@ -27,22 +32,22 @@ std::vector<double> fig1_scales();
 std::vector<double> fig2_betas();
 std::vector<double> fig2_thetas();
 
-struct SurrogateSweepPoint {
-  std::string surrogate;  // "arctan" | "fast_sigmoid"
-  double scale = 0.0;     // alpha or k
+/// What a sweep records per point, whatever its coordinates.
+struct SweepPoint {
   ExperimentResult result;
   std::string status = "done";  // "done" | "failed"
   std::string error;            // populated when status == "failed"
   bool from_journal = false;    // restored from a journal, not retrained
 };
 
-struct BetaThetaPoint {
+struct SurrogateSweepPoint : SweepPoint {
+  std::string surrogate;  // "arctan" | "fast_sigmoid"
+  double scale = 0.0;     // alpha or k
+};
+
+struct BetaThetaPoint : SweepPoint {
   double beta = 0.0;
   double theta = 0.0;
-  ExperimentResult result;
-  std::string status = "done";  // "done" | "failed"
-  std::string error;            // populated when status == "failed"
-  bool from_journal = false;    // restored from a journal, not retrained
 };
 
 /// Progress hook: (index, total, human-readable point label).

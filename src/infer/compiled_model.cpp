@@ -10,18 +10,6 @@
 
 namespace spiketune::infer {
 
-const char* op_kind_name(OpKind kind) {
-  switch (kind) {
-    case OpKind::kConv2d: return "conv2d";
-    case OpKind::kLinear: return "linear";
-    case OpKind::kLif: return "lif";
-    case OpKind::kMaxPool2d: return "maxpool2d";
-    case OpKind::kAvgPool2d: return "avgpool2d";
-    case OpKind::kFlatten: return "flatten";
-  }
-  return "?";
-}
-
 CompiledModel CompiledModel::compile(const snn::SpikingNetwork& net,
                                      const Shape& per_sample_input) {
   ST_REQUIRE(net.num_layers() > 0, "cannot compile an empty network");

@@ -29,8 +29,6 @@ enum class OpKind {
   kFlatten,
 };
 
-const char* op_kind_name(OpKind kind);
-
 /// One frozen layer: immutable tensors plus precomputed metadata.  Only the
 /// fields relevant to `kind` are populated.
 struct CompiledLayer {

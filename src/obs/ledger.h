@@ -87,7 +87,9 @@ struct LedgerWarning {
   std::string message;
 };
 
-/// End-of-run scalars (mirrors the sweep journal's per-point fields).
+/// End-of-run scalars, in the order they are written.  Each driver fills
+/// its own; exp::run_experiment writes the rows of SPIKETUNE_RESULT_FIELDS
+/// (exp/experiment.h), the same fields a sweep-journal line carries.
 struct LedgerFinal {
   std::vector<std::pair<std::string, double>> values;
   /// How the run ended: "clean" (normal exit), "drain" (signal-requested

@@ -65,8 +65,6 @@ class SpikeRecord {
   /// Mean firing rate over all spiking layers (spikes / neuron / step);
   /// the paper's "firing intensity" metric.
   double mean_firing_rate() const;
-  /// 1 - mean activation density over all spiking layers.
-  double overall_sparsity() const { return 1.0 - mean_firing_rate(); }
 
  private:
   std::vector<LayerActivity> layers_;

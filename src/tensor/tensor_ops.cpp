@@ -17,24 +17,6 @@ void require_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 }
 }  // namespace
 
-Tensor add(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  add_(out, b);
-  return out;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  sub_(out, b);
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  mul_(out, b);
-  return out;
-}
-
 Tensor scale(const Tensor& a, float s) {
   Tensor out = a;
   scale_(out, s);
@@ -48,57 +30,9 @@ void add_(Tensor& a, const Tensor& b) {
   for (std::int64_t i = 0, n = a.numel(); i < n; ++i) pa[i] += pb[i];
 }
 
-void sub_(Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "sub");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0, n = a.numel(); i < n; ++i) pa[i] -= pb[i];
-}
-
-void mul_(Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "mul");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0, n = a.numel(); i < n; ++i) pa[i] *= pb[i];
-}
-
 void scale_(Tensor& a, float s) {
   float* pa = a.data();
   for (std::int64_t i = 0, n = a.numel(); i < n; ++i) pa[i] *= s;
-}
-
-void axpy_(Tensor& a, float s, const Tensor& b) {
-  require_same_shape(a, b, "axpy");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0, n = a.numel(); i < n; ++i) pa[i] += s * pb[i];
-}
-
-void add_rowwise_(Tensor& a, const Tensor& v) {
-  const std::int64_t cols = v.numel();
-  ST_REQUIRE(cols > 0 && a.numel() % cols == 0,
-             "add_rowwise_: vector length must divide matrix size");
-  const std::int64_t rows = a.numel() / cols;
-  float* pa = a.data();
-  const float* pv = v.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = pa + r * cols;
-    for (std::int64_t c = 0; c < cols; ++c) row[c] += pv[c];
-  }
-}
-
-Tensor sum_rows(const Tensor& a, std::int64_t cols) {
-  ST_REQUIRE(cols > 0 && a.numel() % cols == 0,
-             "sum_rows: cols must divide matrix size");
-  const std::int64_t rows = a.numel() / cols;
-  Tensor out(Shape{cols});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = pa + r * cols;
-    for (std::int64_t c = 0; c < cols; ++c) po[c] += row[c];
-  }
-  return out;
 }
 
 float sum(const Tensor& a) {
@@ -122,11 +56,6 @@ float max(const Tensor& a) {
 float min(const Tensor& a) {
   ST_REQUIRE(a.numel() > 0, "min of empty tensor");
   return *std::min_element(a.data(), a.data() + a.numel());
-}
-
-std::int64_t argmax(const Tensor& a) {
-  ST_REQUIRE(a.numel() > 0, "argmax of empty tensor");
-  return std::max_element(a.data(), a.data() + a.numel()) - a.data();
 }
 
 double zero_fraction(const Tensor& a) {
@@ -202,13 +131,6 @@ std::vector<std::int64_t> argmax_rows(const Tensor& m, std::int64_t cols) {
         std::max_element(row, row + cols) - row;
   }
   return out;
-}
-
-void clamp_(Tensor& a, float lo, float hi) {
-  ST_REQUIRE(lo <= hi, "clamp_: lo must be <= hi");
-  float* p = a.data();
-  for (std::int64_t i = 0, n = a.numel(); i < n; ++i)
-    p[i] = std::min(hi, std::max(lo, p[i]));
 }
 
 }  // namespace spiketune::ops

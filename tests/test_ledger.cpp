@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -578,10 +579,18 @@ TEST(LedgerEndToEnd, SmokeExperimentWritesFullTrajectory) {
     EXPECT_TRUE(found_fpsw);
   }
   ASSERT_TRUE(parsed.has_final);
-  double final_acc = -1.0;
-  for (const auto& [key, value] : parsed.final_record.values)
-    if (key == "accuracy") final_acc = value;
-  EXPECT_DOUBLE_EQ(final_acc, result.accuracy);
+  // The final record is the result-field table: its keys in table order,
+  // each value with the result's bits.
+  const auto& fin = parsed.final_record.values;
+  ASSERT_EQ(fin.size(), std::size(exp::kResultFields));
+  for (std::size_t i = 0; i < fin.size(); ++i) {
+    const exp::ResultField& field = exp::kResultFields[i];
+    EXPECT_EQ(fin[i].first, field.name);
+    EXPECT_EQ(std::memcmp(&fin[i].second, &(result.*field.member),
+                          sizeof(double)),
+              0)
+        << field.name;
+  }
 
   // The probe pass must not perturb training: an identical config without
   // the ledger reaches bit-identical accuracy.

@@ -3,8 +3,12 @@
 // the NaN/Inf health policies.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -626,6 +630,38 @@ TEST(NanPolicy, NamesRoundTrip) {
 // ---------------------------------------------------------------------------
 // Sweep journal
 
+// Resume is bit-identical: every table field of a restored result must
+// have the recorded bits, -0.0 and subnormals included.
+void expect_result_bits_equal(const exp::ExperimentResult& got,
+                              const exp::ExperimentResult& want) {
+  for (const exp::ResultField& field : exp::kResultFields)
+    EXPECT_EQ(std::memcmp(&(got.*field.member), &(want.*field.member),
+                          sizeof(double)),
+              0)
+        << field.name << ": " << got.*field.member << " vs "
+        << want.*field.member;
+}
+
+// One distinct awkward value per table field, in table order.
+exp::ExperimentResult awkward_result() {
+  const double values[] = {-0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           0.1,
+                           DBL_MAX,
+                           1e-300,
+                           -DBL_MAX,
+                           DBL_MIN - std::numeric_limits<double>::denorm_min(),
+                           1.0 / 3.0,
+                           -0.1,
+                           123456789.123456789};
+  static_assert(std::size(values) == std::size(exp::kResultFields),
+                "one value per result field");
+  exp::ExperimentResult r;
+  for (std::size_t i = 0; i < std::size(values); ++i)
+    r.*exp::kResultFields[i].member = values[i];
+  return r;
+}
+
 TEST(SweepJournal, RecordsReplaysAndLastEntryWins) {
   const std::string path = tmp_path("journal_rt.jsonl");
   fs::remove(path);
@@ -647,11 +683,101 @@ TEST(SweepJournal, RecordsReplaysAndLastEntryWins) {
   EXPECT_EQ(a->status, "done");  // last entry for the key wins
   const exp::JournalEntry* b = replay.find("point b");
   ASSERT_NE(b, nullptr);
-  const auto restored = exp::SweepJournal::to_result(*b);
-  EXPECT_DOUBLE_EQ(restored.accuracy, 0.75);
-  EXPECT_DOUBLE_EQ(restored.loss, 1.25);
-  EXPECT_DOUBLE_EQ(restored.fps_per_watt, 321.5);
+  expect_result_bits_equal(b->result, result);
   EXPECT_EQ(replay.find("point c"), nullptr);
+}
+
+TEST(SweepJournal, FailedEntryKeepsItsErrorText) {
+  const std::string path = tmp_path("journal_failed.jsonl");
+  fs::remove(path);
+  const std::string error = "numerical blow-up \"quoted\"\nline2\t\x01";
+  exp::SweepJournal(path).record_failed("p", error);
+  const exp::SweepJournal replay(path);
+  const exp::JournalEntry* e = replay.find("p");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->status, "failed");
+  EXPECT_EQ(e->error, error);
+}
+
+TEST(SweepJournal, EveryFieldRoundTripsBitwise) {
+  const std::string path = tmp_path("journal_bits.jsonl");
+  fs::remove(path);
+  const exp::ExperimentResult result = awkward_result();
+  exp::SweepJournal(path).record_done("p", result);
+  const exp::SweepJournal replay(path);
+  const exp::JournalEntry* e = replay.find("p");
+  ASSERT_NE(e, nullptr);
+  expect_result_bits_equal(e->result, result);
+}
+
+TEST(SweepJournal, NonFiniteResultIsNullAndReplaysAsNaN) {
+  // final_train_accuracy is NaN when every batch of the last epoch was
+  // skipped under --nan-policy skip-batch.
+  const std::string path = tmp_path("journal_nan.jsonl");
+  fs::remove(path);
+  exp::ExperimentResult result;
+  result.accuracy = 0.5;
+  result.final_train_accuracy = std::numeric_limits<double>::quiet_NaN();
+  exp::SweepJournal(path).record_done("p", result);
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"final_train_accuracy\":null"), std::string::npos)
+      << text;
+  const exp::SweepJournal replay(path);
+  const exp::JournalEntry* e = replay.find("p");
+  ASSERT_NE(e, nullptr);
+  EXPECT_TRUE(std::isnan(e->result.final_train_accuracy));
+  EXPECT_EQ(e->result.accuracy, 0.5);
+}
+
+TEST(SweepJournal, ParentFormatLineLoadsToTheSameBits) {
+  // A "done" line as the earlier per-journal writer produced it: keys in
+  // alphabetical order, numbers printed with %.17g.
+  const std::string path = tmp_path("journal_parent_format.jsonl");
+  write_file(path,
+             "{\"key\":\"beta=0.5 theta=1.5\",\"status\":\"done\","
+             "\"accuracy\":-0,"
+             "\"final_train_accuracy\":-0.10000000000000001,"
+             "\"firing_rate\":0.10000000000000001,"
+             "\"fps_per_watt\":0.33333333333333331,"
+             "\"latency_us\":1e-300,"
+             "\"loss\":4.9406564584124654e-324,"
+             "\"sparsity\":1.7976931348623157e+308,"
+             "\"throughput_fps\":-1.7976931348623157e+308,"
+             "\"train_seconds\":123456789.12345679,"
+             "\"watts\":2.2250738585072009e-308}\n");
+  const exp::SweepJournal replay(path);
+  const exp::JournalEntry* e = replay.find("beta=0.5 theta=1.5");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->status, "done");
+  expect_result_bits_equal(e->result, awkward_result());
+}
+
+TEST(SweepJournal, UnknownFieldsIgnoredAbsentFieldsReadZero) {
+  const std::string path = tmp_path("journal_fields.jsonl");
+  write_file(path,
+             "{\"key\":\"a\",\"status\":\"done\",\"accuracy\":0.5,"
+             "\"future_metric\":7,\"note\":\"x\"}\n");
+  const exp::SweepJournal replay(path);
+  const exp::JournalEntry* e = replay.find("a");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->result.accuracy, 0.5);
+  EXPECT_EQ(e->result.latency_us, 0.0);
+}
+
+TEST(SweepJournal, BareNanLineIsRefusedWithItsLine) {
+  const std::string path = tmp_path("journal_bare_nan.jsonl");
+  write_file(path,
+             "{\"key\":\"a\",\"status\":\"done\",\"accuracy\":0.5}\n"
+             "{\"key\":\"b\",\"status\":\"done\",\"accuracy\":nan}\n");
+  try {
+    exp::SweepJournal journal(path);
+    FAIL() << "a bare nan is not JSON";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SweepJournal, DisabledJournalIsANoOp) {
@@ -712,9 +838,7 @@ TEST(JournaledSweep, FailedPointIsRecordedAndSweepContinues) {
                                               }());
   ASSERT_EQ(again.size(), 2u);
   EXPECT_TRUE(again[0].from_journal);
-  EXPECT_DOUBLE_EQ(again[0].result.accuracy, points[0].result.accuracy);
-  EXPECT_DOUBLE_EQ(again[0].result.fps_per_watt,
-                   points[0].result.fps_per_watt);
+  expect_result_bits_equal(again[0].result, points[0].result);
   EXPECT_EQ(again[1].status, "failed");
 
   exp::SweepJournal replay(journal);
@@ -736,7 +860,7 @@ TEST(JournaledSweep, BetaThetaSweepJournalsToo) {
   const auto again = exp::run_beta_theta_sweep(cfg, {0.5}, {1.0}, {}, options);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_TRUE(again[0].from_journal);
-  EXPECT_DOUBLE_EQ(again[0].result.accuracy, points[0].result.accuracy);
+  expect_result_bits_equal(again[0].result, points[0].result);
 }
 
 // ---------------------------------------------------------------------------
