@@ -131,15 +131,45 @@ class Parser {
       case 'n':
         if (consume_literal("null")) return JsonValue();
         fail("bad literal");
-      default: {
-        const char* begin = s_.c_str() + pos_;
-        char* end = nullptr;
-        const double v = std::strtod(begin, &end);
-        if (end == begin) fail("expected a JSON value");
-        pos_ += static_cast<std::size_t>(end - begin);
-        return JsonValue(v);
-      }
+      default:
+        return JsonValue(parse_number());
     }
+  }
+
+  bool next_is(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
+
+  bool next_is_digit() const {
+    return pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9';
+  }
+
+  // RFC 8259: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?.  The span
+  // is checked before strtod reads it, because strtod alone also takes inf,
+  // nan, hex, a leading '+' or '.' and a trailing '.'.
+  double parse_number() {
+    const std::size_t begin = pos_;
+    auto digits = [this] {
+      if (!next_is_digit()) fail("expected a JSON value");
+      while (next_is_digit()) ++pos_;
+    };
+    if (next_is('-')) ++pos_;
+    if (next_is('0')) {
+      ++pos_;
+    } else {
+      digits();
+    }
+    if (next_is('.')) {
+      ++pos_;
+      digits();
+    }
+    if (next_is('e') || next_is('E')) {
+      ++pos_;
+      if (next_is('+') || next_is('-')) ++pos_;
+      digits();
+    }
+    char* end = nullptr;
+    const double v = std::strtod(s_.c_str() + begin, &end);
+    if (end != s_.c_str() + pos_) fail("malformed JSON number");
+    return v;
   }
 
   std::string parse_string_body() {

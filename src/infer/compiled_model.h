@@ -19,7 +19,7 @@
 namespace spiketune::infer {
 
 /// The closed set of layer types the inference engine executes.  compile()
-/// throws InvalidArgument for anything else (e.g. recurrent layers).
+/// throws InvalidArgument for any other Layer subclass.
 enum class OpKind {
   kConv2d,
   kLinear,

@@ -13,15 +13,15 @@ namespace spiketune::snn {
 namespace {
 
 // One parallel slice [b, e) of Lif::step_rows.  Rows are walked in order;
-// the optional-buffer branches are template arguments, chosen once per call
+// the optional u_pre store is a template argument, chosen once per call
 // rather than tested per element.  Every scalar is a by-value parameter, not
 // a lambda capture: a by-reference beta or theta may alias the float stores,
 // and GCC then leaves the loop scalar.
-template <bool kExtra, bool kPre>
+template <bool kPre>
 std::int64_t step_slice(const float* in, std::int64_t b, std::int64_t e,
                         std::int64_t row_elems, float* const* m_rows,
                         const unsigned char* fresh, float beta, float theta,
-                        float* out, const float* extra, float* u_pre) {
+                        float* out, float* u_pre) {
   std::int64_t fired = 0;
   std::int64_t i = b;
   std::int64_t s = b / row_elems;
@@ -33,7 +33,6 @@ std::int64_t step_slice(const float* in, std::int64_t b, std::int64_t e,
     for (std::int64_t k = 0; i < row_end; ++i, ++k) {
       float u = in[i];
       if (!first_step) u += beta * m[k];
-      if constexpr (kExtra) u += extra[i];
       const bool fire = u > theta;
       out[i] = fire ? 1.0f : 0.0f;
       if constexpr (kPre) u_pre[i] = u;
@@ -69,28 +68,25 @@ void Lif::begin_window(std::int64_t, bool training) {
 std::int64_t Lif::step_rows(const float* in, std::int64_t n,
                            std::int64_t row_elems, float* const* m_rows,
                            const unsigned char* fresh, float beta, float theta,
-                           float* out, const float* extra, float* u_pre) {
-  const auto slice = extra != nullptr
-                         ? (u_pre != nullptr ? step_slice<true, true>
-                                             : step_slice<true, false>)
-                         : (u_pre != nullptr ? step_slice<false, true>
-                                             : step_slice<false, false>);
+                           float* out, float* u_pre) {
+  const auto slice =
+      u_pre != nullptr ? step_slice<true> : step_slice<false>;
   // Disjoint elementwise writes; the spike tally is an integer sum, so
   // combining per-slice counts is exact for any slicing.
   std::atomic<std::int64_t> fired{0};
   parallel_for(0, n * row_elems, kElemGrain,
                [&](std::int64_t b, std::int64_t e) {
                  fired.fetch_add(slice(in, b, e, row_elems, m_rows, fresh,
-                                       beta, theta, out, extra, u_pre),
+                                       beta, theta, out, u_pre),
                                  std::memory_order_relaxed);
                });
   return fired.load(std::memory_order_relaxed);
 }
 
 void Lif::backward_rows(std::int64_t count, const LifConfig& config,
-                        const float* go, const float* grad_rec,
-                        const float* u_pre, const float* carry,
-                        float* grad_input, float* carry_out) {
+                        const float* go, const float* u_pre,
+                        const float* carry, float* grad_input,
+                        float* carry_out) {
   const float beta = config.beta;
   const float theta = config.threshold;
   const Surrogate sg = config.surrogate;
@@ -98,8 +94,7 @@ void Lif::backward_rows(std::int64_t count, const LifConfig& config,
   parallel_for(0, count, kElemGrain, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
       const float c = carry ? carry[i] : 0.0f;
-      const float g_s = grad_rec ? go[i] + grad_rec[i] : go[i];
-      const float spike_path = g_s - (detach ? 0.0f : theta * c);
+      const float spike_path = go[i] - (detach ? 0.0f : theta * c);
       const float gi = c + spike_path * sg.grad(u_pre[i] - theta);
       grad_input[i] = gi;
       carry_out[i] = beta * gi;  // c[t-1] = beta * dL/du_pre[t]
@@ -124,7 +119,7 @@ Tensor Lif::forward_step(const Tensor& input) {
   float* m = membrane_.data();
   const std::int64_t n_fired =
       step_rows(input.data(), 1, input.numel(), &m, &fresh, config_.beta,
-                config_.threshold, spikes.data(), nullptr,
+                config_.threshold, spikes.data(),
                 training_ ? u_pre.data() : nullptr);
   has_membrane_ = true;
   window_spikes_ += n_fired;
@@ -151,8 +146,8 @@ Tensor Lif::backward_step(const Tensor& grad_output) {
   // The carry is updated in place; the window's last step reads none.
   if (!grad_carry_.same_shape(u_pre)) grad_carry_ = Tensor(u_pre.shape());
   Tensor grad_input(u_pre.shape());
-  backward_rows(u_pre.numel(), config_, grad_output.data(), nullptr,
-                u_pre.data(), has_grad_carry_ ? grad_carry_.data() : nullptr,
+  backward_rows(u_pre.numel(), config_, grad_output.data(), u_pre.data(),
+                has_grad_carry_ ? grad_carry_.data() : nullptr,
                 grad_input.data(), grad_carry_.data());
   has_grad_carry_ = true;
   return grad_input;

@@ -18,8 +18,8 @@
 // With `detach_reset` the reset path is excluded from the gradient (the
 // `- theta * c[t]` term is dropped), mirroring snnTorch's option.
 //
-// Both are written once, as the static bodies step_rows and backward_rows,
-// which Lif, Rlif and infer::InferenceSession all call.
+// Both are written once, as the static bodies step_rows and backward_rows;
+// infer::InferenceSession calls step_rows too.
 #pragma once
 
 #include "snn/layers.h"
@@ -46,27 +46,26 @@ class Lif final : public Layer {
   /// Advances `n` rows of `row_elems` neurons one step, row s updating its
   /// membrane plane m_rows[s] in place (a row with fresh[s] set has no
   /// history, and its plane is not read).  Per element
-  ///   u = in[i] (+ beta * m unless fresh) (+ extra[i]),  out[i] = u > theta,
+  ///   u = in[i] (+ beta * m unless fresh),  out[i] = u > theta,
   ///   u_pre[i] = u,  m = u, less theta on a spike.
-  /// `extra` (an additive current, Rlif's V s[t-1]) and `u_pre` (the
-  /// pre-reset potential training caches) may be null.  Elementwise, so the
-  /// bits do not depend on the thread count; returns the exact spike count.
+  /// `u_pre` (the pre-reset potential training caches) may be null.
+  /// Elementwise, so the bits do not depend on the thread count; returns the
+  /// exact spike count.
   static std::int64_t step_rows(const float* in, std::int64_t n,
                                 std::int64_t row_elems, float* const* m_rows,
                                 const unsigned char* fresh, float beta,
                                 float theta, float* out,
-                                const float* extra = nullptr,
                                 float* u_pre = nullptr);
 
   /// Surrogate backward over `count` elements, with c = carry[i] (0 when
-  /// carry is null) and g_s = go[i] (+ grad_rec[i] when not null):
-  ///   gi[i] = c + (g_s - theta * c) * sg'(u_pre[i] - theta),
+  /// carry is null):
+  ///   gi[i] = c + (go[i] - theta * c) * sg'(u_pre[i] - theta),
   ///   carry_out[i] = beta * gi[i]  (carry_out may alias carry),
   /// with no `theta * c` term under detach_reset.
   static void backward_rows(std::int64_t count, const LifConfig& config,
-                            const float* go, const float* grad_rec,
-                            const float* u_pre, const float* carry,
-                            float* grad_input, float* carry_out);
+                            const float* go, const float* u_pre,
+                            const float* carry, float* grad_input,
+                            float* carry_out);
 
   Shape output_shape(const Shape& input) const override { return input; }
   bool spiking() const override { return true; }

@@ -1,7 +1,7 @@
 // Blocked single-precision GEMM kernels.
 //
-// The conv and linear backward passes (conv via im2col) and the recurrent
-// LIF's recurrent product lower onto these three primitives:
+// The conv and linear backward passes (conv via im2col) lower onto these
+// three primitives:
 //   gemm       : C  = alpha * A  * B  + beta * C      [m,k]x[k,n]
 //   gemm_tn    : C  = alpha * A' * B  + beta * C      [k,m]'x[k,n]
 //   gemm_nt    : C  = alpha * A  * B' + beta * C      [m,k]x[n,k]'

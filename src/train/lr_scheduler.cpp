@@ -1,5 +1,6 @@
 #include "train/lr_scheduler.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.h"
@@ -7,11 +8,8 @@
 namespace spiketune::train {
 
 CosineAnnealingLr::CosineAnnealingLr(double base_lr, std::int64_t t_max,
-                                     double eta_min, bool warm_restarts)
-    : base_lr_(base_lr),
-      t_max_(t_max),
-      eta_min_(eta_min),
-      warm_restarts_(warm_restarts) {
+                                     double eta_min)
+    : base_lr_(base_lr), t_max_(t_max), eta_min_(eta_min) {
   ST_REQUIRE(base_lr > 0.0, "base_lr must be positive");
   ST_REQUIRE(t_max > 0, "t_max must be positive");
   ST_REQUIRE(eta_min >= 0.0 && eta_min <= base_lr,
@@ -20,37 +18,12 @@ CosineAnnealingLr::CosineAnnealingLr(double base_lr, std::int64_t t_max,
 
 double CosineAnnealingLr::lr_at(std::int64_t epoch) const {
   ST_REQUIRE(epoch >= 0, "epoch must be non-negative");
-  std::int64_t e = epoch;
-  if (warm_restarts_) {
-    e = epoch % t_max_;
-  } else if (e > t_max_) {
-    e = t_max_;  // hold at eta_min after the annealing window
-  }
+  // Hold at eta_min after the annealing window.
+  const std::int64_t e = std::min(epoch, t_max_);
   const double pi = 3.14159265358979323846;
   const double cosine =
       std::cos(pi * static_cast<double>(e) / static_cast<double>(t_max_));
   return eta_min_ + (base_lr_ - eta_min_) * 0.5 * (1.0 + cosine);
-}
-
-StepLr::StepLr(double base_lr, std::int64_t step_size, double gamma)
-    : base_lr_(base_lr), step_size_(step_size), gamma_(gamma) {
-  ST_REQUIRE(base_lr > 0.0, "base_lr must be positive");
-  ST_REQUIRE(step_size > 0, "step_size must be positive");
-  ST_REQUIRE(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-}
-
-double StepLr::lr_at(std::int64_t epoch) const {
-  ST_REQUIRE(epoch >= 0, "epoch must be non-negative");
-  return base_lr_ * std::pow(gamma_, static_cast<double>(epoch / step_size_));
-}
-
-ConstantLr::ConstantLr(double base_lr) : base_lr_(base_lr) {
-  ST_REQUIRE(base_lr > 0.0, "base_lr must be positive");
-}
-
-double ConstantLr::lr_at(std::int64_t epoch) const {
-  ST_REQUIRE(epoch >= 0, "epoch must be non-negative");
-  return base_lr_;
 }
 
 }  // namespace spiketune::train

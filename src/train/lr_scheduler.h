@@ -1,72 +1,27 @@
-// Learning-rate schedules.
+// The learning-rate schedule.
 //
-// The paper trains with cosine annealing (SGDR, Loshchilov & Hutter) over
-// the epoch budget; CosineAnnealingLr reproduces PyTorch's
-// CosineAnnealingLR semantics (T_max in epochs, optional eta_min and warm
-// restarts).  StepLr is provided for ablations.
+// The paper trains with cosine annealing (Loshchilov & Hutter) over the
+// epoch budget; CosineAnnealingLr reproduces PyTorch's CosineAnnealingLR
+// semantics (T_max in epochs, optional eta_min).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-
-#include "train/optimizer.h"
 
 namespace spiketune::train {
 
-class LrScheduler {
- public:
-  virtual ~LrScheduler() = default;
-  /// Learning rate for a (0-based) epoch.
-  virtual double lr_at(std::int64_t epoch) const = 0;
-  virtual std::string name() const = 0;
-
-  /// Applies lr_at(epoch) to the optimizer.
-  void apply(Optimizer& opt, std::int64_t epoch) const {
-    opt.set_lr(lr_at(epoch));
-  }
-};
-
 /// lr(e) = eta_min + (base - eta_min) * (1 + cos(pi * e / t_max)) / 2,
-/// optionally restarting every t_max epochs (SGDR warm restarts).
-class CosineAnnealingLr final : public LrScheduler {
+/// holding at eta_min for e > t_max.
+class CosineAnnealingLr {
  public:
-  CosineAnnealingLr(double base_lr, std::int64_t t_max, double eta_min = 0.0,
-                    bool warm_restarts = false);
+  CosineAnnealingLr(double base_lr, std::int64_t t_max, double eta_min = 0.0);
 
-  double lr_at(std::int64_t epoch) const override;
-  std::string name() const override { return "cosine_annealing"; }
+  /// Learning rate for a (0-based) epoch.
+  double lr_at(std::int64_t epoch) const;
 
  private:
   double base_lr_;
   std::int64_t t_max_;
   double eta_min_;
-  bool warm_restarts_;
-};
-
-/// lr(e) = base * gamma^(e / step_size)  (integer division).
-class StepLr final : public LrScheduler {
- public:
-  StepLr(double base_lr, std::int64_t step_size, double gamma = 0.1);
-
-  double lr_at(std::int64_t epoch) const override;
-  std::string name() const override { return "step"; }
-
- private:
-  double base_lr_;
-  std::int64_t step_size_;
-  double gamma_;
-};
-
-/// Constant learning rate (the no-scheduler baseline).
-class ConstantLr final : public LrScheduler {
- public:
-  explicit ConstantLr(double base_lr);
-  double lr_at(std::int64_t epoch) const override;
-  std::string name() const override { return "constant"; }
-
- private:
-  double base_lr_;
 };
 
 }  // namespace spiketune::train

@@ -6,30 +6,8 @@
 
 namespace spiketune::train {
 
-Optimizer::Optimizer(std::vector<snn::Param*> params, double lr)
-    : params_(std::move(params)), lr_(lr) {
-  ST_REQUIRE(!params_.empty(), "optimizer needs at least one parameter");
-  ST_REQUIRE(lr > 0.0, "learning rate must be positive");
-  for (auto* p : params_) ST_REQUIRE(p != nullptr, "null parameter");
-}
-
-void Optimizer::zero_grad() {
-  for (auto* p : params_) p->zero_grad();
-}
-
-void Optimizer::set_lr(double lr) {
-  ST_REQUIRE(lr > 0.0, "learning rate must be positive");
-  lr_ = lr;
-}
-
-void Optimizer::export_state(const std::string&,
-                             std::vector<NamedTensor>&) const {}
-
-void Optimizer::import_state(const std::string&,
-                             const std::vector<NamedTensor>&) {}
-
 namespace {
-// Shared export/import for one named list of per-parameter state tensors
+// Export/import for one named list of per-parameter state tensors
 // ("<prefix><label>.<i>").  Import validates count and shapes so a
 // checkpoint from a different topology fails loudly.
 void export_tensor_list(const std::string& prefix, const std::string& label,
@@ -65,58 +43,17 @@ void import_tensor_list(const std::string& prefix, const std::string& label,
 }
 }  // namespace
 
-Sgd::Sgd(std::vector<snn::Param*> params, double lr, double momentum,
-         double weight_decay)
-    : Optimizer(std::move(params), lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  ST_REQUIRE(momentum >= 0.0 && momentum < 1.0, "momentum must be in [0, 1)");
-  ST_REQUIRE(weight_decay >= 0.0, "weight decay must be non-negative");
-  if (momentum_ > 0.0) {
-    velocity_.reserve(params_.size());
-    for (auto* p : params_) velocity_.emplace_back(p->value.shape());
-  }
-}
-
-void Sgd::step() {
-  const auto lr = static_cast<float>(lr_);
-  const auto mu = static_cast<float>(momentum_);
-  const auto wd = static_cast<float>(weight_decay_);
-  for (std::size_t pi = 0; pi < params_.size(); ++pi) {
-    snn::Param& p = *params_[pi];
-    float* w = p.value.data();
-    const float* g = p.grad.data();
-    if (momentum_ > 0.0) {
-      float* vel = velocity_[pi].data();
-      for (std::int64_t i = 0, n = p.numel(); i < n; ++i) {
-        const float grad = g[i] + wd * w[i];
-        vel[i] = mu * vel[i] + grad;
-        w[i] -= lr * vel[i];
-      }
-    } else {
-      for (std::int64_t i = 0, n = p.numel(); i < n; ++i)
-        w[i] -= lr * (g[i] + wd * w[i]);
-    }
-  }
-}
-
-void Sgd::export_state(const std::string& prefix,
-                       std::vector<NamedTensor>& out) const {
-  export_tensor_list(prefix, "sgd.vel", velocity_, out);
-}
-
-void Sgd::import_state(const std::string& prefix,
-                       const std::vector<NamedTensor>& records) {
-  import_tensor_list(prefix, "sgd.vel", velocity_, records);
-}
-
 Adam::Adam(std::vector<snn::Param*> params, double lr, double beta1,
            double beta2, double eps, double weight_decay)
-    : Optimizer(std::move(params), lr),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
+  ST_REQUIRE(!params_.empty(), "optimizer needs at least one parameter");
+  ST_REQUIRE(lr > 0.0, "learning rate must be positive");
+  for (auto* p : params_) ST_REQUIRE(p != nullptr, "null parameter");
   ST_REQUIRE(beta1 >= 0.0 && beta1 < 1.0 && beta2 >= 0.0 && beta2 < 1.0,
              "Adam betas must be in [0, 1)");
   ST_REQUIRE(eps > 0.0, "Adam eps must be positive");
@@ -126,6 +63,15 @@ Adam::Adam(std::vector<snn::Param*> params, double lr, double beta1,
     m_.emplace_back(p->value.shape());
     v_.emplace_back(p->value.shape());
   }
+}
+
+void Adam::zero_grad() {
+  for (auto* p : params_) p->zero_grad();
+}
+
+void Adam::set_lr(double lr) {
+  ST_REQUIRE(lr > 0.0, "learning rate must be positive");
+  lr_ = lr;
 }
 
 void Adam::set_step_count(std::int64_t t) {

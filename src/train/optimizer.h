@@ -1,7 +1,8 @@
-// First-order optimizers over snn::Param sets.
+// Adam (Kingma & Ba) with bias correction over an snn::Param set: the
+// paper's training setup and the one optimizer every driver uses.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,74 +11,35 @@
 
 namespace spiketune::train {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<snn::Param*> params, double lr);
-  virtual ~Optimizer() = default;
-
-  /// Applies one update from the accumulated gradients.
-  virtual void step() = 0;
-
-  void zero_grad();
-  void set_lr(double lr);
-  double lr() const { return lr_; }
-  virtual std::string name() const = 0;
-
-  /// Number of step() calls so far (the resume-relevant scalar state; Adam
-  /// bias correction depends on it).
-  virtual std::int64_t step_count() const { return 0; }
-  virtual void set_step_count(std::int64_t) {}
-
-  /// Appends the optimizer's internal tensor state (momentum/moments) as
-  /// named records under `prefix`, for crash-safe training checkpoints.
-  /// The base optimizer has none.
-  virtual void export_state(const std::string& prefix,
-                            std::vector<NamedTensor>& out) const;
-  /// Restores state written by export_state (records not under `prefix` are
-  /// ignored).  Throws InvalidArgument on name/shape/count mismatch.
-  virtual void import_state(const std::string& prefix,
-                            const std::vector<NamedTensor>& records);
-
- protected:
-  std::vector<snn::Param*> params_;
-  double lr_;
-};
-
-/// SGD with optional classical momentum and L2 weight decay.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<snn::Param*> params, double lr, double momentum = 0.0,
-      double weight_decay = 0.0);
-
-  void step() override;
-  std::string name() const override { return "sgd"; }
-  void export_state(const std::string& prefix,
-                    std::vector<NamedTensor>& out) const override;
-  void import_state(const std::string& prefix,
-                    const std::vector<NamedTensor>& records) override;
-
- private:
-  double momentum_;
-  double weight_decay_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction; the paper's training setup.
-class Adam final : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<snn::Param*> params, double lr, double beta1 = 0.9,
        double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
 
-  void step() override;
-  std::string name() const override { return "adam"; }
-  std::int64_t step_count() const override { return t_; }
-  void set_step_count(std::int64_t t) override;
+  /// Applies one update from the accumulated gradients.
+  void step();
+
+  void zero_grad();
+  void set_lr(double lr);
+  double lr() const { return lr_; }
+
+  /// Number of step() calls so far (the resume-relevant scalar state; the
+  /// bias correction depends on it).
+  std::int64_t step_count() const { return t_; }
+  void set_step_count(std::int64_t t);
+
+  /// Appends the moments as named records ("<prefix>adam.m.<i>" and
+  /// "<prefix>adam.v.<i>"), for crash-safe training checkpoints.
   void export_state(const std::string& prefix,
-                    std::vector<NamedTensor>& out) const override;
+                    std::vector<NamedTensor>& out) const;
+  /// Restores state written by export_state (records not under `prefix` are
+  /// ignored).  Throws InvalidArgument on name/shape/count mismatch.
   void import_state(const std::string& prefix,
-                    const std::vector<NamedTensor>& records) override;
+                    const std::vector<NamedTensor>& records);
 
  private:
+  std::vector<snn::Param*> params_;
+  double lr_;
   double beta1_, beta2_, eps_, weight_decay_;
   std::vector<Tensor> m_, v_;
   std::int64_t t_ = 0;

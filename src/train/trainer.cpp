@@ -116,8 +116,8 @@ bool Trainer::batch_is_healthy(double loss, std::int64_t epoch,
   return false;
 }
 
-EpochMetrics Trainer::train_epoch(data::DataLoader& loader, Optimizer& opt,
-                                  const LrScheduler& schedule,
+EpochMetrics Trainer::train_epoch(data::DataLoader& loader, Adam& opt,
+                                  const CosineAnnealingLr& schedule,
                                   std::int64_t epoch) {
   // lr_scale_ is 1.0 unless a rollback cut the LR; multiplying by exactly
   // 1.0 keeps the default path bit-identical to the unscaled schedule.
@@ -229,7 +229,7 @@ std::uint64_t Trainer::config_fingerprint(
 }
 
 void Trainer::save_training_state(const std::string& path,
-                                  const Optimizer& opt,
+                                  const Adam& opt,
                                   std::int64_t next_epoch,
                                   const data::DataLoader& loader) {
   auto records = snn::network_records(net_, "net.");
@@ -243,14 +243,14 @@ void Trainer::save_training_state(const std::string& path,
   meta.loader_seed = loader.seed();
   meta.config_fingerprint = config_fingerprint(loader);
   meta.lr_scale = lr_scale_;
-  meta.extra["optimizer"] = opt.name();
+  meta.extra["optimizer"] = "adam";
   save_checkpoint(path, records, meta);
   if (obs::metrics_enabled())
     obs::add(obs::counter("train.checkpoint.saved"));
 }
 
 std::int64_t Trainer::restore_training_state(const std::string& path,
-                                             Optimizer& opt,
+                                             Adam& opt,
                                              const data::DataLoader& loader) {
   const Checkpoint ckpt = load_checkpoint_full(path);
   ST_REQUIRE(ckpt.meta.present,
@@ -395,9 +395,9 @@ namespace {
 // the current weights once per evaluation pass (they may change between
 // passes, e.g. after a quantization ablation), then reuse one session's
 // buffers for every batch.  Networks the inference engine cannot compile
-// (e.g. recurrent layers) stay on the dense training-path forward.  Both
-// paths produce bit-identical spike counts and activity stats (DESIGN.md
-// §10), so every downstream number is unchanged.
+// (a Layer subclass it has no op for) stay on the dense training-path
+// forward.  Both paths produce bit-identical spike counts and activity
+// stats (DESIGN.md §10), so every downstream number is unchanged.
 class EvalEngine {
  public:
   EvalEngine(snn::SpikingNetwork& net, const infer::InferOptions& opts)

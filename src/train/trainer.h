@@ -113,8 +113,9 @@ class Trainer {
           const snn::Loss& loss, TrainerConfig config);
 
   /// Runs one epoch over the loader; returns averaged training metrics.
-  EpochMetrics train_epoch(data::DataLoader& loader, Optimizer& opt,
-                           const LrScheduler& schedule, std::int64_t epoch);
+  EpochMetrics train_epoch(data::DataLoader& loader, Adam& opt,
+                           const CosineAnnealingLr& schedule,
+                           std::int64_t epoch);
 
   /// Full training run: epochs x train_epoch with a fresh Adam + cosine
   /// schedule per TrainerConfig.  Optional per-epoch callback (may be null).
@@ -153,14 +154,14 @@ class Trainer {
   /// Persists the complete training state (weights, optimizer, counters) to
   /// `path` as one atomic STK2 checkpoint.  `next_epoch` is the epoch a
   /// resumed run should execute next.
-  void save_training_state(const std::string& path, const Optimizer& opt,
+  void save_training_state(const std::string& path, const Adam& opt,
                            std::int64_t next_epoch,
                            const data::DataLoader& loader);
 
   /// Restores state written by save_training_state; returns the epoch to
   /// run next.  Throws InvalidArgument on a fingerprint mismatch (the
   /// checkpoint came from a different training setup) or missing metadata.
-  std::int64_t restore_training_state(const std::string& path, Optimizer& opt,
+  std::int64_t restore_training_state(const std::string& path, Adam& opt,
                                       const data::DataLoader& loader);
 
   /// Hash of everything that determines the training trajectory: trainer

@@ -18,7 +18,6 @@
 #include "infer/session.h"
 #include "snn/model_zoo.h"
 #include "snn/network.h"
-#include "snn/rlif.h"
 
 namespace spiketune::infer {
 namespace {
@@ -328,11 +327,21 @@ TEST(InferCompile, MetadataMirrorsNetwork) {
   }
 }
 
+// A layer kind the inference compiler has no op for.
+class UnknownLayer final : public snn::Layer {
+ public:
+  void begin_window(std::int64_t, bool) override {}
+  Tensor forward_step(const Tensor& input) override { return input; }
+  Tensor backward_step(const Tensor& grad_output) override {
+    return grad_output;
+  }
+  Shape output_shape(const Shape& input) const override { return input; }
+  std::string name() const override { return "unknown"; }
+};
+
 TEST(InferCompile, RejectsUnsupportedLayers) {
   snn::SpikingNetwork net;
-  snn::RlifConfig rcfg;
-  rcfg.features = 8;
-  net.add<snn::Rlif>(rcfg);
+  net.add<UnknownLayer>();
   EXPECT_THROW(CompiledModel::compile(net, Shape{8}), InvalidArgument);
 }
 

@@ -104,6 +104,13 @@ TEST(Json, StrictParseRejectsBadInput) {
   EXPECT_THROW(JsonValue::parse("", "t"), InvalidArgument);
   EXPECT_THROW(JsonValue::parse("nul", "t"), InvalidArgument);
   EXPECT_THROW(JsonValue::parse("[1,]", "t"), InvalidArgument);
+  // Numbers follow the RFC 8259 grammar, not strtod's.
+  for (const char* bad : {"-nan", "nan", "inf", "-inf", "+1", ".5", "1.",
+                          "0x10", "01", "-", "1e", "1e+", "-.5", "[1.]"})
+    EXPECT_THROW(JsonValue::parse(bad, "t"), InvalidArgument) << bad;
+  for (const char* good : {"0", "-0", "1.5", "-12.25e+3", "1E-2", "[0,1]"})
+    EXPECT_NO_THROW(JsonValue::parse(good, "t")) << good;
+  EXPECT_EQ(JsonValue::parse("-12.25e+3", "t").as_number(), -12250.0);
 }
 
 TEST(Json, ParseRejectsRunawayNesting) {

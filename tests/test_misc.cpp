@@ -1,6 +1,6 @@
 // Coverage for the remaining thin spots: logging levels, the explicit
-// train_epoch(optimizer, schedule) entry point with SGD + StepLr, empty
-// checkpoints, DSE with custom device lists, and report formatting edges.
+// train_epoch(optimizer, schedule, epoch) entry point, empty checkpoints,
+// and model-zoo init gain.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +11,6 @@
 #include "data/dataloader.h"
 #include "data/encoders.h"
 #include "data/synth_digits.h"
-#include "hw/dse.h"
 #include "snn/linear.h"
 #include "snn/model_zoo.h"
 #include "train/trainer.h"
@@ -82,8 +81,9 @@ TEST(Serialize, MissingFileThrows) {
 }
 
 TEST(Trainer, ExplicitOptimizerAndSchedule) {
-  // Drive train_epoch directly with SGD + StepLr (fit() covers Adam +
-  // cosine); the learning rate must follow the schedule.
+  // Drive train_epoch directly with a caller-built optimizer and a schedule
+  // whose t_max is not the trainer's epoch budget (fit() builds its own from
+  // TrainerConfig); the learning rate must follow the given schedule.
   data::SynthDigitsConfig dcfg;
   dcfg.num_examples = 32;
   dcfg.image_size = 12;
@@ -107,59 +107,15 @@ TEST(Trainer, ExplicitOptimizerAndSchedule) {
   tcfg.verbose = false;
   train::Trainer trainer(*net, encoder, loss, tcfg);
 
-  train::Sgd opt(net->params(), 0.1, 0.9);
-  train::StepLr schedule(0.1, 2, 0.1);
-  const auto e0 = trainer.train_epoch(loader, opt, schedule, 0);
-  const auto e2 = trainer.train_epoch(loader, opt, schedule, 2);
-  EXPECT_DOUBLE_EQ(e0.lr, 0.1);
-  EXPECT_DOUBLE_EQ(e2.lr, 0.01);
+  train::Adam opt(net->params(), 0.1);
+  const train::CosineAnnealingLr sched(0.1, 4, 0.01);
+  const auto e0 = trainer.train_epoch(loader, opt, sched, 0);
+  const auto e2 = trainer.train_epoch(loader, opt, sched, 2);
+  EXPECT_EQ(e0.lr, sched.lr_at(0));
+  EXPECT_EQ(e2.lr, sched.lr_at(2));
+  EXPECT_GT(e0.lr, e2.lr);
   EXPECT_EQ(e0.epoch, 0);
   EXPECT_GE(e0.train_loss, 0.0);
-}
-
-TEST(Dse, CustomDeviceListRestrictsGrid) {
-  std::vector<hw::LayerWorkload> ws(1);
-  ws[0].name = "fc";
-  ws[0].input_size = 256;
-  ws[0].fanout = 64;
-  ws[0].neurons = 64;
-  ws[0].num_weights = 16384;
-  ws[0].avg_input_spikes = 32.0;
-
-  hw::DseConfig cfg;
-  cfg.devices = {hw::kintex_ultrascale_plus_ku5p()};
-  cfg.policies = {hw::AllocationPolicy::kBalanced};
-  cfg.modes = {hw::ComputeMode::kEventDriven};
-  cfg.timesteps = 8;
-  const auto points = hw::explore(ws, cfg);
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].device, "xcku5p");
-  EXPECT_EQ(points[0].label(), "xcku5p/balanced-sparse/event-driven");
-}
-
-TEST(Dse, ParetoOfSinglePointIsItself) {
-  hw::DsePoint p;
-  p.device = "x";
-  p.latency_s = 1.0;
-  p.fps_per_watt = 10.0;
-  const auto front = hw::pareto_front({p});
-  ASSERT_EQ(front.size(), 1u);
-  EXPECT_EQ(front[0].device, "x");
-}
-
-TEST(Dse, ParetoDropsDominated) {
-  hw::DsePoint good;
-  good.latency_s = 1.0;
-  good.fps_per_watt = 10.0;
-  hw::DsePoint bad;
-  bad.latency_s = 2.0;
-  bad.fps_per_watt = 5.0;
-  hw::DsePoint tradeoff;
-  tradeoff.latency_s = 0.5;
-  tradeoff.fps_per_watt = 8.0;
-  const auto front = hw::pareto_front({good, bad, tradeoff});
-  EXPECT_EQ(front.size(), 2u);  // bad is dominated by good
-  EXPECT_DOUBLE_EQ(front[0].latency_s, 0.5);  // sorted by latency
 }
 
 TEST(ModelZoo, InitGainScalesWeights) {

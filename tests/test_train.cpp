@@ -1,4 +1,5 @@
-// Optimizers, LR schedules, and the training loop on a learnable toy task.
+// Adam, the cosine LR schedule, and the training loop on a learnable toy
+// task.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,33 +17,6 @@ namespace spiketune::train {
 namespace {
 
 using snn::Param;
-
-TEST(Sgd, SingleStepMatchesHandComputation) {
-  Param p("w", Tensor(Shape{2}, {1.0f, -1.0f}));
-  p.grad = Tensor(Shape{2}, {0.5f, 2.0f});
-  Sgd opt({&p}, 0.1);
-  opt.step();
-  EXPECT_NEAR(p.value[0], 1.0f - 0.1f * 0.5f, 1e-6f);
-  EXPECT_NEAR(p.value[1], -1.0f - 0.1f * 2.0f, 1e-6f);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Param p("w", Tensor(Shape{1}, {0.0f}));
-  Sgd opt({&p}, 1.0, /*momentum=*/0.5);
-  p.grad = Tensor(Shape{1}, {1.0f});
-  opt.step();  // v = 1, w = -1
-  EXPECT_NEAR(p.value[0], -1.0f, 1e-6f);
-  opt.step();  // v = 1.5, w = -2.5
-  EXPECT_NEAR(p.value[0], -2.5f, 1e-6f);
-}
-
-TEST(Sgd, WeightDecayShrinks) {
-  Param p("w", Tensor(Shape{1}, {2.0f}));
-  p.grad = Tensor(Shape{1}, {0.0f});
-  Sgd opt({&p}, 0.1, 0.0, /*weight_decay=*/0.5);
-  opt.step();
-  EXPECT_NEAR(p.value[0], 2.0f - 0.1f * (0.5f * 2.0f), 1e-6f);
-}
 
 TEST(Adam, FirstStepIsLrSizedSignStep) {
   // With bias correction, the very first Adam update is ~ lr * sign(grad).
@@ -65,19 +39,18 @@ TEST(Adam, ConvergesOnQuadratic) {
   EXPECT_NEAR(p.value[0], 3.0f, 0.05f);
 }
 
-TEST(Optimizer, ZeroGradClears) {
+TEST(Adam, ZeroGradClears) {
   Param p("w", Tensor(Shape{2}, {1, 2}));
   p.grad = Tensor(Shape{2}, {5, 5});
-  Sgd opt({&p}, 0.1);
+  Adam opt({&p}, 0.1);
   opt.zero_grad();
   EXPECT_EQ(p.grad[0], 0.0f);
 }
 
-TEST(Optimizer, Validation) {
+TEST(Adam, Validation) {
   Param p("w", Tensor(Shape{1}));
-  EXPECT_THROW(Sgd({}, 0.1), InvalidArgument);
-  EXPECT_THROW(Sgd({&p}, 0.0), InvalidArgument);
-  EXPECT_THROW(Sgd({&p}, 0.1, 1.0), InvalidArgument);
+  EXPECT_THROW(Adam({}, 0.1), InvalidArgument);
+  EXPECT_THROW(Adam({&p}, 0.0), InvalidArgument);
   EXPECT_THROW(Adam({&p}, 0.1, 1.0), InvalidArgument);
 }
 
@@ -99,26 +72,6 @@ TEST(CosineAnnealing, MonotoneDecreasingWithinWindow) {
   CosineAnnealingLr sched(0.01, 25);
   for (int e = 1; e <= 25; ++e)
     EXPECT_LT(sched.lr_at(e), sched.lr_at(e - 1)) << "epoch " << e;
-}
-
-TEST(CosineAnnealing, WarmRestartsRestart) {
-  CosineAnnealingLr sched(1.0, 5, 0.0, /*warm_restarts=*/true);
-  EXPECT_NEAR(sched.lr_at(5), 1.0, 1e-9);
-  EXPECT_NEAR(sched.lr_at(7), sched.lr_at(2), 1e-9);
-}
-
-TEST(StepLr, DecaysEveryStepSize) {
-  StepLr sched(1.0, 3, 0.1);
-  EXPECT_NEAR(sched.lr_at(0), 1.0, 1e-12);
-  EXPECT_NEAR(sched.lr_at(2), 1.0, 1e-12);
-  EXPECT_NEAR(sched.lr_at(3), 0.1, 1e-12);
-  EXPECT_NEAR(sched.lr_at(6), 0.01, 1e-12);
-}
-
-TEST(ConstantLr, Constant) {
-  ConstantLr sched(0.42);
-  EXPECT_EQ(sched.lr_at(0), 0.42);
-  EXPECT_EQ(sched.lr_at(100), 0.42);
 }
 
 TEST(RunningMean, WeightedMean) {
