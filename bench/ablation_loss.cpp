@@ -7,10 +7,10 @@
 #include <iostream>
 
 #include "core/cli.h"
-#include "core/error.h"
 #include "core/table.h"
-#include "exp/experiment.h"
+#include "exp/report.h"
 #include "exp/standard_flags.h"
+#include "exp/sweep.h"
 
 using namespace spiketune;
 
@@ -18,50 +18,37 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.declare("preset", "smoke", "experiment scale: smoke | fast | paper");
   exp::declare_standard_flags(flags, exp::DriverKind::kTrain);
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
-  exp::StandardFlags std_flags;
+  return run_main(flags, argc, argv, [&] {
+    auto base = exp::ExperimentConfig::for_profile(
+        exp::profile_by_name(flags.get("preset")));
+    base.model.lif.surrogate = snn::Surrogate::fast_sigmoid(0.25f);
+    base.trainer.epochs = std::max<std::int64_t>(base.trainer.epochs, 8);
+    const auto std_flags = exp::apply_standard_flags(
+        flags, exp::DriverKind::kTrain, base, argc, argv);
 
-  auto base = exp::ExperimentConfig::for_profile(
-      exp::profile_by_name(flags.get("preset")));
-  base.model.lif.surrogate = snn::Surrogate::fast_sigmoid(0.25f);
-  base.trainer.epochs = std::max<std::int64_t>(base.trainer.epochs, 8);
+    std::cout << "== ABL-LOSS: loss function ablation (preset="
+              << flags.get("preset") << ") ==\n";
+    const std::vector<std::string> losses{"rate_ce", "count_mse"};
+    std::vector<exp::SweepSpec> specs;
+    for (const auto& loss : losses)
+      specs.push_back({loss, [loss](exp::ExperimentConfig& cfg) {
+                         cfg.loss = loss;
+                       }});
+    const auto points = exp::run_sweep(base, specs, exp::print_progress);
 
-  std::cout << "== ABL-LOSS: loss function ablation (preset="
-            << flags.get("preset") << ") ==\n";
-  AsciiTable table({"loss", "train acc", "test acc", "fire-rate", "latency",
-                    "FPS/W"});
-  table.set_title("same topology/hyperparameters, two losses");
-  try {
-    std_flags = exp::apply_standard_flags(flags, base, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  for (const char* loss : {"rate_ce", "count_mse"}) {
-    std::cout << "training with " << loss << "...\n" << std::flush;
-    auto cfg = base;
-    cfg.loss = loss;
-    if (!cfg.trainer.checkpoint_dir.empty())
-      cfg.trainer.checkpoint_dir += std::string("/") + loss;
-    if (!cfg.ledger.dir.empty()) {
-      cfg.ledger.run_id = loss;    // one JSONL stream per loss
-      cfg.trainer.run_tag = loss;  // namespaces the firing-rate gauges
+    AsciiTable table({"loss", "train acc", "test acc", "fire-rate",
+                      "latency", "FPS/W"});
+    table.set_title("same topology/hyperparameters, two losses");
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const auto& r = points[i].result;
+      table.add_row(exp::point_row(
+          {losses[i]}, points[i],
+          {fmt_pct(r.final_train_accuracy, 1), fmt_pct(r.accuracy, 1),
+           fmt_pct(r.firing_rate, 2), fmt_f(r.latency_us, 1) + "us",
+           fmt_f(r.fps_per_watt, 1)}));
     }
-    const auto r = exp::run_experiment(cfg);
-    table.add_row({loss, fmt_pct(r.final_train_accuracy, 1),
-                   fmt_pct(r.accuracy, 1), fmt_pct(r.firing_rate, 2),
-                   fmt_f(r.latency_us, 1) + "us",
-                   fmt_f(r.fps_per_watt, 1)});
-  }
-  table.print(std::cout);
-  return 0;
+    table.print(std::cout);
+    std::cout << exp::failure_note(points);
+    return 0;
+  });
 }

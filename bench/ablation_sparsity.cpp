@@ -42,44 +42,36 @@ int main(int argc, char** argv) {
   flags.declare("device", "ku5p", "FPGA device: ku3p | ku5p | ku15p");
   flags.declare("timesteps", "25", "inference window length T");
   exp::declare_standard_flags(flags, exp::DriverKind::kPlain);
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
-  const auto std_flags =
-      exp::apply_standard_flags(flags, exp::DriverKind::kPlain);
-  const auto device = hw::device_by_name(flags.get("device"));
-  const std::int64_t T = flags.get_int("timesteps");
+  return run_main(flags, argc, argv, [&] {
+    const auto std_flags =
+        exp::apply_standard_flags(flags, exp::DriverKind::kPlain);
+    const auto device = hw::device_by_name(flags.get("device"));
+    const std::int64_t T = flags.get_int("timesteps");
 
-  std::cout << "== ABL-SPARSE: event-driven vs dense compute across firing "
-               "rates (device="
-            << device.name << ", T=" << T << ") ==\n";
-  AsciiTable table({"density", "event lat", "dense lat", "event FPS/W",
-                    "dense FPS/W", "FPS/W gain"});
-  table.set_title("paper topology, synthetic densities");
-  for (double d : {0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}) {
-    const auto ws = csnn_workloads(d);
-    const auto alloc =
-        hw::allocate(ws, device, hw::AllocationPolicy::kBalanced);
-    const auto ev =
-        hw::analyze(ws, alloc, device, T, hw::ComputeMode::kEventDriven);
-    const auto alloc_dense =
-        hw::allocate(ws, device, hw::AllocationPolicy::kBalancedDense);
-    const auto de = hw::analyze(ws, alloc_dense, device, T,
-                                hw::ComputeMode::kDense);
-    table.add_row({fmt_pct(d, 0), fmt_f(ev.latency_s * 1e6, 1) + "us",
-                   fmt_f(de.latency_s * 1e6, 1) + "us",
-                   fmt_f(ev.fps_per_watt, 1), fmt_f(de.fps_per_watt, 1),
-                   fmt_x(ev.fps_per_watt / de.fps_per_watt, 2)});
-  }
-  table.print(std::cout);
-  std::cout << "note: at density 100% the event-driven datapath degenerates "
-               "to the dense one (gain -> ~1x).\n";
-  return 0;
+    std::cout << "== ABL-SPARSE: event-driven vs dense compute across firing "
+                 "rates (device="
+              << device.name << ", T=" << T << ") ==\n";
+    AsciiTable table({"density", "event lat", "dense lat", "event FPS/W",
+                      "dense FPS/W", "FPS/W gain"});
+    table.set_title("paper topology, synthetic densities");
+    for (double d : {0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}) {
+      const auto ws = csnn_workloads(d);
+      const auto alloc =
+          hw::allocate(ws, device, hw::AllocationPolicy::kBalanced);
+      const auto ev =
+          hw::analyze(ws, alloc, device, T, hw::ComputeMode::kEventDriven);
+      const auto alloc_dense =
+          hw::allocate(ws, device, hw::AllocationPolicy::kBalancedDense);
+      const auto de = hw::analyze(ws, alloc_dense, device, T,
+                                  hw::ComputeMode::kDense);
+      table.add_row({fmt_pct(d, 0), fmt_f(ev.latency_s * 1e6, 1) + "us",
+                     fmt_f(de.latency_s * 1e6, 1) + "us",
+                     fmt_f(ev.fps_per_watt, 1), fmt_f(de.fps_per_watt, 1),
+                     fmt_x(ev.fps_per_watt / de.fps_per_watt, 2)});
+    }
+    table.print(std::cout);
+    std::cout << "note: at density 100% the event-driven datapath degenerates "
+                 "to the dense one (gain -> ~1x).\n";
+    return 0;
+  });
 }

@@ -6,12 +6,9 @@
 //
 // Profiles: --preset=smoke (seconds), fast (default, ~10-15 min on one
 // core), paper (paper-scale, hours).
-#include <cstdio>
 #include <iostream>
 
 #include "core/cli.h"
-#include "core/error.h"
-#include "core/logging.h"
 #include "exp/report.h"
 #include "exp/standard_flags.h"
 #include "exp/sweep.h"
@@ -26,49 +23,28 @@ int main(int argc, char** argv) {
   flags.declare("scales", "",
                 "comma-separated derivative scales (empty = paper grid)");
   exp::declare_standard_flags(flags, exp::DriverKind::kSweep);
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
+  return run_main(flags, argc, argv, [&] {
+    auto base = exp::ExperimentConfig::for_profile(
+        exp::profile_by_name(flags.get("preset")));
+    base.accel.device = hw::device_by_name(flags.get("device"));
+    const auto std_flags = exp::apply_standard_flags(
+        flags, exp::DriverKind::kSweep, base, argc, argv);
+    const auto scales = flags.get("scales").empty()
+                            ? exp::fig1_scales()
+                            : exp::parse_double_list(flags.get("scales"));
+
+    std::cout << "== FIG1: surrogate derivative-scale sweep (preset="
+              << flags.get("preset") << ", device=" << base.accel.device.name
+              << ") ==\n";
+    const auto points =
+        exp::run_surrogate_sweep(base, {"arctan", "fast_sigmoid"}, scales,
+                                 exp::print_progress, std_flags.journal);
+
+    std::cout << "\n" << exp::render_fig1(points);
+    if (!flags.get("csv").empty()) {
+      exp::write_fig1_csv(points, flags.get("csv"));
+      std::cout << "wrote " << flags.get("csv") << "\n";
+    }
     return 0;
-  }
-  exp::StandardFlags std_flags;
-  try {
-    std_flags = exp::apply_standard_flags(flags, exp::DriverKind::kSweep,
-                                          argc, argv);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-
-  auto base = exp::ExperimentConfig::for_profile(
-      exp::profile_by_name(flags.get("preset")));
-  base.accel.device = hw::device_by_name(flags.get("device"));
-  const auto scales = flags.get("scales").empty()
-                          ? exp::fig1_scales()
-                          : exp::parse_double_list(flags.get("scales"));
-  const auto& options = std_flags.sweep;
-
-  std::cout << "== FIG1: surrogate derivative-scale sweep (preset="
-            << flags.get("preset") << ", device=" << base.accel.device.name
-            << ") ==\n";
-  const auto points = exp::run_surrogate_sweep(
-      base, {"arctan", "fast_sigmoid"}, scales,
-      [](std::size_t i, std::size_t total, const std::string& label) {
-        std::cout << "[" << (i + 1) << "/" << total << "] training " << label
-                  << "...\n"
-                  << std::flush;
-      },
-      options);
-
-  std::cout << "\n" << exp::render_fig1(points);
-  if (!flags.get("csv").empty()) {
-    exp::write_fig1_csv(points, flags.get("csv"));
-    std::cout << "wrote " << flags.get("csv") << "\n";
-  }
-  return 0;
+  });
 }

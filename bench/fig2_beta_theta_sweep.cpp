@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "core/cli.h"
-#include "core/error.h"
 #include "exp/report.h"
 #include "exp/standard_flags.h"
 #include "exp/sweep.h"
@@ -25,52 +24,31 @@ int main(int argc, char** argv) {
   flags.declare("device", "ku5p", "FPGA device: ku3p | ku5p | ku15p");
   flags.declare("full", "false", "use the canonical 5x5 grid");
   exp::declare_standard_flags(flags, exp::DriverKind::kSweep);
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
+  return run_main(flags, argc, argv, [&] {
+    auto base = exp::ExperimentConfig::for_profile(
+        exp::profile_by_name(flags.get("preset")));
+    base.accel.device = hw::device_by_name(flags.get("device"));
+    const auto std_flags = exp::apply_standard_flags(
+        flags, exp::DriverKind::kSweep, base, argc, argv);
+
+    std::vector<double> betas{0.25, 0.5, 0.7, 0.9};
+    std::vector<double> thetas{0.5, 1.0, 1.5, 2.0};
+    if (flags.get_bool("full")) {
+      betas = exp::fig2_betas();
+      thetas = exp::fig2_thetas();
+    }
+
+    std::cout << "== FIG2: beta x theta cross-sweep (fast sigmoid k="
+              << exp::kFig2FastSigmoidSlope
+              << ", preset=" << flags.get("preset") << ") ==\n";
+    const auto points = exp::run_beta_theta_sweep(
+        base, betas, thetas, exp::print_progress, std_flags.journal);
+
+    std::cout << "\n" << exp::render_fig2(points);
+    if (!flags.get("csv").empty()) {
+      exp::write_fig2_csv(points, flags.get("csv"));
+      std::cout << "wrote " << flags.get("csv") << "\n";
+    }
     return 0;
-  }
-  exp::StandardFlags std_flags;
-  try {
-    std_flags = exp::apply_standard_flags(flags, exp::DriverKind::kSweep,
-                                          argc, argv);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-
-  auto base = exp::ExperimentConfig::for_profile(
-      exp::profile_by_name(flags.get("preset")));
-  base.accel.device = hw::device_by_name(flags.get("device"));
-
-  std::vector<double> betas{0.25, 0.5, 0.7, 0.9};
-  std::vector<double> thetas{0.5, 1.0, 1.5, 2.0};
-  if (flags.get_bool("full")) {
-    betas = exp::fig2_betas();
-    thetas = exp::fig2_thetas();
-  }
-
-  std::cout << "== FIG2: beta x theta cross-sweep (fast sigmoid k="
-            << exp::kFig2FastSigmoidSlope
-            << ", preset=" << flags.get("preset") << ") ==\n";
-  const auto points = exp::run_beta_theta_sweep(
-      base, betas, thetas,
-      [](std::size_t i, std::size_t total, const std::string& label) {
-        std::cout << "[" << (i + 1) << "/" << total << "] training " << label
-                  << "...\n"
-                  << std::flush;
-      },
-      std_flags.sweep);
-
-  std::cout << "\n" << exp::render_fig2(points);
-  if (!flags.get("csv").empty()) {
-    exp::write_fig2_csv(points, flags.get("csv"));
-    std::cout << "wrote " << flags.get("csv") << "\n";
-  }
-  return 0;
+  });
 }

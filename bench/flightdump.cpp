@@ -105,18 +105,7 @@ int main(int argc, char** argv) {
                 "(exit_kind=\"crash\") to when the bundle holds a crash");
   flags.declare("tail", "12",
                 "print the last N timeline events to stdout (0 disables)");
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
-
-  try {
+  return run_main(flags, argc, argv, [&] {
     namespace fs = std::filesystem;
     const std::string bundle = flags.get("bundle");
     std::string flight_path = flags.get("flight");
@@ -238,9 +227,6 @@ int main(int argc, char** argv) {
       ledger.write_final(fin);
       std::cout << "appended post-mortem record to " << ledger_path << "\n";
     }
-  } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+    return 0;
+  });
 }

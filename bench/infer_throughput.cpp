@@ -36,7 +36,6 @@
 #include "core/rng.h"
 #include "core/stats.h"
 #include "core/table.h"
-#include "exp/ledger_flags.h"
 #include "exp/standard_flags.h"
 #include "infer/session.h"
 #include "obs/ledger.h"
@@ -150,116 +149,149 @@ int main(int argc, char** argv) {
   flags.declare("json", "BENCH_infer.json", "JSON summary path (empty: skip)");
   flags.declare("ledger", "", "write a run ledger into this directory");
   exp::declare_standard_flags(flags, exp::DriverKind::kPlain);
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
-  const auto std_flags =
-      exp::apply_standard_flags(flags, exp::DriverKind::kPlain);
-  (void)std_flags;
+  return run_main(flags, argc, argv, [&] {
+    const auto std_flags =
+        exp::apply_standard_flags(flags, exp::DriverKind::kPlain);
 
-  const std::string model_name = flags.get("model");
-  const std::int64_t batch = flags.get_int("batch");
-  const std::int64_t num_steps = flags.get_int("num-steps");
-  const double density = flags.get_double("density");
-  const int warmup = static_cast<int>(flags.get_int("warmup"));
-  const int reps = static_cast<int>(flags.get_int("reps"));
+    const std::string model_name = flags.get("model");
+    const std::int64_t batch = flags.get_int("batch");
+    const std::int64_t num_steps = flags.get_int("num-steps");
+    const double density = flags.get_double("density");
+    const int warmup = static_cast<int>(flags.get_int("warmup"));
+    const int reps = static_cast<int>(flags.get_int("reps"));
 
-  snn::LifConfig lif;
-  lif.beta = static_cast<float>(flags.get_double("beta"));
-  lif.threshold = static_cast<float>(flags.get_double("theta"));
+    snn::LifConfig lif;
+    lif.beta = static_cast<float>(flags.get_double("beta"));
+    lif.threshold = static_cast<float>(flags.get_double("theta"));
 
-  snn::NamedModel zoo;
-  try {
-    zoo = snn::make_model_by_name(model_name, lif);
-  } catch (const InvalidArgument&) {
-    std::cerr << "unknown --model '" << model_name << "'\n";
-    return 2;
-  }
+    snn::NamedModel zoo = snn::make_model_by_name(model_name, lif);
 
-  std::vector<std::int64_t> dims{batch};
-  for (std::int64_t d : zoo.per_sample.dims()) dims.push_back(d);
-  Rng rng(0xbe7c);
-  const auto window = spike_window(num_steps, Shape(dims), density, rng);
+    std::vector<std::int64_t> dims{batch};
+    for (std::int64_t d : zoo.per_sample.dims()) dims.push_back(d);
+    Rng rng(0xbe7c);
+    const auto window = spike_window(num_steps, Shape(dims), density, rng);
 
-  std::cout << "== INFER: serving throughput (" << model_name << ", batch "
-            << batch << ", T " << num_steps << ", beta "
-            << fmt_f(lif.beta, 2) << ", theta " << fmt_f(lif.threshold, 2)
-            << ", threads " << num_threads() << ") ==\n";
+    std::cout << "== INFER: serving throughput (" << model_name << ", batch "
+              << batch << ", T " << num_steps << ", beta "
+              << fmt_f(lif.beta, 2) << ", theta " << fmt_f(lif.threshold, 2)
+              << ", threads " << num_threads() << ") ==\n";
 
-  const std::string json = flags.get("json");
-  const std::string ledger_dir = flags.get("ledger");
-  // The ledger is written on BOTH exits (clean and parity failure): a run
-  // that fails its gate must still leave a final record, or the sweep
-  // dashboard silently shows nothing instead of a red row.
-  const auto write_ledger = [&](bool parity_ok, const PathResult* sp,
-                                const PathResult* de, double speedup) {
-    if (ledger_dir.empty()) return;
-    std::error_code ec;
-    std::filesystem::create_directories(ledger_dir, ec);
-    obs::RunLedger ledger(ledger_dir + "/infer_throughput.jsonl");
-    obs::LedgerManifest m;
-    m.run_id = "infer_throughput";
-    m.threads = num_threads();
-    m.argv = exp::join_argv(argc, argv);
-    m.build = std::string("cxx ") + __VERSION__;
-    m.info.emplace_back("model", model_name);
-    m.params.emplace_back("batch", static_cast<double>(batch));
-    m.params.emplace_back("num_steps", static_cast<double>(num_steps));
-    m.params.emplace_back("beta", lif.beta);
-    m.params.emplace_back("theta", lif.threshold);
-    m.params.emplace_back("density", density);
-    ledger.write_manifest(m);
-    obs::LedgerFinal fin;
-    fin.values.emplace_back("parity", parity_ok ? 1.0 : 0.0);
-    if (sp != nullptr && de != nullptr) {
-      fin.values.emplace_back("measured_fps", sp->fps);
-      fin.values.emplace_back("dense_fps", de->fps);
-      fin.values.emplace_back("speedup", speedup);
-      fin.values.emplace_back("p99_ms", sp->p99_ms);
-      fin.values.emplace_back("input_density", sp->input_density);
-    }
-    ledger.write_final(fin);
-    std::cout << "wrote " << ledger.path() << "\n";
-  };
-
-  // Parity gate: both session paths must reproduce the training-stack
-  // forward bit for bit before any timing is believed.
-  const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
-  const auto reference = zoo.net->forward(window);
-  std::string parity_error;
-  try {
-    for (double crossover : {2.0, -1.0}) {
-      infer::InferenceSession session(
-          model, {.max_batch = batch, .sparse_crossover = crossover});
-      const auto got = session.run(window);
-      const auto* want = reference.spike_counts.data();
-      const auto* have = got.spike_counts.data();
-      for (std::int64_t i = 0; i < reference.spike_counts.numel(); ++i) {
-        ST_REQUIRE(want[i] == have[i],
-                   "parity failure on the " +
-                       std::string(crossover >= 1.0 ? "sparse" : "dense") +
-                       " path at element " + std::to_string(i) +
-                       ": dense forward " + std::to_string(want[i]) +
-                       " vs session " + std::to_string(have[i]));
+    const std::string json = flags.get("json");
+    const std::string ledger_dir = flags.get("ledger");
+    // The ledger is written on BOTH exits (clean and parity failure): a run
+    // that fails its gate must still leave a final record, or the sweep
+    // dashboard silently shows nothing instead of a red row.
+    const auto write_ledger = [&](bool parity_ok, const PathResult* sp,
+                                  const PathResult* de, double speedup) {
+      if (ledger_dir.empty()) return;
+      std::error_code ec;
+      std::filesystem::create_directories(ledger_dir, ec);
+      obs::RunLedger ledger(ledger_dir + "/infer_throughput.jsonl");
+      obs::LedgerManifest m;
+      m.run_id = "infer_throughput";
+      m.threads = num_threads();
+      m.argv = join_argv(argc, argv);
+      m.build = std::string("cxx ") + __VERSION__;
+      m.info.emplace_back("model", model_name);
+      m.params.emplace_back("batch", static_cast<double>(batch));
+      m.params.emplace_back("num_steps", static_cast<double>(num_steps));
+      m.params.emplace_back("beta", lif.beta);
+      m.params.emplace_back("theta", lif.threshold);
+      m.params.emplace_back("density", density);
+      ledger.write_manifest(m);
+      obs::LedgerFinal fin;
+      fin.values.emplace_back("parity", parity_ok ? 1.0 : 0.0);
+      if (sp != nullptr && de != nullptr) {
+        fin.values.emplace_back("measured_fps", sp->fps);
+        fin.values.emplace_back("dense_fps", de->fps);
+        fin.values.emplace_back("speedup", speedup);
+        fin.values.emplace_back("p99_ms", sp->p99_ms);
+        fin.values.emplace_back("input_density", sp->input_density);
       }
+      ledger.write_final(fin);
+      std::cout << "wrote " << ledger.path() << "\n";
+    };
+
+    // Parity gate: both session paths must reproduce the training-stack
+    // forward bit for bit before any timing is believed.
+    const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
+    const auto reference = zoo.net->forward(window);
+    std::string parity_error;
+    try {
+      for (double crossover : {2.0, -1.0}) {
+        infer::InferenceSession session(
+            model, {.max_batch = batch, .sparse_crossover = crossover});
+        const auto got = session.run(window);
+        const auto* want = reference.spike_counts.data();
+        const auto* have = got.spike_counts.data();
+        for (std::int64_t i = 0; i < reference.spike_counts.numel(); ++i) {
+          ST_REQUIRE(want[i] == have[i],
+                     "parity failure on the " +
+                         std::string(crossover >= 1.0 ? "sparse" : "dense") +
+                         " path at element " + std::to_string(i) +
+                         ": dense forward " + std::to_string(want[i]) +
+                         " vs session " + std::to_string(have[i]));
+        }
+      }
+    } catch (const Error& e) {
+      parity_error = e.what();
     }
-  } catch (const Error& e) {
-    parity_error = e.what();
-  }
-  if (!parity_error.empty()) {
-    // Failure path keeps the full observability contract: a JSON summary
-    // (parity: false, no timings — they would be lies), the ledger final
-    // record, and metrics flushed by std_flags.telemetry at scope exit.
-    std::cerr << "PARITY FAILURE: " << parity_error << "\n";
-    if (obs::metrics_enabled())
-      obs::set(obs::gauge("infer.bench.parity"), 0.0);
+    if (!parity_error.empty()) {
+      // Failure path keeps the full observability contract: a JSON summary
+      // (parity: false, no timings — they would be lies), the ledger final
+      // record, and metrics flushed by std_flags.telemetry at scope exit.
+      std::cerr << "PARITY FAILURE: " << parity_error << "\n";
+      if (obs::metrics_enabled())
+        obs::set(obs::gauge("infer.bench.parity"), 0.0);
+      if (!json.empty()) {
+        std::ofstream out(json);
+        ST_REQUIRE(out.good(), "cannot open " + json + " for writing");
+        out << "{\n"
+            << "  \"model\": \"" << model_name << "\",\n"
+            << "  \"batch\": " << batch << ",\n"
+            << "  \"num_steps\": " << num_steps << ",\n"
+            << "  \"parity\": false\n"
+            << "}\n";
+        std::cout << "wrote " << json << "\n";
+      }
+      write_ledger(false, nullptr, nullptr, 0.0);
+      return 1;
+    }
+    std::cout << "parity: sparse and dense session paths match "
+                 "SpikingNetwork::forward bitwise\n\n";
+
+    const auto sparse = time_path(model, window, 2.0, warmup, reps);
+    const auto dense = time_path(model, window, -1.0, warmup, reps);
+    const double speedup = dense.fps > 0.0 ? sparse.fps / dense.fps : 0.0;
+
+    AsciiTable table({"path", "FPS", "mean", "p50", "p90", "p99", "density"});
+    table.set_title("serving throughput (" + std::to_string(reps) +
+                    " reps, first timed window excluded)");
+    auto row = [](const char* name, const PathResult& r) {
+      return std::vector<std::string>{
+          name,
+          fmt_f(r.fps, 0),
+          fmt_f(r.mean_ms, 2) + "ms",
+          fmt_f(r.p50_ms, 2) + "ms",
+          fmt_f(r.p90_ms, 2) + "ms",
+          fmt_f(r.p99_ms, 2) + "ms",
+          fmt_pct(r.input_density, 1)};
+    };
+    table.add_row(row("sparse", sparse));
+    table.add_row(row("dense", dense));
+    table.print(std::cout);
+    std::cout << "sparse vs dense: " << fmt_x(speedup, 2)
+              << " FPS at achieved input density "
+              << fmt_pct(sparse.input_density, 1) << "\n";
+
+    if (obs::metrics_enabled()) {
+      obs::set(obs::gauge("infer.bench.parity"), 1.0);
+      obs::set(obs::gauge("infer.bench.fps_sparse"), sparse.fps);
+      obs::set(obs::gauge("infer.bench.fps_dense"), dense.fps);
+      obs::set(obs::gauge("infer.bench.speedup"), speedup);
+      obs::set(obs::gauge("infer.bench.input_density"), sparse.input_density);
+    }
+
     if (!json.empty()) {
       std::ofstream out(json);
       ST_REQUIRE(out.good(), "cannot open " + json + " for writing");
@@ -267,67 +299,19 @@ int main(int argc, char** argv) {
           << "  \"model\": \"" << model_name << "\",\n"
           << "  \"batch\": " << batch << ",\n"
           << "  \"num_steps\": " << num_steps << ",\n"
-          << "  \"parity\": false\n"
+          << "  \"beta\": " << lif.beta << ",\n"
+          << "  \"theta\": " << lif.threshold << ",\n"
+          << "  \"threads\": " << num_threads() << ",\n"
+          << "  \"reps\": " << reps << ",\n"
+          << "  \"parity\": true,\n"
+          << "  \"sparse\": " << json_path(sparse) << ",\n"
+          << "  \"dense\": " << json_path(dense) << ",\n"
+          << "  \"speedup\": " << speedup << "\n"
           << "}\n";
       std::cout << "wrote " << json << "\n";
     }
-    write_ledger(false, nullptr, nullptr, 0.0);
-    return 1;
-  }
-  std::cout << "parity: sparse and dense session paths match "
-               "SpikingNetwork::forward bitwise\n\n";
 
-  const auto sparse = time_path(model, window, 2.0, warmup, reps);
-  const auto dense = time_path(model, window, -1.0, warmup, reps);
-  const double speedup = dense.fps > 0.0 ? sparse.fps / dense.fps : 0.0;
-
-  AsciiTable table({"path", "FPS", "mean", "p50", "p90", "p99", "density"});
-  table.set_title("serving throughput (" + std::to_string(reps) +
-                  " reps, first timed window excluded)");
-  auto row = [](const char* name, const PathResult& r) {
-    return std::vector<std::string>{
-        name,
-        fmt_f(r.fps, 0),
-        fmt_f(r.mean_ms, 2) + "ms",
-        fmt_f(r.p50_ms, 2) + "ms",
-        fmt_f(r.p90_ms, 2) + "ms",
-        fmt_f(r.p99_ms, 2) + "ms",
-        fmt_pct(r.input_density, 1)};
-  };
-  table.add_row(row("sparse", sparse));
-  table.add_row(row("dense", dense));
-  table.print(std::cout);
-  std::cout << "sparse vs dense: " << fmt_x(speedup, 2)
-            << " FPS at achieved input density "
-            << fmt_pct(sparse.input_density, 1) << "\n";
-
-  if (obs::metrics_enabled()) {
-    obs::set(obs::gauge("infer.bench.parity"), 1.0);
-    obs::set(obs::gauge("infer.bench.fps_sparse"), sparse.fps);
-    obs::set(obs::gauge("infer.bench.fps_dense"), dense.fps);
-    obs::set(obs::gauge("infer.bench.speedup"), speedup);
-    obs::set(obs::gauge("infer.bench.input_density"), sparse.input_density);
-  }
-
-  if (!json.empty()) {
-    std::ofstream out(json);
-    ST_REQUIRE(out.good(), "cannot open " + json + " for writing");
-    out << "{\n"
-        << "  \"model\": \"" << model_name << "\",\n"
-        << "  \"batch\": " << batch << ",\n"
-        << "  \"num_steps\": " << num_steps << ",\n"
-        << "  \"beta\": " << lif.beta << ",\n"
-        << "  \"theta\": " << lif.threshold << ",\n"
-        << "  \"threads\": " << num_threads() << ",\n"
-        << "  \"reps\": " << reps << ",\n"
-        << "  \"parity\": true,\n"
-        << "  \"sparse\": " << json_path(sparse) << ",\n"
-        << "  \"dense\": " << json_path(dense) << ",\n"
-        << "  \"speedup\": " << speedup << "\n"
-        << "}\n";
-    std::cout << "wrote " << json << "\n";
-  }
-
-  write_ledger(true, &sparse, &dense, speedup);
-  return 0;
+    write_ledger(true, &sparse, &dense, speedup);
+    return 0;
+  });
 }

@@ -37,18 +37,7 @@ int main(int argc, char** argv) {
                 "merged crash timeline from spiketune_flightdump; adds the "
                 "Post-mortem panel (crash header, event counts, final "
                 "timeline)");
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
-
-  try {
+  return run_main(flags, argc, argv, [&] {
     const std::string in = flags.get("in");
     ST_REQUIRE(!in.empty(), "--in is required (a ledger file or directory)");
     std::vector<obs::ParsedLedger> runs;
@@ -87,9 +76,6 @@ int main(int argc, char** argv) {
       obs::write_ledger_csv(flags.get("csv"), runs);
       std::cout << "wrote " << flags.get("csv") << "\n";
     }
-  } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+    return 0;
+  });
 }

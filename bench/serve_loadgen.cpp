@@ -63,7 +63,6 @@
 #include "core/rng.h"
 #include "core/stats.h"
 #include "core/table.h"
-#include "exp/ledger_flags.h"
 #include "exp/standard_flags.h"
 #include "infer/session.h"
 #include "obs/ledger.h"
@@ -806,7 +805,7 @@ void write_report(const Options& o, const Report& rep, int argc,
     obs::LedgerManifest m;
     m.run_id = "serve_loadgen";
     m.threads = o.conns;
-    m.argv = exp::join_argv(argc, argv);
+    m.argv = join_argv(argc, argv);
     m.build = std::string("cxx ") + __VERSION__;
     m.info.emplace_back("model", o.model_name);
     m.info.emplace_back("mode", mode_name(o));
@@ -863,115 +862,93 @@ int main(int argc, char** argv) {
                 "StreamState (every chunk and the close totals)");
   flags.declare("json", "BENCH_serve.json", "JSON summary path (empty: skip)");
   flags.declare("ledger", "", "write a run ledger into this directory");
-  exp::declare_standard_flags(flags, exp::DriverKind::kPlain);
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
+  exp::declare_standard_flags(flags, exp::DriverKind::kInfer);
+  return run_main(flags, argc, argv, [&] {
+    const auto std_flags =
+        exp::apply_standard_flags(flags, exp::DriverKind::kInfer);
+    // Read every flag value before any client thread starts.
+    const Options o = read_options(flags);
+
+    // Reference model for the parity gate: identical construction to the
+    // daemon (same zoo topology, same weight seed), so weights are bitwise
+    // the same.
+    snn::LifConfig lif;
+    lif.beta = o.beta;
+    lif.threshold = o.theta;
+    snn::NamedModel zoo = snn::make_model_by_name(o.model_name, lif);
+    const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
+    zoo.net.reset();
+    // The largest frame this run sends: a stream step carries a u64 stream
+    // id ahead of the 16-byte request header, then the window's floats.
+    const std::uint64_t frame_overhead = o.streams_total > 0 ? 24 : 16;
+    const std::uint64_t step_bytes =
+        static_cast<std::uint64_t>(zoo.per_sample.numel()) * sizeof(float);
+    ST_REQUIRE(
+        o.num_steps <= (serve::kMaxPayloadBytes - frame_overhead) / step_bytes,
+        "--num-steps " + std::to_string(o.num_steps) +
+            " puts a request above the " +
+            std::to_string(serve::kMaxPayloadBytes) +
+            "-byte frame payload cap");
+
+    if (o.streams_total > 0) {
+      std::cout << "== SERVE loadgen (streaming): " << o.host << ":" << o.port
+                << ", " << o.streams_total << " streams over " << o.conns
+                << " conns, " << o.steps_per_stream << " chunks x T "
+                << o.num_steps
+                << (o.stream_hz > 0
+                        ? ", " + fmt_f(o.stream_hz, 1) + " chunks/s/stream"
+                        : std::string(", closed loop"))
+                << " ==\n";
+    } else {
+      std::cout << "== SERVE loadgen: " << o.host << ":" << o.port << ", "
+                << o.total_requests << " requests over " << o.conns
+                << " conns, T " << o.num_steps << ", "
+                << (o.qps > 0 ? "open loop @ " + fmt_f(o.qps, 0) + " QPS"
+                              : std::string("closed loop"))
+                << (o.deadline_us > 0
+                        ? ", deadline " + std::to_string(o.deadline_us) + "us"
+                        : std::string())
+                << (o.retry_budget > 0
+                        ? ", retries " + std::to_string(o.retry_budget)
+                        : std::string())
+                << " ==\n";
+    }
+
+    infer::InferOptions ref_opts = std_flags.infer;
+    ref_opts.max_batch = 1;
+    const Burst burst = o.streams_total > 0
+                            ? run_streams(o, model, ref_opts)
+                            : run_requests(o, model, ref_opts);
+    if (!burst.error.empty()) {
+      std::cerr << burst.error << "\n";
+      return 1;
+    }
+    ConnResult tot = combine(burst.conns);
+    const JsonValue stat = probe_stat(o);
+    const Report rep = o.streams_total > 0
+                           ? stream_report(o, tot, burst.elapsed_s, stat)
+                           : request_report(o, tot, burst.elapsed_s, stat);
+    write_report(o, rep, argc, argv);
+
+    const Tallies& n = tot.n;
+    if (n.parity_failures != 0 || n.totals_failures != 0) {
+      if (o.streams_total > 0)
+        std::cerr << "STREAM PARITY FAILURE: " << n.parity_failures
+                  << " chunk mismatches, " << n.totals_failures
+                  << " close-total mismatches (of " << n.parity_checked
+                  << " chunks / " << n.totals_checked << " totals checked)\n";
+      else
+        std::cerr << "PARITY FAILURE: " << n.parity_failures << " of "
+                  << n.parity_checked
+                  << " checked responses differ from a direct "
+                     "InferenceSession run\n";
+      return 1;
+    }
+    if (n.completed == 0) {
+      std::cerr << (o.streams_total > 0 ? "no stream steps completed\n"
+                                        : "no requests completed\n");
+      return 1;
+    }
     return 0;
-  }
-  const auto std_flags =
-      exp::apply_standard_flags(flags, exp::DriverKind::kPlain);
-
-  // Read every flag value up front so a malformed value (e.g. --port=x)
-  // prints usage and exits 2 like an unknown flag, instead of aborting.
-  Options o;
-  try {
-    o = read_options(flags);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-
-  // Reference model for the parity gate: identical construction to the
-  // daemon (same zoo topology, same weight seed), so weights are bitwise
-  // the same.
-  snn::LifConfig lif;
-  lif.beta = o.beta;
-  lif.threshold = o.theta;
-  snn::NamedModel zoo;
-  try {
-    zoo = snn::make_model_by_name(o.model_name, lif);
-  } catch (const InvalidArgument&) {
-    std::cerr << "unknown --model '" << o.model_name << "'\n";
-    return 2;
-  }
-  const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
-  zoo.net.reset();
-  // The largest frame this run sends: a stream step carries a u64 stream
-  // id ahead of the 16-byte request header, then the window's floats.
-  const std::uint64_t frame_overhead = o.streams_total > 0 ? 24 : 16;
-  const std::uint64_t step_bytes =
-      static_cast<std::uint64_t>(zoo.per_sample.numel()) * sizeof(float);
-  if (o.num_steps > (serve::kMaxPayloadBytes - frame_overhead) / step_bytes) {
-    std::cerr << "--num-steps " << o.num_steps << " puts a request above the "
-              << serve::kMaxPayloadBytes << "-byte frame payload cap\n"
-              << flags.usage(argv[0]);
-    return 2;
-  }
-
-  if (o.streams_total > 0) {
-    std::cout << "== SERVE loadgen (streaming): " << o.host << ":" << o.port
-              << ", " << o.streams_total << " streams over " << o.conns
-              << " conns, " << o.steps_per_stream << " chunks x T "
-              << o.num_steps
-              << (o.stream_hz > 0
-                      ? ", " + fmt_f(o.stream_hz, 1) + " chunks/s/stream"
-                      : std::string(", closed loop"))
-              << " ==\n";
-  } else {
-    std::cout << "== SERVE loadgen: " << o.host << ":" << o.port << ", "
-              << o.total_requests << " requests over " << o.conns
-              << " conns, T " << o.num_steps << ", "
-              << (o.qps > 0 ? "open loop @ " + fmt_f(o.qps, 0) + " QPS"
-                            : std::string("closed loop"))
-              << (o.deadline_us > 0
-                      ? ", deadline " + std::to_string(o.deadline_us) + "us"
-                      : std::string())
-              << (o.retry_budget > 0
-                      ? ", retries " + std::to_string(o.retry_budget)
-                      : std::string())
-              << " ==\n";
-  }
-
-  infer::InferOptions ref_opts = std_flags.infer;
-  ref_opts.max_batch = 1;
-  const Burst burst = o.streams_total > 0
-                          ? run_streams(o, model, ref_opts)
-                          : run_requests(o, model, ref_opts);
-  if (!burst.error.empty()) {
-    std::cerr << burst.error << "\n";
-    return 1;
-  }
-  ConnResult tot = combine(burst.conns);
-  const JsonValue stat = probe_stat(o);
-  const Report rep = o.streams_total > 0
-                         ? stream_report(o, tot, burst.elapsed_s, stat)
-                         : request_report(o, tot, burst.elapsed_s, stat);
-  write_report(o, rep, argc, argv);
-
-  const Tallies& n = tot.n;
-  if (n.parity_failures != 0 || n.totals_failures != 0) {
-    if (o.streams_total > 0)
-      std::cerr << "STREAM PARITY FAILURE: " << n.parity_failures
-                << " chunk mismatches, " << n.totals_failures
-                << " close-total mismatches (of " << n.parity_checked
-                << " chunks / " << n.totals_checked << " totals checked)\n";
-    else
-      std::cerr << "PARITY FAILURE: " << n.parity_failures << " of "
-                << n.parity_checked
-                << " checked responses differ from a direct "
-                   "InferenceSession run\n";
-    return 1;
-  }
-  if (n.completed == 0) {
-    std::cerr << (o.streams_total > 0 ? "no stream steps completed\n"
-                                      : "no requests completed\n");
-    return 1;
-  }
-  return 0;
+  });
 }

@@ -148,58 +148,41 @@ int main(int argc, char** argv) {
   flags.declare("raw", "false", "print the raw JSON instead of the panel");
   flags.declare("json-out", "",
                 "also write the most recent snapshot to this file");
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
+  return run_main(flags, argc, argv, [&] {
+    const std::string host = flags.get("host");
+    const int port = static_cast<int>(flags.get_int("port"));
+    const int retry_ms = static_cast<int>(flags.get_int("connect-retry-ms"));
+    const int interval_ms = static_cast<int>(flags.get_int("interval-ms"));
+    const std::int64_t iterations = flags.get_int("iterations");
+    const bool raw = flags.get_bool("raw");
+
+    serve::TcpClient client(host, port, retry_ms);
+    const bool tty = isatty(STDOUT_FILENO) != 0;
+    const std::string json_out = flags.get("json-out");
+
+    for (std::int64_t i = 0; iterations == 0 || i < iterations; ++i) {
+      if (i > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+      const serve::TcpClient::StatReply reply =
+          client.stat(static_cast<std::uint64_t>(i));
+      if (reply.disconnected) {
+        std::cerr << "daemon went away\n";
+        return i > 0 ? 0 : 1;  // drained mid-watch is a clean exit
+      }
+      if (!json_out.empty()) {
+        std::ofstream out(json_out, std::ios::trunc);
+        ST_REQUIRE(out.good(), "cannot open " + json_out);
+        out << reply.json << "\n";
+      }
+      if (raw) {
+        std::cout << reply.json << std::endl;
+        continue;
+      }
+      const JsonValue stat = JsonValue::parse(reply.json, "STAT");
+      if (tty && iterations != 1) std::cout << "\033[H\033[2J";
+      render(stat, std::cout);
+      std::cout.flush();
+    }
     return 0;
-  }
-  std::string host;
-  int port = 0, retry_ms = 0, interval_ms = 0;
-  std::int64_t iterations = 0;
-  bool raw = false;
-  try {
-    host = flags.get("host");
-    port = static_cast<int>(flags.get_int("port"));
-    retry_ms = static_cast<int>(flags.get_int("connect-retry-ms"));
-    interval_ms = static_cast<int>(flags.get_int("interval-ms"));
-    iterations = flags.get_int("iterations");
-    raw = flags.get_bool("raw");
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-
-  serve::TcpClient client(host, port, retry_ms);
-  const bool tty = isatty(STDOUT_FILENO) != 0;
-  const std::string json_out = flags.get("json-out");
-
-  for (std::int64_t i = 0; iterations == 0 || i < iterations; ++i) {
-    if (i > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    const serve::TcpClient::StatReply reply =
-        client.stat(static_cast<std::uint64_t>(i));
-    if (reply.disconnected) {
-      std::cerr << "daemon went away\n";
-      return i > 0 ? 0 : 1;  // drained mid-watch is a clean exit
-    }
-    if (!json_out.empty()) {
-      std::ofstream out(json_out, std::ios::trunc);
-      ST_REQUIRE(out.good(), "cannot open " + json_out);
-      out << reply.json << "\n";
-    }
-    if (raw) {
-      std::cout << reply.json << std::endl;
-      continue;
-    }
-    const JsonValue stat = JsonValue::parse(reply.json, "STAT");
-    if (tty && iterations != 1) std::cout << "\033[H\033[2J";
-    render(stat, std::cout);
-    std::cout.flush();
-  }
-  return 0;
+  });
 }

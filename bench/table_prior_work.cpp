@@ -12,9 +12,8 @@
 #include <iostream>
 
 #include "core/cli.h"
-#include "core/error.h"
 #include "core/table.h"
-#include "exp/experiment.h"
+#include "exp/report.h"
 #include "exp/standard_flags.h"
 #include "exp/sweep.h"
 #include "hw/baseline.h"
@@ -22,19 +21,13 @@
 using namespace spiketune;
 
 namespace {
-exp::ExperimentResult run_point(exp::ExperimentConfig base, double beta,
-                                double theta, const char* tag) {
-  base.model.lif.beta = static_cast<float>(beta);
-  base.model.lif.threshold = static_cast<float>(theta);
-  base.model.lif.surrogate = snn::Surrogate::fast_sigmoid(
-      static_cast<float>(exp::kFig2FastSigmoidSlope));
-  if (!base.trainer.checkpoint_dir.empty())
-    base.trainer.checkpoint_dir += std::string("/") + tag;
-  if (!base.ledger.dir.empty()) {
-    base.ledger.run_id = tag;      // one JSONL stream per configuration
-    base.trainer.run_tag = tag;    // namespaces the firing-rate gauges
-  }
-  return exp::run_experiment(base);
+exp::SweepSpec beta_theta(const char* key, double beta, double theta) {
+  return {key, [beta, theta](exp::ExperimentConfig& cfg) {
+            cfg.model.lif.beta = static_cast<float>(beta);
+            cfg.model.lif.threshold = static_cast<float>(theta);
+            cfg.model.lif.surrogate = snn::Surrogate::fast_sigmoid(
+                static_cast<float>(exp::kFig2FastSigmoidSlope));
+          }};
 }
 }  // namespace
 
@@ -43,85 +36,75 @@ int main(int argc, char** argv) {
   flags.declare("preset", "fast", "experiment scale: smoke | fast | paper");
   flags.declare("device", "ku5p", "FPGA device: ku3p | ku5p | ku15p");
   exp::declare_standard_flags(flags, exp::DriverKind::kTrain);
-  try {
-    flags.parse(argc - 1, argv + 1);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
+  return run_main(flags, argc, argv, [&] {
+    auto base = exp::ExperimentConfig::for_profile(
+        exp::profile_by_name(flags.get("preset")));
+    base.accel.device = hw::device_by_name(flags.get("device"));
+    const auto std_flags = exp::apply_standard_flags(
+        flags, exp::DriverKind::kTrain, base, argc, argv);
+
+    std::cout << "== TAB-PW: fine-tuned vs default vs prior work (preset="
+              << flags.get("preset") << ") ==\n";
+    const auto points = exp::run_sweep(base,
+                                       {beta_theta("default", 0.25, 1.0),
+                                        beta_theta("knee", 0.5, 1.5),
+                                        beta_theta("tuned", 0.7, 1.5)},
+                                       exp::print_progress);
+    const std::string failures = exp::failure_note(points);
+    if (!failures.empty()) {
+      std::cout << failures;  // every comparison below needs all three
+      return 1;
+    }
+    const auto& def = points[0].result;
+    const auto& knee = points[1].result;
+    const auto& tuned = points[2].result;
+
+    // Prior-work stand-in: the default-hyperparameter model on a
+    // sparsity-oblivious platform (dense compute, dense allocation).
+    const auto prior_perf = hw::analyze_dense_baseline(
+        def.mapping.workloads, base.accel.device, base.trainer.num_steps);
+    const auto prior_ref = hw::prior_work_reference();
+
+    AsciiTable table({"configuration", "accuracy", "fire-rate", "latency",
+                      "FPS", "W", "FPS/W"});
+    table.set_title("paper SIII-B comparison table");
+    auto row = [&](const std::string& name, double acc, double fire,
+                   double lat_us, double fps, double watts, double fpsw) {
+      table.add_row({name, fmt_pct(acc, 2), fmt_pct(fire, 2),
+                     fmt_f(lat_us, 1) + "us", fmt_f(fps, 0), fmt_f(watts, 2),
+                     fmt_f(fpsw, 1)});
+    };
+    row("default b=0.25 t=1.0", def.accuracy, def.firing_rate, def.latency_us,
+        def.throughput_fps, def.watts, def.fps_per_watt);
+    row("knee    b=0.50 t=1.5", knee.accuracy, knee.firing_rate,
+        knee.latency_us, knee.throughput_fps, knee.watts, knee.fps_per_watt);
+    row("tuned   b=0.70 t=1.5", tuned.accuracy, tuned.firing_rate,
+        tuned.latency_us, tuned.throughput_fps, tuned.watts,
+        tuned.fps_per_watt);
+    row("prior-work stand-in (dense hw, default model)", def.accuracy,
+        def.firing_rate, prior_perf.latency_s * 1e6,
+        prior_perf.throughput_fps, prior_perf.power.total(),
+        prior_perf.fps_per_watt);
+    table.print(std::cout);
+
+    const double best_acc =
+        std::max({def.accuracy, knee.accuracy, tuned.accuracy});
+    const auto& best = def.accuracy == best_acc
+                           ? def
+                           : (knee.accuracy == best_acc ? knee : tuned);
+    std::cout << "\nknee vs best-accuracy config: latency "
+              << fmt_pct(1.0 - knee.latency_us / best.latency_us, 1)
+              << " lower, accuracy " << fmt_pct(best_acc - knee.accuracy, 2)
+              << " lower   (paper: -48% latency, -2.88% accuracy)\n";
+    std::cout << "tuned vs prior-work stand-in: "
+              << fmt_x(tuned.fps_per_watt / prior_perf.fps_per_watt, 2)
+              << " FPS/W, accuracy delta "
+              << fmt_pct(tuned.accuracy - def.accuracy, 2)
+              << "   (paper: 1.72x, no accuracy loss)\n";
+    std::cout << "tuned vs fixed prior-work envelope ("
+              << fmt_f(prior_ref.fps_per_watt, 0) << " FPS/W): "
+              << fmt_x(tuned.fps_per_watt / prior_ref.fps_per_watt, 2)
+              << "\n";
     return 0;
-  }
-  exp::StandardFlags std_flags;
-
-  auto base = exp::ExperimentConfig::for_profile(
-      exp::profile_by_name(flags.get("preset")));
-  base.accel.device = hw::device_by_name(flags.get("device"));
-  try {
-    std_flags = exp::apply_standard_flags(flags, base, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
-    return 2;
-  }
-
-  std::cout << "== TAB-PW: fine-tuned vs default vs prior work (preset="
-            << flags.get("preset") << ") ==\n";
-  std::cout << "[1/3] training default (beta=0.25, theta=1.0)...\n"
-            << std::flush;
-  const auto def = run_point(base, 0.25, 1.0, "default");
-  std::cout << "[2/3] training latency-knee (beta=0.5, theta=1.5)...\n"
-            << std::flush;
-  const auto knee = run_point(base, 0.5, 1.5, "knee");
-  std::cout << "[3/3] training fine-tuned (beta=0.7, theta=1.5)...\n"
-            << std::flush;
-  const auto tuned = run_point(base, 0.7, 1.5, "tuned");
-
-  // Prior-work stand-in: the default-hyperparameter model on a
-  // sparsity-oblivious platform (dense compute, dense allocation).
-  const auto prior_perf = hw::analyze_dense_baseline(
-      def.mapping.workloads, base.accel.device, base.trainer.num_steps);
-  const auto prior_ref = hw::prior_work_reference();
-
-  AsciiTable table({"configuration", "accuracy", "fire-rate", "latency",
-                    "FPS", "W", "FPS/W"});
-  table.set_title("paper SIII-B comparison table");
-  auto row = [&](const std::string& name, double acc, double fire,
-                 double lat_us, double fps, double watts, double fpsw) {
-    table.add_row({name, fmt_pct(acc, 2), fmt_pct(fire, 2),
-                   fmt_f(lat_us, 1) + "us", fmt_f(fps, 0), fmt_f(watts, 2),
-                   fmt_f(fpsw, 1)});
-  };
-  row("default b=0.25 t=1.0", def.accuracy, def.firing_rate, def.latency_us,
-      def.throughput_fps, def.watts, def.fps_per_watt);
-  row("knee    b=0.50 t=1.5", knee.accuracy, knee.firing_rate,
-      knee.latency_us, knee.throughput_fps, knee.watts, knee.fps_per_watt);
-  row("tuned   b=0.70 t=1.5", tuned.accuracy, tuned.firing_rate,
-      tuned.latency_us, tuned.throughput_fps, tuned.watts,
-      tuned.fps_per_watt);
-  row("prior-work stand-in (dense hw, default model)", def.accuracy,
-      def.firing_rate, prior_perf.latency_s * 1e6,
-      prior_perf.throughput_fps, prior_perf.power.total(),
-      prior_perf.fps_per_watt);
-  table.print(std::cout);
-
-  const double best_acc =
-      std::max({def.accuracy, knee.accuracy, tuned.accuracy});
-  const auto& best = def.accuracy == best_acc
-                         ? def
-                         : (knee.accuracy == best_acc ? knee : tuned);
-  std::cout << "\nknee vs best-accuracy config: latency "
-            << fmt_pct(1.0 - knee.latency_us / best.latency_us, 1)
-            << " lower, accuracy " << fmt_pct(best_acc - knee.accuracy, 2)
-            << " lower   (paper: -48% latency, -2.88% accuracy)\n";
-  std::cout << "tuned vs prior-work stand-in: "
-            << fmt_x(tuned.fps_per_watt / prior_perf.fps_per_watt, 2)
-            << " FPS/W, accuracy delta "
-            << fmt_pct(tuned.accuracy - def.accuracy, 2)
-            << "   (paper: 1.72x, no accuracy loss)\n";
-  std::cout << "tuned vs fixed prior-work envelope ("
-            << fmt_f(prior_ref.fps_per_watt, 0) << " FPS/W): "
-            << fmt_x(tuned.fps_per_watt / prior_ref.fps_per_watt, 2)
-            << "\n";
-  return 0;
+  });
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -114,6 +115,30 @@ std::string CliFlags::usage(const std::string& program) const {
        << "      " << flag.help << '\n';
   }
   return os.str();
+}
+
+int run_main(CliFlags& flags, int argc, char** argv,
+             const std::function<int()>& body) {
+  try {
+    flags.parse(argc - 1, argv + 1);
+    if (flags.help_requested()) {
+      std::cout << flags.usage(argv[0]);
+      return 0;
+    }
+    return body();
+  } catch (const InvalidArgument& e) {
+    std::cerr << e.what() << "\n" << flags.usage(argv[0]);
+    return 2;
+  }
+}
+
+std::string join_argv(int argc, char** argv) {
+  std::string out;
+  for (int i = 0; i < argc; ++i) {
+    if (i) out += ' ';
+    out += argv[i];
+  }
+  return out;
 }
 
 }  // namespace spiketune

@@ -5,6 +5,7 @@
 // fail loudly instead of silently running the wrong configuration.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -49,5 +50,17 @@ void declare_threads_flag(CliFlags& flags);
 /// Reads `--threads`, validates it, applies it process-wide via
 /// set_num_threads(), and returns the value.  Call after parse().
 int apply_threads_flag(const CliFlags& flags);
+
+/// The front door of every driver's main(): parses argv into `flags`
+/// (declared beforehand), prints the usage and returns 0 on --help, and
+/// otherwise returns what `body` returns.  A flag or configuration error,
+/// i.e. an InvalidArgument thrown by the parse or by `body`, prints the
+/// message and the usage to stderr and returns 2.
+int run_main(CliFlags& flags, int argc, char** argv,
+             const std::function<int()>& body);
+
+/// Joins argv into one space-separated command line (ledger manifests
+/// record it).
+std::string join_argv(int argc, char** argv);
 
 }  // namespace spiketune

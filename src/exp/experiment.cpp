@@ -1,5 +1,6 @@
 #include "exp/experiment.h"
 
+#include <cctype>
 #include <filesystem>
 #include <memory>
 
@@ -8,7 +9,6 @@
 #include "core/parallel.h"
 #include "data/synth_digits.h"
 #include "data/synth_svhn.h"
-#include "exp/ledger_flags.h"
 #include "hw/project.h"
 #include "obs/ledger.h"
 #include "obs/profiler.h"
@@ -33,6 +33,16 @@ const char* profile_name(Profile profile) {
       return "smoke";
   }
   return "?";
+}
+
+std::string sanitize_run_id(const std::string& run_id) {
+  std::string out;
+  out.reserve(run_id.size());
+  for (char c : run_id)
+    out += std::isalnum(static_cast<unsigned char>(c)) || c == '.' || c == '-'
+               ? c
+               : '_';
+  return out;
 }
 
 ExperimentConfig ExperimentConfig::for_profile(Profile profile) {

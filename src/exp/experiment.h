@@ -23,6 +23,10 @@ enum class Profile { kFast, kPaper, kSmoke };
 Profile profile_by_name(const std::string& name);
 const char* profile_name(Profile profile);
 
+/// Filesystem-safe run id: non-[alnum . -] characters become '_'.  A
+/// ledger stream and a sweep point's checkpoint directory are named by it.
+std::string sanitize_run_id(const std::string& run_id);
+
 /// Run-ledger settings for one experiment (see obs/ledger.h).  When `dir`
 /// is set, run_experiment writes `<dir>/<sanitized run_id>.jsonl`: a
 /// manifest, one epoch record per epoch (training metrics + per-layer spike

@@ -14,25 +14,6 @@ namespace spiketune::exp {
 
 namespace {
 
-template <typename Point>
-std::size_t count_failed(const std::vector<Point>& points) {
-  std::size_t n = 0;
-  for (const auto& p : points)
-    if (p.status != "done") ++n;
-  return n;
-}
-
-template <typename Point>
-void append_failure_note(std::ostream& os, const std::vector<Point>& points) {
-  const std::size_t failed = count_failed(points);
-  if (failed == 0) return;
-  os << "WARNING: " << failed << " of " << points.size()
-     << " sweep point(s) FAILED (marked 'fail' above); their metrics are "
-        "excluded from the analysis\n";
-  for (const auto& p : points)
-    if (p.status != "done") os << "  failed: " << p.error << "\n";
-}
-
 // A sweep CSV row: the point's coordinate cells, then every in_csv result
 // field in table order, then status.  in_csv keeps wall-clock fields such
 // as train_seconds out, so the CSV is byte-identical across thread counts
@@ -134,7 +115,7 @@ std::string render_fig1(const std::vector<SurrogateSweepPoint>& points) {
          << fmt_x(ratio, 2) << " (paper: fast sigmoid ~1.11x arctangent)\n";
     }
   }
-  append_failure_note(os, points);
+  os << failure_note({points.begin(), points.end()});
   return os.str();
 }
 
@@ -232,7 +213,7 @@ std::string render_fig2(const std::vector<BetaThetaPoint>& points) {
      << " for accuracy -" << fmt_pct(acc_drop, 2)
      << "  (paper: -48% latency for -2.88% accuracy at beta=0.5, "
         "theta=1.5)\n";
-  append_failure_note(os, points);
+  os << failure_note({points.begin(), points.end()});
   return os.str();
 }
 
@@ -249,6 +230,28 @@ void write_fig2_csv(const std::vector<BetaThetaPoint>& points,
   for (const auto& p : points)
     csv.write_row(
         csv_row({CsvWriter::cell(p.beta), CsvWriter::cell(p.theta)}, p));
+}
+
+std::string failure_note(const std::vector<SweepPoint>& points) {
+  std::size_t failed = 0;
+  for (const auto& p : points)
+    if (p.status != "done") ++failed;
+  if (failed == 0) return "";
+  std::ostringstream os;
+  os << "WARNING: " << failed << " of " << points.size()
+     << " sweep point(s) FAILED (marked 'fail' above); their metrics are "
+        "excluded from the analysis\n";
+  for (const auto& p : points)
+    if (p.status != "done") os << "  failed: " << p.error << "\n";
+  return os.str();
+}
+
+std::vector<std::string> point_row(std::vector<std::string> row,
+                                   const SweepPoint& point,
+                                   const std::vector<std::string>& cells) {
+  for (const auto& cell : cells)
+    row.push_back(point.status == "done" ? cell : "fail");
+  return row;
 }
 
 }  // namespace spiketune::exp

@@ -1,4 +1,5 @@
-// Paper-style report rendering for sweep results.
+// Paper-style report rendering for sweep results, and the failure-aware
+// table helpers the comparison drivers share with it.
 #pragma once
 
 #include <string>
@@ -24,6 +25,16 @@ void write_fig1_csv(const std::vector<SurrogateSweepPoint>& points,
                     const std::string& path);
 void write_fig2_csv(const std::vector<BetaThetaPoint>& points,
                     const std::string& path);
+
+/// The note beneath a sweep's table listing its failed points and their
+/// errors; empty when every point is done.
+std::string failure_note(const std::vector<SweepPoint>& points);
+
+/// A comparison-table row: the `row` cells that name the point, then
+/// `cells` when it is done, or "fail" in place of each when it failed.
+std::vector<std::string> point_row(std::vector<std::string> row,
+                                   const SweepPoint& point,
+                                   const std::vector<std::string>& cells);
 
 /// Selection helpers (shared by reports, benches, and tests).  Points with
 /// status != "done" (failed sweep points) are skipped.

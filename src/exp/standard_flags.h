@@ -1,44 +1,49 @@
-// One entry point for the CLI plumbing every driver shares.
-//
-// Historically each driver declared the threads/telemetry/crash-safety/
-// ledger flag sets by hand, in four separate calls whose composition
-// drifted between binaries.  declare_standard_flags() / apply_standard_flags()
-// collapse them behind a single DriverKind so all drivers register flags
-// identically:
+// The shared flags of the bench/example drivers, declared and read in one
+// place.  A driver declares its own flags, then the shared set for its
+// DriverKind, and runs its workload through run_main (core/cli.h), which
+// turns any flag or configuration error into the usage and exit 2:
 //
 //   CliFlags flags;
-//   flags.declare("--epochs", "2", "...");               // driver-specific
+//   flags.declare("preset", "smoke", "...");            // driver-specific
 //   exp::declare_standard_flags(flags, exp::DriverKind::kTrain);
-//   flags.parse(argc - 1, argv + 1);
-//   ...
-//   auto std_flags = exp::apply_standard_flags(flags, cfg, argc, argv);
-//   ... workload ...   // std_flags.telemetry flushes at scope exit
+//   return run_main(flags, argc, argv, [&] {
+//     auto cfg = exp::ExperimentConfig::for_profile(
+//         exp::profile_by_name(flags.get("preset")));
+//     const auto std_flags = exp::apply_standard_flags(
+//         flags, exp::DriverKind::kTrain, cfg, argc, argv);
+//     ... workload ...   // std_flags.telemetry flushes at scope exit
+//     return 0;
+//   });
 //
 // Flag sets per kind (all include --threads, --trace, --metrics-out,
 // --profile):
-//   kPlain   nothing further — inference/analysis drivers
-//   kTrain   crash-safety fit flags + --ledger — ExperimentConfig drivers
-//   kFit     crash-safety fit flags only — bare-TrainerConfig drivers
-//   kSweep   sweep journal/checkpoint/ledger flags (--journal, --resume,
-//            --checkpoint-root, --ledger) — the --resume/--ledger names
-//            overlap the kTrain set, which is why a kind never declares both
+//   kPlain   nothing further: drivers that build no Trainer and no session
+//            from flags
+//   kInfer   --sparse-crossover: the serving daemon and its load generator
+//   kTrain   --sparse-crossover, the crash-safety fit flags
+//            (--checkpoint-dir, --checkpoint-every, --keep-last, --resume,
+//            --stop-after, --nan-policy) and --ledger: ExperimentConfig
+//            drivers
+//   kFit     --sparse-crossover and the fit flags: bare-TrainerConfig
+//            drivers
+//   kSweep   --sparse-crossover, --checkpoint-dir, --resume, --ledger and
+//            --journal: the journaled Fig. 1/Fig. 2 sweeps.  The loop in
+//            exp/sweep.h gives each point its own checkpoint subdirectory
+//            and ledger stream.  --stop-after is left out: a point stopped
+//            early would be journaled done with a partly trained model.
 #pragma once
+
+#include <string>
 
 #include "core/cli.h"
 #include "exp/experiment.h"
-#include "exp/sweep.h"
 #include "infer/options.h"
 #include "obs/flags.h"
 #include "train/trainer.h"
 
 namespace spiketune::exp {
 
-enum class DriverKind {
-  kPlain,  // threads + telemetry only
-  kTrain,  // + fit flags + run ledger (drivers configured by ExperimentConfig)
-  kFit,    // + fit flags (drivers driving a bare TrainerConfig)
-  kSweep,  // + sweep journal / per-point checkpoint and ledger roots
-};
+enum class DriverKind { kPlain, kInfer, kTrain, kFit, kSweep };
 
 /// What apply_standard_flags() produced.  Move-only: the telemetry session
 /// flushes trace/metrics/profiler output when it leaves scope, so keep the
@@ -46,30 +51,29 @@ enum class DriverKind {
 struct StandardFlags {
   int threads = 0;                  // resolved --threads value
   obs::TelemetrySession telemetry;  // flushes on destruction
-  SweepOptions sweep;               // populated for kSweep only
-  /// Inference options shared by every driver that builds an
-  /// InferenceSession (directly or through TrainerConfig::infer /
-  /// ServerConfig) — currently --sparse-crossover.  Drivers override the
-  /// per-call fields (max_batch, record_stats) themselves.
+  /// --sparse-crossover (every kind but kPlain); the config overloads also
+  /// copy it into TrainerConfig::infer.  Drivers override the per-call
+  /// fields (max_batch, record_stats) themselves.
   infer::InferOptions infer;
+  /// --journal (kSweep): the sweep journal path, empty when off.
+  std::string journal;
 };
 
 /// Declares the shared flag set for `kind` (see table above).  Call after
 /// the driver's own flags so --help lists driver-specific flags first.
 void declare_standard_flags(CliFlags& flags, DriverKind kind);
 
-/// Applies the shared flags (after parse()) for kPlain and kSweep drivers;
-/// kSweep needs argc/argv so per-point ledgers can record the command line.
-StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind,
-                                   int argc = 0, char** argv = nullptr);
+/// Applies the shared flags (after parse()) for kPlain and kInfer drivers.
+StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind);
 
-/// kTrain: also reads the crash-safety flags into `config.trainer` and the
-/// ledger flags into `config.ledger`.
-StandardFlags apply_standard_flags(const CliFlags& flags,
+/// kTrain and kSweep: also reads the checkpoint, resume and crossover flags
+/// into `config.trainer` (kTrain: the other fit flags too), and --ledger
+/// with the command line into `config.ledger`.
+StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind,
                                    ExperimentConfig& config, int argc,
                                    char** argv);
 
-/// kFit: also reads the crash-safety flags into `config`.
+/// kFit: also reads the fit and crossover flags into `config`.
 StandardFlags apply_standard_flags(const CliFlags& flags,
                                    train::TrainerConfig& config);
 

@@ -1,11 +1,11 @@
 #include "exp/sweep.h"
 
+#include <iostream>
 #include <sstream>
 
 #include "core/error.h"
 #include "core/logging.h"
 #include "exp/journal.h"
-#include "exp/ledger_flags.h"
 
 namespace spiketune::exp {
 
@@ -17,48 +17,29 @@ std::vector<double> fig2_betas() { return {0.25, 0.4, 0.5, 0.7, 0.9}; }
 
 std::vector<double> fig2_thetas() { return {0.5, 1.0, 1.5, 2.0, 2.5}; }
 
-namespace {
-
-void apply_point_options(const SweepOptions& options, const std::string& key,
-                         ExperimentConfig& cfg) {
-  // Point keys double as checkpoint/ledger names; sanitize_run_id keeps
-  // them filesystem-safe.
-  if (!options.checkpoint_root.empty()) {
-    cfg.trainer.checkpoint_dir =
-        options.checkpoint_root + "/" + sanitize_run_id(key);
-    cfg.trainer.resume = options.resume;
-  }
-  if (!options.ledger_root.empty()) {
-    cfg.ledger.dir = options.ledger_root;
-    cfg.ledger.run_id = key;  // sanitized again when the stream opens
-    cfg.ledger.argv = options.argv;
-    // Namespace this point's per-layer firing-rate gauges.
-    cfg.trainer.run_tag = sanitize_run_id(key);
-  }
+void print_progress(std::size_t index, std::size_t total,
+                    const std::string& key) {
+  std::cout << "[" << (index + 1) << "/" << total << "] training " << key
+            << "...\n"
+            << std::flush;
 }
 
-/// The one sweep loop.  For each point, in order: builds its key with
-/// `key_of`, reports progress, and on resume restores a journaled "done"
-/// result (a "failed" entry is re-attempted; its new entry supersedes the
-/// failure on replay).  Otherwise it trains `base` changed by `configure`
-/// and records the outcome; a throwing point is marked failed and the sweep
-/// goes on.
-template <typename Point, typename KeyOf, typename Configure>
-std::vector<Point> run_sweep(const ExperimentConfig& base,
-                             std::vector<Point> points,
-                             const Progress& progress,
-                             const SweepOptions& options, KeyOf key_of,
-                             Configure configure) {
+std::vector<SweepPoint> run_sweep(const ExperimentConfig& base,
+                                  const std::vector<SweepSpec>& specs,
+                                  const Progress& progress,
+                                  const std::string& journal_path) {
   validate(base);  // fail fast before hours of training
-  SweepJournal journal = options.journal_path.empty()
-                             ? SweepJournal()
-                             : SweepJournal(options.journal_path);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    Point& p = points[i];
-    const std::string key = key_of(p);
-    if (progress) progress(i, points.size(), key);
+  SweepJournal journal =
+      journal_path.empty() ? SweepJournal() : SweepJournal(journal_path);
+  std::vector<SweepPoint> points(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string& key = specs[i].key;
+    SweepPoint& p = points[i];
+    if (progress) progress(i, specs.size(), key);
+    // A journaled "failed" entry is re-attempted; its new entry supersedes
+    // the failure on replay.
     const JournalEntry* entry =
-        options.resume ? journal.find(key) : nullptr;
+        base.trainer.resume ? journal.find(key) : nullptr;
     if (entry && entry->status == "done") {
       p.result = entry->result;
       p.from_journal = true;
@@ -66,8 +47,16 @@ std::vector<Point> run_sweep(const ExperimentConfig& base,
     }
     try {
       ExperimentConfig cfg = base;
-      configure(p, cfg);
-      apply_point_options(options, key, cfg);
+      specs[i].configure(cfg);
+      // Point keys double as checkpoint/ledger names; sanitize_run_id keeps
+      // them filesystem-safe.
+      const std::string name = sanitize_run_id(key);
+      if (!cfg.trainer.checkpoint_dir.empty())
+        cfg.trainer.checkpoint_dir += "/" + name;
+      if (!cfg.ledger.dir.empty()) {
+        cfg.ledger.run_id = key;     // sanitized again when the stream opens
+        cfg.trainer.run_tag = name;  // namespaces the firing-rate gauges
+      }
       p.result = run_experiment(cfg);
       journal.record_done(key, p.result);
     } catch (const std::exception& ex) {
@@ -80,12 +69,33 @@ std::vector<Point> run_sweep(const ExperimentConfig& base,
   return points;
 }
 
+namespace {
+
+/// Runs typed points through run_sweep: `key_of` names a point, `configure`
+/// applies it to a config, and each result lands in its point.
+template <typename Point, typename KeyOf, typename Configure>
+std::vector<Point> run_typed_sweep(const ExperimentConfig& base,
+                                   std::vector<Point> points,
+                                   const Progress& progress,
+                                   const std::string& journal_path,
+                                   KeyOf key_of, Configure configure) {
+  std::vector<SweepSpec> specs;
+  for (const Point& p : points)
+    specs.push_back({key_of(p), [&p, &configure](ExperimentConfig& cfg) {
+                       configure(p, cfg);
+                     }});
+  const auto done = run_sweep(base, specs, progress, journal_path);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    static_cast<SweepPoint&>(points[i]) = done[i];
+  return points;
+}
+
 }  // namespace
 
 std::vector<SurrogateSweepPoint> run_surrogate_sweep(
     const ExperimentConfig& base, const std::vector<std::string>& surrogates,
     const std::vector<double>& scales, const Progress& progress,
-    const SweepOptions& options) {
+    const std::string& journal_path) {
   ST_REQUIRE(!surrogates.empty() && !scales.empty(),
              "sweep grids must not be empty");
   std::vector<SurrogateSweepPoint> points;
@@ -96,8 +106,8 @@ std::vector<SurrogateSweepPoint> run_surrogate_sweep(
       p.scale = scale;
     }
   }
-  return run_sweep(
-      base, std::move(points), progress, options,
+  return run_typed_sweep(
+      base, std::move(points), progress, journal_path,
       [](const SurrogateSweepPoint& p) {
         std::ostringstream key;
         key << p.surrogate << " scale=" << p.scale;
@@ -112,7 +122,7 @@ std::vector<SurrogateSweepPoint> run_surrogate_sweep(
 std::vector<BetaThetaPoint> run_beta_theta_sweep(
     const ExperimentConfig& base, const std::vector<double>& betas,
     const std::vector<double>& thetas, const Progress& progress,
-    const SweepOptions& options) {
+    const std::string& journal_path) {
   ST_REQUIRE(!betas.empty() && !thetas.empty(),
              "sweep grids must not be empty");
   std::vector<BetaThetaPoint> points;
@@ -123,8 +133,8 @@ std::vector<BetaThetaPoint> run_beta_theta_sweep(
       p.theta = theta;
     }
   }
-  return run_sweep(
-      base, std::move(points), progress, options,
+  return run_typed_sweep(
+      base, std::move(points), progress, journal_path,
       [](const BetaThetaPoint& p) {
         std::ostringstream key;
         key << "beta=" << p.beta << " theta=" << p.theta;
@@ -136,31 +146,6 @@ std::vector<BetaThetaPoint> run_beta_theta_sweep(
         cfg.model.lif.beta = static_cast<float>(p.beta);
         cfg.model.lif.threshold = static_cast<float>(p.theta);
       });
-}
-
-void declare_sweep_flags(CliFlags& flags) {
-  flags.declare("journal", "",
-                "JSONL sweep journal; each point is recorded as it finishes "
-                "(empty = off)");
-  flags.declare("resume", "false",
-                "skip points the journal already marks done");
-  flags.declare("checkpoint-root", "",
-                "root directory for per-point training checkpoints "
-                "(empty = off)");
-  flags.declare("ledger", "",
-                "directory for per-point run ledgers (one JSONL stream per "
-                "sweep point; empty = off; render with render_dashboard)");
-}
-
-SweepOptions sweep_options_from_flags(const CliFlags& flags, int argc,
-                                      char** argv) {
-  SweepOptions options;
-  options.journal_path = flags.get("journal");
-  options.resume = flags.get_bool("resume");
-  options.checkpoint_root = flags.get("checkpoint-root");
-  options.ledger_root = flags.get("ledger");
-  if (argc > 0 && argv) options.argv = join_argv(argc, argv);
-  return options;
 }
 
 std::vector<double> parse_double_list(const std::string& csv) {

@@ -1,22 +1,24 @@
-// Sweep grids for the paper's experiments.
+// The one loop that runs a set of training runs over hyperparameters.
 //
-// Both sweeps run through one loop: a sweep supplies only its grid points
-// and how each point changes the base config; the loop owns the point key,
-// progress, journal restore, failure capture and journal record.
+// Every multi-run driver goes through run_sweep: Fig. 1 and Fig. 2 (with a
+// journal), and the encoding, loss, prior-work and tuning comparisons
+// (without one).  A sweep supplies only its points, each a key and how it
+// changes the base config; the loop owns the progress hook, journal
+// restore, failure capture, journal record, and the per-point checkpoint
+// directory and ledger stream.
 //
-// Sweeps are restartable: give SweepOptions a journal path and every
-// completed (or failed) point is durably recorded as one JSONL line (see
-// exp/journal.h); a rerun with resume=true skips completed points and
+// Sweeps are restartable: given a journal path, every completed (or
+// failed) point is durably recorded as one JSONL line (see exp/journal.h);
+// a rerun whose base config sets trainer.resume skips completed points and
 // re-attempts failed ones.  A point whose training throws is recorded as
-// "failed" and the sweep moves on to the next point instead of losing hours
-// of prior work.
+// "failed" and the sweep moves on to the next point instead of losing
+// hours of prior work.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "core/cli.h"
 #include "exp/experiment.h"
 
 namespace spiketune::exp {
@@ -54,54 +56,49 @@ struct BetaThetaPoint : SweepPoint {
 using Progress =
     std::function<void(std::size_t, std::size_t, const std::string&)>;
 
-/// Crash-safety knobs for a sweep run.  All default-off: the zero-argument
-/// form behaves exactly like the pre-journal API.
-struct SweepOptions {
-  /// JSONL journal recording each point as it completes; empty disables.
-  std::string journal_path;
-  /// Skip points the journal already marks "done" (restoring their scalar
-  /// results) and pass resume=true to each point's Trainer.
-  bool resume = false;
-  /// When set, each point trains with checkpoint_dir =
-  /// `<checkpoint_root>/<sanitized point key>`, so an interrupted point
-  /// resumes mid-training rather than restarting its epochs.
-  std::string checkpoint_root;
-  /// When set, each point writes a run ledger to
-  /// `<ledger_root>/<sanitized point key>.jsonl` (see obs/ledger.h);
-  /// render the directory with bench/render_dashboard.
-  std::string ledger_root;
-  /// Command line recorded in each ledger's manifest (drivers pass their
-  /// argv via exp::join_argv).
-  std::string argv;
+/// The drivers' progress hook: prints "[i/total] training <key>..." and
+/// flushes stdout.
+void print_progress(std::size_t index, std::size_t total,
+                    const std::string& key);
+
+/// One point of a sweep.  Its key names it in progress lines and the
+/// journal, and, sanitized, its checkpoint subdirectory and ledger stream.
+struct SweepSpec {
+  std::string key;
+  std::function<void(ExperimentConfig&)> configure;
 };
+
+/// The one sweep loop.  Trains `base` changed by each spec's `configure`,
+/// in order, and returns one SweepPoint per spec.  Reads from `base`:
+///   trainer.checkpoint_dir  each point trains in <dir>/<sanitized key>, so
+///                           an interrupted point resumes mid-training;
+///   trainer.resume          skip points the journal marks done (restoring
+///                           their scalar results) and resume the rest;
+///   ledger.dir              each point writes <dir>/<sanitized key>.jsonl
+///                           (see obs/ledger.h) with its firing-rate gauges
+///                           namespaced by the sanitized key.
+/// `journal_path` names the JSONL journal; empty disables it.
+std::vector<SweepPoint> run_sweep(const ExperimentConfig& base,
+                                  const std::vector<SweepSpec>& specs,
+                                  const Progress& progress = {},
+                                  const std::string& journal_path = {});
 
 /// Fig. 1: trains one model per (surrogate, scale) with beta/theta at the
 /// paper defaults and maps each onto the accelerator.
 std::vector<SurrogateSweepPoint> run_surrogate_sweep(
     const ExperimentConfig& base, const std::vector<std::string>& surrogates,
     const std::vector<double>& scales, const Progress& progress = {},
-    const SweepOptions& options = {});
+    const std::string& journal_path = {});
 
 /// Fig. 2: trains one model per (beta, theta) with fast sigmoid at the
 /// paper's chosen slope (k = 0.25).
 std::vector<BetaThetaPoint> run_beta_theta_sweep(
     const ExperimentConfig& base, const std::vector<double>& betas,
     const std::vector<double>& thetas, const Progress& progress = {},
-    const SweepOptions& options = {});
+    const std::string& journal_path = {});
 
 /// Paper's slope choice for the Fig. 2 sweep.
 inline constexpr double kFig2FastSigmoidSlope = 0.25;
-
-/// CLI plumbing shared by the sweep drivers:
-///   --journal <path>          JSONL sweep journal (empty = off)
-///   --resume                  skip journal-completed points on restart
-///   --checkpoint-root <dir>   per-point training checkpoint directories
-///   --ledger <dir>            per-point run ledgers (one JSONL per point)
-void declare_sweep_flags(CliFlags& flags);
-/// Reads the sweep flags; pass argc/argv so per-point ledgers record the
-/// driver's command line in their manifests.
-SweepOptions sweep_options_from_flags(const CliFlags& flags, int argc = 0,
-                                      char** argv = nullptr);
 
 /// Parses a comma-separated list of doubles ("0.5,1,2").  Throws
 /// InvalidArgument on empty elements or trailing garbage.

@@ -20,9 +20,6 @@ ForwardResult SpikingNetwork::forward(const std::vector<Tensor>& step_inputs,
   ST_REQUIRE(!layers_.empty(), "network has no layers");
   ST_REQUIRE(!step_inputs.empty(), "window must contain at least one step");
   const std::int64_t batch = step_inputs.front().shape()[0];
-  // The per-step tally needs the same input-side counting pass as the
-  // aggregate stats, so either flag pays for it exactly once.
-  const bool count_inputs = options.record_stats || options.record_step_nonzeros;
 
   for (auto& l : layers_) l->begin_window(batch, options.training);
 
@@ -35,25 +32,16 @@ ForwardResult SpikingNetwork::forward(const std::vector<Tensor>& step_inputs,
     ST_REQUIRE(input.shape()[0] == batch,
                "all steps must share one batch size");
     Tensor x = input;
-    std::vector<std::int64_t> step_nz;
-    if (options.record_step_nonzeros) step_nz.reserve(layers_.size());
     for (std::size_t li = 0; li < layers_.size(); ++li) {
-      std::int64_t in_nz = 0;
-      std::int64_t in_total = 0;
-      if (count_inputs) {
-        in_nz = ops::count_nonzero(x);
-        in_total = x.numel();
-      }
-      if (options.record_step_nonzeros) step_nz.push_back(in_nz);
+      const std::int64_t in_nz =
+          options.record_stats ? ops::count_nonzero(x) : 0;
       Tensor y = layers_[li]->forward_step(x);
       if (options.record_stats) {
-        result.stats.add_step(li, in_nz, in_total, ops::count_nonzero(y),
+        result.stats.add_step(li, in_nz, x.numel(), ops::count_nonzero(y),
                               y.numel());
       }
       x = std::move(y);
     }
-    if (options.record_step_nonzeros)
-      result.step_input_nonzeros.push_back(std::move(step_nz));
     ST_REQUIRE(x.shape().rank() == 2, "network output must be [N, features]");
     if (result.spike_counts.numel() == 0)
       result.spike_counts = Tensor(x.shape());

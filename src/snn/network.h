@@ -16,25 +16,15 @@
 namespace spiketune::snn {
 
 /// What a forward window should compute beyond the spike counts.  The
-/// defaults describe pure inference: no gradient caches, no stat passes,
-/// no per-step tallies.
+/// defaults describe pure inference: no gradient caches, no stat passes.
 struct ForwardOptions {
   bool training = false;      // cache activations for a later backward()
   bool record_stats = false;  // count nonzeros at every layer boundary
-  /// Additionally keep the per-step, per-layer nonzero tally
-  /// (ForwardResult::step_input_nonzeros).  Only the cycle-level hardware
-  /// simulator consumes it, so it is opt-in rather than a side effect of
-  /// record_stats; enabling it implies the same counting pass.
-  bool record_step_nonzeros = false;
 };
 
 struct ForwardResult {
   Tensor spike_counts;  // [N, out_features] — spikes summed over steps
   SpikeRecord stats;    // populated when record_stats was requested
-  /// step_input_nonzeros[t][l]: nonzero inputs entering layer l at step t
-  /// (whole batch); drives the cycle-level hardware simulator.  Shaped
-  /// exactly like hw::SpikeTrace.  Empty unless record_step_nonzeros.
-  std::vector<std::vector<std::int64_t>> step_input_nonzeros;
   std::int64_t timesteps = 0;
 };
 

@@ -394,48 +394,34 @@ namespace {
 // Runs evaluation windows through the sparsity-aware serving path: freeze
 // the current weights once per evaluation pass (they may change between
 // passes, e.g. after a quantization ablation), then reuse one session's
-// buffers for every batch.  Networks the inference engine cannot compile
-// (a Layer subclass it has no op for) stay on the dense training-path
-// forward.  Both paths produce bit-identical spike counts and activity
-// stats (DESIGN.md §10), so every downstream number is unchanged.
+// buffers for every batch.  The session's spike counts and activity stats
+// are bit-identical to the training-path forward (DESIGN.md §10), so every
+// downstream number is unchanged.  A network the inference engine cannot
+// compile (a Layer subclass it has no op for) is refused.
 class EvalEngine {
  public:
   EvalEngine(snn::SpikingNetwork& net, const infer::InferOptions& opts)
       : net_(net), opts_(opts) {}
 
-  struct Output {
-    Tensor spike_counts;
-    snn::SpikeRecord stats;
-  };
-
-  Output run(const std::vector<Tensor>& steps) {
-    if (!tried_compile_) {
-      tried_compile_ = true;
+  /// Compiles on the first window (its shape fixes the session's batch);
+  /// a layer type CompiledModel cannot run throws InvalidArgument.
+  infer::InferenceResult run(const std::vector<Tensor>& steps) {
+    if (!session_.has_value()) {
       const Shape& s = steps.front().shape();
       const std::vector<std::int64_t> per_sample(s.dims().begin() + 1,
                                                  s.dims().end());
-      try {
-        model_ = infer::CompiledModel::compile(net_, Shape(per_sample));
-        infer::InferOptions opts = opts_;
-        opts.max_batch = s[0];
-        opts.record_stats = true;
-        session_.emplace(*model_, opts);
-      } catch (const InvalidArgument&) {
-        // Unsupported layer type; the dense fallback below handles it.
-      }
+      model_ = infer::CompiledModel::compile(net_, Shape(per_sample));
+      infer::InferOptions opts = opts_;
+      opts.max_batch = s[0];
+      opts.record_stats = true;
+      session_.emplace(*model_, opts);
     }
-    if (session_.has_value()) {
-      auto r = session_->run(steps);
-      return {std::move(r.spike_counts), std::move(r.stats)};
-    }
-    auto r = net_.forward(steps, {.record_stats = true});
-    return {std::move(r.spike_counts), std::move(r.stats)};
+    return session_->run(steps);
   }
 
  private:
   snn::SpikingNetwork& net_;
   infer::InferOptions opts_;
-  bool tried_compile_ = false;
   std::optional<infer::CompiledModel> model_;
   std::optional<infer::InferenceSession> session_;  // points into model_
 };

@@ -1,12 +1,17 @@
-// Experiment harness tests: profiles, sweep grids, selection helpers, and
-// report rendering (smoke-scale end-to-end runs live in test_integration).
+// Experiment harness tests: profiles, sweep grids, selection helpers,
+// report rendering, and the drivers' shared flags and front door
+// (smoke-scale end-to-end runs live in test_integration).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "core/cli.h"
 #include "core/error.h"
 #include "exp/report.h"
+#include "exp/standard_flags.h"
 #include "exp/sweep.h"
 
 namespace spiketune::exp {
@@ -141,6 +146,108 @@ TEST(Report, EmptySweepThrows) {
   EXPECT_THROW(render_fig1({}), InvalidArgument);
   EXPECT_THROW(render_fig2({}), InvalidArgument);
   EXPECT_THROW(best_accuracy_index({}), InvalidArgument);
+}
+
+// ------------------------------------------------------------ driver flags
+
+/// An argv whose strings outlive the call (argv[0] is the program name).
+struct Argv {
+  explicit Argv(std::vector<std::string> args) : strings(std::move(args)) {
+    for (auto& s : strings) pointers.push_back(s.data());
+  }
+  int argc() const { return static_cast<int>(pointers.size()); }
+  char** argv() { return pointers.data(); }
+  std::vector<std::string> strings;
+  std::vector<char*> pointers;
+};
+
+/// Declares the `kind` flag set, parses `args` and applies it to `config`.
+StandardFlags apply_to(DriverKind kind, ExperimentConfig& config,
+                       const std::vector<std::string>& args) {
+  CliFlags flags;
+  declare_standard_flags(flags, kind);
+  Argv a(args);
+  flags.parse(a.argc() - 1, a.argv() + 1);
+  return apply_standard_flags(flags, kind, config, a.argc(), a.argv());
+}
+
+TEST(StandardFlags, TrainAndSweepFillTheExperimentConfig) {
+  for (DriverKind kind : {DriverKind::kTrain, DriverKind::kSweep}) {
+    ExperimentConfig cfg;
+    const auto out =
+        apply_to(kind, cfg,
+                 {"drv", "--threads=1", "--checkpoint-dir", "ck", "--resume",
+                  "--ledger", "runs", "--sparse-crossover", "0.125"});
+    EXPECT_EQ(cfg.trainer.checkpoint_dir, "ck");
+    EXPECT_TRUE(cfg.trainer.resume);
+    EXPECT_EQ(cfg.ledger.dir, "runs");
+    EXPECT_EQ(cfg.ledger.argv,
+              "drv --threads=1 --checkpoint-dir ck --resume --ledger runs "
+              "--sparse-crossover 0.125");
+    EXPECT_EQ(cfg.trainer.infer.sparse_crossover, 0.125);
+    EXPECT_EQ(out.infer.sparse_crossover, 0.125);
+  }
+}
+
+TEST(StandardFlags, SweepTakesTheJournalButNoStopAfter) {
+  ExperimentConfig cfg;
+  const auto out =
+      apply_to(DriverKind::kSweep, cfg, {"fig1", "--journal", "j.jsonl"});
+  EXPECT_EQ(out.journal, "j.jsonl");
+  // A point stopped early would be journaled done half-trained.
+  EXPECT_THROW(apply_to(DriverKind::kSweep, cfg, {"fig1", "--stop-after=1"}),
+               InvalidArgument);
+  EXPECT_THROW(apply_to(DriverKind::kTrain, cfg, {"quick", "--journal=j"}),
+               InvalidArgument);
+}
+
+TEST(StandardFlags, FitFillsTheTrainerConfig) {
+  CliFlags flags;
+  declare_standard_flags(flags, DriverKind::kFit);
+  Argv a({"abl", "--threads=1", "--checkpoint-dir=ck", "--resume",
+          "--stop-after=2", "--nan-policy=rollback",
+          "--sparse-crossover=0.5"});
+  flags.parse(a.argc() - 1, a.argv() + 1);
+  train::TrainerConfig tcfg;
+  apply_standard_flags(flags, tcfg);
+  EXPECT_EQ(tcfg.checkpoint_dir, "ck");
+  EXPECT_TRUE(tcfg.resume);
+  EXPECT_EQ(tcfg.stop_after_epochs, 2);
+  EXPECT_EQ(tcfg.nan_policy, train::NanPolicy::kRollback);
+  EXPECT_EQ(tcfg.infer.sparse_crossover, 0.5);
+}
+
+TEST(StandardFlags, PlainDriversDeclareNoCrossover) {
+  CliFlags flags;
+  declare_standard_flags(flags, DriverKind::kPlain);
+  EXPECT_EQ(flags.usage("p").find("--sparse-crossover"), std::string::npos);
+  CliFlags infer_flags;
+  declare_standard_flags(infer_flags, DriverKind::kInfer);
+  EXPECT_NE(infer_flags.usage("p").find("--sparse-crossover"),
+            std::string::npos);
+  EXPECT_EQ(infer_flags.usage("p").find("--resume"), std::string::npos);
+}
+
+/// Runs a --preset driver body through the front door.
+int front_door(const std::vector<std::string>& args, bool* ran = nullptr) {
+  CliFlags flags;
+  flags.declare("preset", "smoke", "experiment scale");
+  Argv a(args);
+  return run_main(flags, a.argc(), a.argv(), [&] {
+    profile_by_name(flags.get("preset"));
+    if (ran) *ran = true;
+    return 0;
+  });
+}
+
+TEST(FrontDoor, HelpIsZeroAndFlagErrorsAreTwo) {
+  bool ran = false;
+  EXPECT_EQ(front_door({"drv", "--help"}, &ran), 0);
+  EXPECT_FALSE(ran);  // --help answers without running the workload
+  EXPECT_EQ(front_door({"drv", "--bogus"}), 2);
+  EXPECT_EQ(front_door({"drv", "--preset", "bogus"}), 2);
+  EXPECT_EQ(front_door({"drv", "--preset", "smoke"}, &ran), 0);
+  EXPECT_TRUE(ran);
 }
 
 }  // namespace

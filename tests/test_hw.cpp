@@ -81,11 +81,7 @@ TEST(Workload, ExtractFromNetworkAndRecord) {
   const std::int64_t T = 5;
   auto out = net->forward(
       std::vector<Tensor>(T, Tensor::full(Shape{2, 16}, 1.0f)),
-      {.record_stats = true, .record_step_nonzeros = true});
-  // The per-step tally is what the cycle-level simulator replays: shaped
-  // [T][L] exactly like hw::SpikeTrace.
-  ASSERT_EQ(out.step_input_nonzeros.size(), static_cast<std::size_t>(T));
-  ASSERT_EQ(out.step_input_nonzeros[0].size(), net->num_layers());
+      {.record_stats = true});
 
   const auto ws = extract_workloads(*net, out.stats, T);
   ASSERT_EQ(ws.size(), 2u);
@@ -291,7 +287,7 @@ TEST(Accelerator, MapEndToEnd) {
   const std::int64_t T = 6;
   auto out = net->forward(
       std::vector<Tensor>(T, Tensor::full(Shape{4, 32}, 0.8f)),
-      {.record_stats = true, .record_step_nonzeros = true});
+      {.record_stats = true});
 
   Accelerator accel;
   const MappingReport report = accel.map(*net, out.stats, T, true);
@@ -304,21 +300,6 @@ TEST(Accelerator, MapEndToEnd) {
   EXPECT_NE(s.find("fc1"), std::string::npos);
   EXPECT_NE(s.find("FPS/W"), std::string::npos);
   EXPECT_NE(s.find("event-sim"), std::string::npos);
-
-  // The measured per-step tally (now opt-in via ForwardOptions) still feeds
-  // the simulator: project it onto the mapped layers and replay it.
-  SpikeTrace trace;
-  for (const auto& step : out.step_input_nonzeros) {
-    std::vector<std::int64_t> row;
-    for (const auto& w : report.workloads)
-      row.push_back(step[static_cast<std::size_t>(w.layer_index)]);
-    trace.push_back(std::move(row));
-  }
-  const auto sim = simulate_inference(
-      EventSimConfig::from(report.workloads, report.allocation,
-                           accel.config().device),
-      trace);
-  EXPECT_GT(sim.total_cycles, 0.0);
 }
 
 }  // namespace

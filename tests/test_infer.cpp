@@ -10,14 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/error.h"
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "data/dataloader.h"
+#include "data/encoders.h"
 #include "infer/session.h"
+#include "snn/loss.h"
 #include "snn/model_zoo.h"
 #include "snn/network.h"
+#include "train/trainer.h"
 
 namespace spiketune::infer {
 namespace {
@@ -343,6 +348,20 @@ TEST(InferCompile, RejectsUnsupportedLayers) {
   snn::SpikingNetwork net;
   net.add<UnknownLayer>();
   EXPECT_THROW(CompiledModel::compile(net, Shape{8}), InvalidArgument);
+
+  // Evaluation runs on the compiled session too, so the trainer refuses
+  // such a network the same way instead of silently taking another path.
+  std::vector<data::Example> examples(4);
+  for (auto& ex : examples) ex.image = Tensor::full(Shape{8}, 0.5f);
+  auto ds = std::make_shared<data::InMemoryDataset>(std::move(examples), 2);
+  data::DataLoader loader(ds, 2, false);
+  data::DirectEncoder encoder;
+  snn::RateCrossEntropyLoss loss(8.0);
+  train::TrainerConfig tcfg;
+  tcfg.num_steps = 2;
+  tcfg.verbose = false;
+  train::Trainer trainer(net, encoder, loss, tcfg);
+  EXPECT_THROW(trainer.evaluate(loader), InvalidArgument);
 }
 
 TEST(InferSession, RejectsMismatchedInputs) {

@@ -18,7 +18,7 @@
 #include "core/error.h"
 #include "core/json.h"
 #include "exp/experiment.h"
-#include "exp/ledger_flags.h"
+#include "exp/sweep.h"
 #include "obs/dashboard.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -313,7 +313,7 @@ TEST(RunLedger, ParseDirSortsAndRequiresRuns) {
   EXPECT_EQ(runs[1].manifest.run_id, "b_run.jsonl");
 }
 
-// -------------------------------------------------------------- ledger flags
+// ------------------------------------------------------------------ run ids
 
 TEST(LedgerFlags, SanitizeRunId) {
   EXPECT_EQ(exp::sanitize_run_id("beta=0.25 theta=1"), "beta_0.25_theta_1");
@@ -660,6 +660,36 @@ TEST(LedgerEndToEnd, ResumedRunAppendsSecondManifest) {
   for (std::size_t i = 0; i < parsed.epochs.size(); ++i)
     EXPECT_EQ(parsed.epochs[i].epoch, static_cast<std::int64_t>(i));
   EXPECT_TRUE(parsed.has_final);
+}
+
+TEST(LedgerEndToEnd, SweepWritesOneStreamAndCheckpointDirPerPoint) {
+  const std::string ledger_dir = temp_path("ledger_sweep");
+  const std::string ckpt_dir = temp_path("ledger_sweep_ckpt");
+  std::filesystem::remove_all(ledger_dir);
+  std::filesystem::remove_all(ckpt_dir);
+  auto cfg = smoke_config();
+  cfg.train_size = 64;
+  cfg.test_size = 32;
+  cfg.trainer.epochs = 1;
+  cfg.trainer.num_steps = 2;
+  cfg.ledger.dir = ledger_dir;
+  cfg.ledger.argv = "fig2 --ledger";
+  cfg.trainer.checkpoint_dir = ckpt_dir;
+
+  const auto points = exp::run_beta_theta_sweep(cfg, {0.25, 0.5}, {1.0});
+  ASSERT_EQ(points.size(), 2u);
+  for (const char* key : {"beta=0.25 theta=1", "beta=0.5 theta=1"}) {
+    const std::string name = exp::sanitize_run_id(key);
+    const auto parsed = obs::parse_ledger(ledger_dir + "/" + name + ".jsonl");
+    EXPECT_EQ(parsed.manifest.run_id, key);
+    EXPECT_EQ(parsed.manifest.argv, "fig2 --ledger");
+    bool tagged = false;  // firing-rate gauges are namespaced per point
+    for (const auto& [k, v] : parsed.manifest.info)
+      if (k == "run_tag") tagged = v == name;
+    EXPECT_TRUE(tagged) << key;
+    EXPECT_TRUE(parsed.has_final) << key;
+    EXPECT_TRUE(std::filesystem::is_directory(ckpt_dir + "/" + name)) << key;
+  }
 }
 
 }  // namespace

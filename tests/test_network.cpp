@@ -100,40 +100,6 @@ TEST(Network, StatsRecordInputAndOutputDensities) {
   EXPECT_EQ(layers[1].input_elements, 6 * 3 * 8);
 }
 
-TEST(Network, StepTraceMatchesAggregate) {
-  MlpConfig cfg;
-  cfg.in_features = 16;
-  cfg.hidden = 8;
-  auto net = make_snn_mlp(cfg);
-  auto out = net->forward(constant_window(5, Shape{2, 16}, 0.9f),
-                          {.record_stats = true, .record_step_nonzeros = true});
-  ASSERT_EQ(out.step_input_nonzeros.size(), 5u);
-  for (std::size_t l = 0; l < net->num_layers(); ++l) {
-    std::int64_t total = 0;
-    for (const auto& step : out.step_input_nonzeros) total += step[l];
-    EXPECT_EQ(total, out.stats.layers()[l].input_nonzeros) << "layer " << l;
-  }
-}
-
-TEST(Network, StepTraceIsOptIn) {
-  // record_stats alone must not grow the TxL per-step tally; only the
-  // hardware simulator's explicit opt-in pays for it.
-  MlpConfig cfg;
-  cfg.in_features = 16;
-  cfg.hidden = 8;
-  auto net = make_snn_mlp(cfg);
-  auto window = constant_window(4, Shape{2, 16}, 0.9f);
-  auto stats_only = net->forward(window, {.record_stats = true});
-  EXPECT_TRUE(stats_only.step_input_nonzeros.empty());
-  EXPECT_GT(stats_only.stats.layers()[0].input_nonzeros, 0);
-
-  // The tally alone works too (no aggregate stats requested).
-  auto trace_only = net->forward(window, {.record_step_nonzeros = true});
-  ASSERT_EQ(trace_only.step_input_nonzeros.size(), 4u);
-  EXPECT_EQ(trace_only.stats.layers()[0].input_nonzeros, 0);
-  EXPECT_EQ(trace_only.step_input_nonzeros[0][0], 2 * 16);
-}
-
 TEST(Network, BackwardProducesFiniteNonzeroGrads) {
   MlpConfig cfg;
   cfg.in_features = 16;

@@ -810,15 +810,13 @@ TEST(JournaledSweep, FailedPointIsRecordedAndSweepContinues) {
   const std::string ckpt_root = tmp_path("sweep_ckpts");
   fs::remove(journal);
   fs::remove_all(ckpt_root);
-  const auto cfg = tiny_experiment_config();
+  auto cfg = tiny_experiment_config();
+  cfg.trainer.checkpoint_dir = ckpt_root;
 
-  exp::SweepOptions options;
-  options.journal_path = journal;
-  options.checkpoint_root = ckpt_root;
   // "bogus" is not a surrogate name: that point must fail without sinking
   // the rest of the sweep.
   const auto points = exp::run_surrogate_sweep(cfg, {"arctan", "bogus"},
-                                               {1.0}, {}, options);
+                                               {1.0}, {}, journal);
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].status, "done");
   EXPECT_FALSE(points[0].from_journal);
@@ -830,12 +828,9 @@ TEST(JournaledSweep, FailedPointIsRecordedAndSweepContinues) {
 
   // Restart with resume: the done point is restored, not retrained; the
   // failed point is re-attempted (and fails again).
+  cfg.trainer.resume = true;
   const auto again = exp::run_surrogate_sweep(cfg, {"arctan", "bogus"},
-                                              {1.0}, {}, [&] {
-                                                auto o = options;
-                                                o.resume = true;
-                                                return o;
-                                              }());
+                                              {1.0}, {}, journal);
   ASSERT_EQ(again.size(), 2u);
   EXPECT_TRUE(again[0].from_journal);
   expect_result_bits_equal(again[0].result, points[0].result);
@@ -848,16 +843,14 @@ TEST(JournaledSweep, FailedPointIsRecordedAndSweepContinues) {
 TEST(JournaledSweep, BetaThetaSweepJournalsToo) {
   const std::string journal = tmp_path("sweep_bt_journal.jsonl");
   fs::remove(journal);
-  const auto cfg = tiny_experiment_config();
-  exp::SweepOptions options;
-  options.journal_path = journal;
+  auto cfg = tiny_experiment_config();
   const auto points =
-      exp::run_beta_theta_sweep(cfg, {0.5}, {1.0}, {}, options);
+      exp::run_beta_theta_sweep(cfg, {0.5}, {1.0}, {}, journal);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].status, "done");
 
-  options.resume = true;
-  const auto again = exp::run_beta_theta_sweep(cfg, {0.5}, {1.0}, {}, options);
+  cfg.trainer.resume = true;
+  const auto again = exp::run_beta_theta_sweep(cfg, {0.5}, {1.0}, {}, journal);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_TRUE(again[0].from_journal);
   expect_result_bits_equal(again[0].result, points[0].result);
@@ -900,9 +893,8 @@ TEST(ValidateConfig, SweepFailsFastOnInvalidBaseConfig) {
   bad.loss = "hinge";
   // The whole sweep must refuse upfront (before training anything), not
   // record every point as failed.
-  EXPECT_THROW(
-      exp::run_surrogate_sweep(bad, {"arctan"}, {1.0}, {}, {}),
-      InvalidArgument);
+  EXPECT_THROW(exp::run_surrogate_sweep(bad, {"arctan"}, {1.0}),
+               InvalidArgument);
 }
 
 std::vector<exp::BetaThetaPoint> mixed_status_points() {
