@@ -32,4 +32,13 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   return crc32_update(0, data, size);
 }
 
+std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;  // FNV-1a 64-bit prime
+  }
+  return h;
+}
+
 }  // namespace spiketune

@@ -9,6 +9,9 @@
 namespace spiketune::data {
 
 namespace {
+/// Lower bound on the |fg - bg| luminance gap of every crop.
+constexpr float kMinContrast = 0.35f;
+
 float luminance(const float rgb[3]) {
   return 0.299f * rgb[0] + 0.587f * rgb[1] + 0.114f * rgb[2];
 }
@@ -18,8 +21,6 @@ SynthSvhn::SynthSvhn(SynthSvhnConfig config) : config_(config) {
   ST_REQUIRE(config_.num_examples > 0, "num_examples must be positive");
   ST_REQUIRE(config_.image_size >= 8, "image_size must be at least 8");
   ST_REQUIRE(config_.noise_stddev >= 0.0f, "noise_stddev must be >= 0");
-  ST_REQUIRE(config_.min_contrast > 0.0f && config_.min_contrast < 1.0f,
-             "min_contrast must be in (0, 1)");
 }
 
 void SynthSvhn::render_digit(Tensor& image, int digit, float center_x,
@@ -62,7 +63,7 @@ Example SynthSvhn::get(std::int64_t i) const {
   for (float& c : bg) c = static_cast<float>(rng.uniform(0.05, 0.95));
   do {
     for (float& c : fg) c = static_cast<float>(rng.uniform(0.0, 1.0));
-  } while (std::fabs(luminance(fg) - luminance(bg)) < config_.min_contrast);
+  } while (std::fabs(luminance(fg) - luminance(bg)) < kMinContrast);
 
   Tensor image(Shape{3, s, s});
   const std::int64_t plane = s * s;

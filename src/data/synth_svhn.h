@@ -28,7 +28,6 @@ struct SynthSvhnConfig {
   std::uint64_t seed = 0xda7a5e7;
   bool distractors = true;        // SVHN-style neighbour digits at borders
   float noise_stddev = 0.04f;     // sensor noise in [0,1] pixel units
-  float min_contrast = 0.35f;     // |fg - bg| luminance lower bound
 };
 
 class SynthSvhn final : public Dataset {

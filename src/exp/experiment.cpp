@@ -7,11 +7,10 @@
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/parallel.h"
-#include "data/synth_digits.h"
 #include "data/synth_svhn.h"
-#include "hw/project.h"
 #include "obs/ledger.h"
 #include "obs/profiler.h"
+#include "obs/spike_health.h"
 
 namespace spiketune::exp {
 
@@ -86,16 +85,8 @@ void validate(const ExperimentConfig& config) {
   ST_REQUIRE(config.image_size > 0, "image_size must be positive");
   ST_REQUIRE(config.model.image_size == config.image_size,
              "model.image_size must match data image_size");
-  if (config.dataset == "svhn") {
-    ST_REQUIRE(config.model.in_channels == 3,
-               "svhn dataset requires model.in_channels == 3");
-  } else if (config.dataset == "digits") {
-    ST_REQUIRE(config.model.in_channels == 1,
-               "digits dataset requires model.in_channels == 1");
-  } else {
-    throw InvalidArgument("unknown dataset: " + config.dataset +
-                          " (expected svhn|digits)");
-  }
+  ST_REQUIRE(config.model.in_channels == 3,
+             "svhn dataset requires model.in_channels == 3");
   ST_REQUIRE(config.encoder == "direct" || config.encoder == "rate" ||
                  config.encoder == "latency",
              "unknown encoder: " + config.encoder +
@@ -112,15 +103,14 @@ void validate(const ExperimentConfig& config) {
   ST_REQUIRE(t.stop_after_epochs >= 0, "stop_after_epochs must be >= 0");
   // Note: trainer.resume with an empty checkpoint_dir is a no-op, not an
   // error — sweep drivers pass --resume for the journal alone.
-  if (!config.ledger.dir.empty()) {
-    ST_REQUIRE(!config.ledger.run_id.empty(),
-               "ledger.run_id must not be empty when the ledger is enabled");
-    ST_REQUIRE(config.ledger.probe_batches > 0,
-               "ledger.probe_batches must be positive");
-  }
+  ST_REQUIRE(config.ledger.dir.empty() || !config.ledger.run_id.empty(),
+             "ledger.run_id must not be empty when the ledger is enabled");
 }
 
 namespace {
+
+/// Test-loader batches the ledger's per-epoch activity probe reads.
+constexpr std::int64_t kProbeBatches = 2;
 
 std::vector<obs::LedgerLayerStat> layer_stats(const snn::SpikeRecord& record) {
   std::vector<obs::LedgerLayerStat> out;
@@ -176,7 +166,7 @@ obs::RunLedger open_run_ledger(const ExperimentConfig& config,
   m.argv = config.ledger.argv;
   m.build = std::string("cxx ") + __VERSION__;
   m.resumed_from = resumed_from;
-  m.info = {{"dataset", config.dataset},
+  m.info = {{"dataset", "svhn"},
             {"encoder", config.encoder},
             {"loss", config.loss},
             {"device", config.accel.device.name},
@@ -203,31 +193,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   validate(config);
 
   // Data: deterministic synthetic splits, materialized once.
-  std::shared_ptr<const data::Dataset> train_ds;
-  std::shared_ptr<const data::Dataset> test_ds;
-  if (config.dataset == "svhn") {
-    ST_REQUIRE(config.model.in_channels == 3,
-               "svhn dataset requires model.in_channels == 3");
-    auto splits = data::make_synth_svhn_splits(
-        config.train_size, config.test_size, config.image_size,
-        config.data_seed);
-    train_ds = std::make_shared<data::InMemoryDataset>(
-        data::InMemoryDataset::from(splits.train));
-    test_ds = std::make_shared<data::InMemoryDataset>(
-        data::InMemoryDataset::from(splits.test));
-  } else if (config.dataset == "digits") {
-    ST_REQUIRE(config.model.in_channels == 1,
-               "digits dataset requires model.in_channels == 1");
-    auto splits = data::make_synth_digits_splits(
-        config.train_size, config.test_size, config.image_size,
-        config.data_seed);
-    train_ds = std::make_shared<data::InMemoryDataset>(
-        data::InMemoryDataset::from(splits.train));
-    test_ds = std::make_shared<data::InMemoryDataset>(
-        data::InMemoryDataset::from(splits.test));
-  } else {
-    throw InvalidArgument("unknown dataset: " + config.dataset);
-  }
+  const auto splits = data::make_synth_svhn_splits(
+      config.train_size, config.test_size, config.image_size,
+      config.data_seed);
+  std::shared_ptr<const data::Dataset> train_ds =
+      std::make_shared<data::InMemoryDataset>(
+          data::InMemoryDataset::from(splits.train));
+  std::shared_ptr<const data::Dataset> test_ds =
+      std::make_shared<data::InMemoryDataset>(
+          data::InMemoryDataset::from(splits.test));
   if (config.normalize) {
     // Train-split statistics applied to both splits (no test leakage).
     const auto means = data::channel_means(*train_ds);
@@ -244,21 +218,19 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // Model + training stack.
   auto net = snn::make_svhn_csnn(config.model);
   auto encoder = data::make_encoder(config.encoder, config.data_seed ^ 0xE);
+  // validate() has accepted the loss name: it is rate_ce or count_mse.
   std::unique_ptr<snn::Loss> loss;
-  if (config.loss == "rate_ce") {
+  if (config.loss == "rate_ce")
     loss = std::make_unique<snn::RateCrossEntropyLoss>(
         static_cast<double>(config.trainer.num_steps));
-  } else if (config.loss == "count_mse") {
+  else
     loss = std::make_unique<snn::CountMseLoss>(config.trainer.num_steps);
-  } else {
-    throw InvalidArgument("unknown loss: " + config.loss);
-  }
   train::Trainer trainer(*net, *encoder, *loss, config.trainer);
 
   // Run ledger: manifest now, one epoch record per epoch via the fit
   // callback, warnings as the spike-health monitor fires, final at the end.
   obs::RunLedger ledger;
-  obs::SpikeHealthMonitor spike_health(config.ledger.health);
+  obs::SpikeHealthMonitor spike_health;
   if (!config.ledger.dir.empty())
     ledger = open_run_ledger(config, trainer, train_loader);
 
@@ -274,7 +246,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // Cheap activity probe on a few test batches; its encoder streams are
     // namespaced (Trainer::probe_stream) so training numbers are untouched.
     const snn::SpikeRecord record = trainer.record_activity(
-        test_loader, m.epoch, config.ledger.probe_batches);
+        test_loader, m.epoch, kProbeBatches);
     obs::LedgerEpoch e;
     e.epoch = m.epoch;
     e.train_loss = m.train_loss;
@@ -286,8 +258,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     e.layers = layer_stats(record);
     if (hw_projection_ok) {
       try {
-        e.hw = hw::projection_values(hw::project_from_record(
-            *net, record, config.trainer.num_steps, config.accel));
+        e.hw = hw::projection_values(hw::Accelerator(config.accel).map(
+            *net, record, config.trainer.num_steps));
       } catch (const std::exception& ex) {
         // E.g. the model exceeds device BRAM: record epochs without hw
         // trajectories rather than killing the training run.

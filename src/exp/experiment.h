@@ -12,7 +12,6 @@
 #include <string>
 
 #include "hw/accelerator.h"
-#include "obs/spike_health.h"
 #include "snn/model_zoo.h"
 #include "train/trainer.h"
 
@@ -42,14 +41,10 @@ struct LedgerConfig {
   std::string run_id = "run";
   /// The driver's command line, recorded verbatim in the manifest.
   std::string argv;
-  /// Test-loader batches probed per epoch for spike densities.
-  std::int64_t probe_batches = 2;
-  /// Spike-health detector thresholds.
-  obs::SpikeHealthConfig health;
 };
 
 struct ExperimentConfig {
-  // Data.
+  // Data: SynthSvhn splits (3-channel, the paper's dataset class).
   std::int64_t train_size = 768;
   std::int64_t test_size = 256;
   std::int64_t image_size = 16;
@@ -62,11 +57,6 @@ struct ExperimentConfig {
   /// Standardize images with per-channel train-split means and a fixed
   /// 0.25 std (images live in [0,1], so this spreads them over ~±2).
   bool normalize = true;
-  /// Task: "svhn" (SynthSvhn, 3-channel, the paper's dataset class) or
-  /// "digits" (SynthDigits, 1-channel MNIST-like; the paper's future-work
-  /// "additional datasets").  Selecting "digits" requires
-  /// model.in_channels == 1.
-  std::string dataset = "svhn";
   /// Training loss: "rate_ce" (softmax CE on spike counts, the default) or
   /// "count_mse" (snnTorch's mse_count_loss; the paper's future-work
   /// "other hyperparameters like loss functions").
@@ -137,8 +127,8 @@ inline constexpr ResultField kResultFields[] = {
 #undef SPIKETUNE_X
 };
 
-/// Fail-fast validation: checks every by-name selection (dataset, encoder,
-/// loss), the dataset/model channel and image-size agreement, and the
+/// Fail-fast validation: checks every by-name selection (encoder, loss),
+/// the SynthSvhn/model channel and image-size agreement, and the
 /// trainer's crash-safety settings *before* any data is materialized or
 /// training starts.  Throws InvalidArgument with a precise message, so a
 /// typo in a sweep config surfaces immediately instead of after the first

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/table.h"
-#include "hw/project.h"
 
 namespace spiketune::hw {
 
@@ -15,13 +14,11 @@ MappingReport Accelerator::map(const snn::SpikingNetwork& net,
                                std::int64_t timesteps,
                                bool validate_with_sim) const {
   MappingReport report;
-  // Same analytic pipeline the per-epoch ledger projection uses, so the
-  // end-of-run report and the trajectory's last point always agree.
-  HwProjection projection = project_from_record(net, record, timesteps,
-                                                config_);
-  report.workloads = std::move(projection.workloads);
-  report.allocation = std::move(projection.allocation);
-  report.perf = std::move(projection.perf);
+  report.workloads = extract_workloads(net, record, timesteps);
+  report.allocation =
+      allocate(report.workloads, config_.device, config_.policy);
+  report.perf = analyze(report.workloads, report.allocation, config_.device,
+                        timesteps, config_.mode);
   if (validate_with_sim) {
     Rng rng(0x51badc0deULL);
     const SpikeTrace trace = random_trace(report.workloads, timesteps, rng);
@@ -31,6 +28,19 @@ MappingReport Accelerator::map(const snn::SpikingNetwork& net,
     report.event_sim = simulate_inference(sim_cfg, trace);
   }
   return report;
+}
+
+std::vector<std::pair<std::string, double>> projection_values(
+    const MappingReport& report) {
+  const PerfReport& perf = report.perf;
+  return {
+      {"stage_cycles", perf.stage_cycles},
+      {"latency_us", perf.latency_s * 1e6},
+      {"throughput_fps", perf.throughput_fps},
+      {"watts", perf.power.total()},
+      {"fps_per_watt", perf.fps_per_watt},
+      {"total_pes", static_cast<double>(report.allocation.total_pes)},
+  };
 }
 
 std::string MappingReport::summary() const {

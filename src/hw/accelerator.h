@@ -2,11 +2,16 @@
 //
 // Bundles workload extraction, PE allocation, the analytic performance
 // model, and (optionally) event-simulator validation into a single report —
-// the hardware half of every experiment in the paper.
+// the hardware half of every experiment in the paper.  The run ledger maps
+// the model after every epoch too (analytic only) and records
+// projection_values of the report, so the end-of-run report and the
+// trajectory's last point come from one pipeline.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "hw/event_sim.h"
 #include "hw/perf_model.h"
@@ -48,5 +53,10 @@ class Accelerator {
  private:
   AcceleratorConfig config_;
 };
+
+/// Flattens a report into the run ledger's `hw` pairs:
+/// stage_cycles, latency_us, throughput_fps, watts, fps_per_watt, total_pes.
+std::vector<std::pair<std::string, double>> projection_values(
+    const MappingReport& report);
 
 }  // namespace spiketune::hw

@@ -37,7 +37,7 @@ double group_cycles(const EventSimConfig& cfg, std::size_t l,
   // Dispatch: bounded pop bandwidth from the event queue.
   const double dispatch =
       std::ceil(static_cast<double>(events) /
-                static_cast<double>(std::min(cfg.dispatch_ports, pes)));
+                static_cast<double>(std::min(calib::kDispatchPorts, pes)));
   // MAC phase: each event is broadcast to the group and its fanout MACs
   // are spread across the lanes (output-parallel), so the group retires
   // pes MACs per cycle until the tick's synaptic work drains.

@@ -4,9 +4,9 @@
 // this simulator replays an actual spike trace tick by tick:
 //   * each lock-step tick t, layer group l receives the recorded number of
 //     input events for timestep t;
-//   * events are dispatched to the group's PE lanes through a bounded
-//     number of dispatch ports (ceil(events / ports) dispatch cycles) —
-//     a structural bound the analytic model does not charge;
+//   * events are dispatched to the group's PE lanes through
+//     calib::kDispatchPorts dispatch ports (ceil(events / ports) dispatch
+//     cycles) — a structural bound the analytic model does not charge;
 //   * each event is broadcast to the group and its fanout MACs are spread
 //     across the lanes (output-parallel), so the MAC phase drains at
 //     pes MACs/cycle: ceil(events * fanout / pes) cycles;
@@ -35,8 +35,6 @@ struct EventSimConfig {
   std::vector<std::int64_t> fanout;   // MACs per event, per layer
   std::vector<std::int64_t> neurons;  // neuron updates per tick, per layer
   double clock_hz = 200e6;
-  /// Event-queue pop ports per group (calib::kDispatchPorts by default).
-  std::int64_t dispatch_ports = 4;
 
   /// Builds a config from a mapped model.
   static EventSimConfig from(const std::vector<LayerWorkload>& workloads,

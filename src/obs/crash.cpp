@@ -234,15 +234,6 @@ void install_sigaltstack() {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void install_crash_handler(const CrashHandlerConfig& config) {
   std::lock_guard<std::mutex> lock(g_install_mu);
   ::mkdir(config.bundle_dir.c_str(), 0755);  // one level, best-effort

@@ -100,8 +100,4 @@ struct CrashMeta {
 };
 CrashMeta parse_crash_meta(const std::string& path);
 
-/// FNV-1a 64-bit over `text` — the hash the drivers use for their config
-/// fingerprint (same constants as the checkpoint fingerprint).
-std::uint64_t fnv1a64(const std::string& text);
-
 }  // namespace spiketune::obs

@@ -607,8 +607,8 @@ std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
   if (!fps_chart.empty()) html += fps_chart;
 
   html += "<h2>Per-layer density</h2>\n";
-  const std::size_t max_heatmaps = std::min<std::size_t>(
-      runs.size(), static_cast<std::size_t>(std::max(1, options.max_series)));
+  const std::size_t max_heatmaps =
+      std::min<std::size_t>(runs.size(), kPaletteSize);
   for (std::size_t i = 0; i < max_heatmaps; ++i)
     html += render_heatmap(runs[i]);
   if (max_heatmaps < runs.size())

@@ -32,9 +32,6 @@ namespace spiketune::obs {
 
 struct DashboardOptions {
   std::string title = "spiketune run ledger";
-  /// Runs beyond this many fold into a single gray "other" series so hues
-  /// are never cycled.  Capped at the palette size (8).
-  int max_series = 8;
 };
 
 /// Renders the dashboard document; `runs` must be non-empty.

@@ -16,15 +16,11 @@ std::string format_density(double v) {
 
 }  // namespace
 
-SpikeHealthMonitor::SpikeHealthMonitor(SpikeHealthConfig config)
-    : config_(config) {}
-
 std::vector<LedgerWarning> SpikeHealthMonitor::check(
     std::int64_t epoch, const std::vector<LedgerLayerStat>& layers) {
   std::vector<LedgerWarning> fired;
-  if (!config_.enabled) return fired;
 
-  // The collapse detector tracks the running peak even before min_epoch so
+  // The collapse detector tracks the running peak even during the warm-up so
   // an early strong epoch still anchors the baseline.
   double rate_sum = 0.0;
   std::int64_t rate_count = 0;
@@ -61,36 +57,36 @@ std::vector<LedgerWarning> SpikeHealthMonitor::check(
     active_.erase({detector, layer});
   };
 
-  if (epoch >= config_.min_epoch) {
+  if (epoch >= kSpikeHealthMinEpoch) {
     for (const LedgerLayerStat& layer : layers) {
       if (!layer.spiking) continue;
       // Layer names repeat (the paper topology has four layers named
       // "lif"); key and report by "<index>.<name>", the same unique id the
       // per-layer firing-rate gauges use.
       const std::string id = std::to_string(layer.index) + "." + layer.name;
-      if (layer.out_density < config_.dead_output_density) {
+      if (layer.out_density < kDeadOutputDensity) {
         fire("dead_layer", id, layer.out_density,
-             config_.dead_output_density,
+             kDeadOutputDensity,
              "layer '" + id + "' output density " +
                  format_density(layer.out_density) + " fell below " +
-                 format_density(config_.dead_output_density) +
+                 format_density(kDeadOutputDensity) +
                  "; no spikes -> no surrogate gradient");
       } else {
         clear("dead_layer", id);
       }
-      if (layer.out_density > config_.saturation_density) {
+      if (layer.out_density > kSaturationDensity) {
         fire("saturated_layer", id, layer.out_density,
-             config_.saturation_density,
+             kSaturationDensity,
              "layer '" + id + "' output density " +
                  format_density(layer.out_density) + " exceeded " +
-                 format_density(config_.saturation_density) +
+                 format_density(kSaturationDensity) +
                  "; spikes carry no information and the workload is dense");
       } else {
         clear("saturated_layer", id);
       }
     }
 
-    const double floor = peak_rate_ * (1.0 - config_.collapse_drop);
+    const double floor = peak_rate_ * (1.0 - kCollapseDrop);
     if (peak_rate_ > 0.0 && mean_rate < floor) {
       fire("collapse", "", mean_rate, floor,
            "mean firing rate " + format_density(mean_rate) +

@@ -4,8 +4,8 @@
 // drift into dead or saturated layers many epochs before the accuracy curve
 // reveals it (Herranz-Celotti & Rouat; Aliyev et al.).  The monitor consumes
 // each epoch's per-layer spike densities (the same LedgerLayerStat rows the
-// run ledger records) and fires three detectors with configurable
-// thresholds:
+// run ledger records) and fires three detectors, whose thresholds are the
+// constants below:
 //
 //   dead_layer       — a spiking layer's output density fell below a floor
 //                      (its neurons have effectively stopped firing, so no
@@ -33,39 +33,31 @@
 
 namespace spiketune::obs {
 
-struct SpikeHealthConfig {
-  bool enabled = true;
-  /// Spiking layer with output density below this is dead.
-  double dead_output_density = 1e-3;
-  /// Spiking layer with output density above this is saturated.
-  double saturation_density = 0.95;
-  /// Warn when the mean firing rate drops below (1 - collapse_drop) of its
-  /// running peak.
-  double collapse_drop = 0.5;
-  /// First epoch (0-based) the detectors run on.  The first epochs of a run
-  /// legitimately start near-silent while weights grow into the threshold —
-  /// on seconds-scale presets even the output layer routinely emits zero
-  /// spikes until epoch 2 — so epochs before this are a warm-up grace
-  /// period.
-  std::int64_t min_epoch = 2;
-};
+/// Spiking layer with output density below this is dead.
+inline constexpr double kDeadOutputDensity = 1e-3;
+/// Spiking layer with output density above this is saturated.
+inline constexpr double kSaturationDensity = 0.95;
+/// Warn when the mean firing rate drops below (1 - kCollapseDrop) of its
+/// running peak.
+inline constexpr double kCollapseDrop = 0.5;
+/// First epoch (0-based) the detectors run on.  The first epochs of a run
+/// legitimately start near-silent while weights grow into the threshold —
+/// on seconds-scale presets even the output layer routinely emits zero
+/// spikes until epoch 2 — so epochs before this are a warm-up grace period.
+inline constexpr std::int64_t kSpikeHealthMinEpoch = 2;
 
 class SpikeHealthMonitor {
  public:
-  explicit SpikeHealthMonitor(SpikeHealthConfig config = {});
-
   /// Evaluates all detectors against one epoch's per-layer densities.
   /// Returns the warnings that fired (empty when healthy); also bumps the
   /// `train.spike_health.*` counters when metrics are enabled.
   std::vector<LedgerWarning> check(std::int64_t epoch,
                                    const std::vector<LedgerLayerStat>& layers);
 
-  const SpikeHealthConfig& config() const { return config_; }
   /// Total warnings emitted by this monitor so far.
   std::int64_t warning_count() const { return warning_count_; }
 
  private:
-  SpikeHealthConfig config_;
   double peak_rate_ = 0.0;
   std::int64_t warning_count_ = 0;
   /// (detector, layer) pairs currently in the bad state, for edge-triggered

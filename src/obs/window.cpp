@@ -15,6 +15,13 @@ namespace {
 constexpr std::uint64_t kNeverTag = ~std::uint64_t{0} - 1;
 constexpr std::uint64_t kClaimTag = ~std::uint64_t{0};
 
+/// Oldest epoch of a window of `epochs` epochs ending at `cur`, clamped
+/// at epoch 0.
+std::uint64_t oldest_epoch(std::uint64_t cur, int epochs) {
+  const std::uint64_t span = static_cast<std::uint64_t>(epochs);
+  return cur + 1 >= span ? cur + 1 - span : 0;
+}
+
 void atomic_add_double(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
@@ -118,8 +125,7 @@ LogHistogram WindowedHistogram::merged() const {
 
 LogHistogram WindowedHistogram::merged_at(std::uint64_t now_ns) const {
   const std::uint64_t cur = now_ns / config_.epoch_ns;
-  const std::uint64_t span = static_cast<std::uint64_t>(config_.epochs);
-  const std::uint64_t lo = cur + 1 >= span ? cur + 1 - span : 0;
+  const std::uint64_t lo = oldest_epoch(cur, config_.epochs);
   LogHistogram out;
   for (int i = 0; i < num_slots_; ++i) {
     const Slot& s = slots_[i];
@@ -180,30 +186,15 @@ double WindowedRate::per_second() const {
 }
 
 double WindowedRate::per_second_at(std::uint64_t now_ns) const {
+  // The window's events over the time it covers: from the start of its
+  // oldest epoch (time 0 while the clock is younger than the window) to now.
   const std::uint64_t cur = now_ns / config_.epoch_ns;
-  const double epoch_s = static_cast<double>(config_.epoch_ns) / 1e9;
-  if (cur == 0) {
-    // No completed epoch yet: current count over time actually elapsed.
-    std::int64_t n = 0;
-    for (int i = 0; i < num_slots_; ++i)
-      if (slots_[i].tag.load(std::memory_order_acquire) == 0)
-        n = slots_[i].count.load(std::memory_order_relaxed);
-    const double elapsed_s = static_cast<double>(now_ns) / 1e9;
-    return elapsed_s > 1e-9 ? static_cast<double>(n) / elapsed_s : 0.0;
-  }
-  const std::uint64_t span = static_cast<std::uint64_t>(config_.epochs);
-  const std::uint64_t lo = cur >= span ? cur - span : 0;
-  const std::uint64_t hi = cur - 1;  // completed epochs only
-  std::int64_t n = 0;
-  for (int i = 0; i < num_slots_; ++i) {
-    const Slot& s = slots_[i];
-    const std::uint64_t tag = s.tag.load(std::memory_order_acquire);
-    if (tag == kNeverTag || tag == kClaimTag || tag < lo || tag > hi)
-      continue;
-    n += s.count.load(std::memory_order_relaxed);
-  }
-  const double window_s = static_cast<double>(hi - lo + 1) * epoch_s;
-  return static_cast<double>(n) / window_s;
+  const std::uint64_t lo = oldest_epoch(cur, config_.epochs);
+  const double covered_s =
+      static_cast<double>(now_ns - lo * config_.epoch_ns) / 1e9;
+  return covered_s > 0.0
+             ? static_cast<double>(total_in_window_at(now_ns)) / covered_s
+             : 0.0;
 }
 
 std::int64_t WindowedRate::total_in_window() const {
@@ -212,8 +203,7 @@ std::int64_t WindowedRate::total_in_window() const {
 
 std::int64_t WindowedRate::total_in_window_at(std::uint64_t now_ns) const {
   const std::uint64_t cur = now_ns / config_.epoch_ns;
-  const std::uint64_t span = static_cast<std::uint64_t>(config_.epochs);
-  const std::uint64_t lo = cur + 1 >= span ? cur + 1 - span : 0;
+  const std::uint64_t lo = oldest_epoch(cur, config_.epochs);
   std::int64_t n = 0;
   for (int i = 0; i < num_slots_; ++i) {
     const Slot& s = slots_[i];

@@ -68,9 +68,8 @@ class WindowedHistogram {
   std::atomic<std::int64_t> dropped_late_{0};
 };
 
-/// Sliding-window event rate (QPS, rejections/s): per-epoch counts with the
-/// rate computed over *completed* epochs so a fresh, partial epoch never
-/// drags the estimate down.
+/// Sliding-window event rate (QPS, rejections/s): per-epoch counts, the
+/// rate being the in-window total over the time the window covers.
 class WindowedRate {
  public:
   explicit WindowedRate(WindowConfig config = {});
@@ -79,9 +78,9 @@ class WindowedRate {
   void add(std::int64_t n = 1);
   void add_at(std::int64_t n, std::uint64_t now_ns);
 
-  /// Events/second over the trailing window of completed epochs.  Before
-  /// the first epoch completes, falls back to the current epoch's count
-  /// over the time elapsed inside it.
+  /// total_in_window() over the seconds from the start of the window's
+  /// oldest epoch (clamped at time 0) to now, so the current, partial epoch
+  /// counts with the time it has run.
   double per_second() const;
   double per_second_at(std::uint64_t now_ns) const;
 

@@ -193,9 +193,21 @@ bool FaultInjectingConnection::read_frame(FrameHeader& header,
   const std::uint64_t frame = read_seq_++;
   const bool delay = read_rng_.bernoulli(spec_.p_delay);
   const bool corrupt = read_rng_.bernoulli(spec_.p_corrupt);
+  if (delay) {
+    log_fault('r', frame, "delay");
+    std::this_thread::sleep_for(std::chrono::milliseconds(spec_.delay_ms));
+  }
+  // Corruption is armed per frame and fires on the first header byte (the
+  // magic LSB), so decode_header is guaranteed to reject it — faults must
+  // never be able to silently alter a payload the parity gate would pass.
+  corrupt_next_read_ = corrupt;
+  if (!TcpConnection::read_frame(header, payload, wake_fd)) return false;
   // crash_at is counter-based, not an RNG draw, so it neither perturbs the
-  // fault schedule above nor depends on it: the Nth inbound frame across
-  // all of the listener's connections kills the process, exactly.
+  // fault schedule above nor depends on it: the Nth decoded inbound frame
+  // across all of the listener's connections kills the process, exactly.
+  // It fires once that frame has arrived, not when the reader starts
+  // waiting for it: a client that sends frame N only after its reply to
+  // N - 1 then knows every earlier request was answered before the crash.
   if (spec_.crash_at > 0 && frame_counter_ != nullptr) {
     const std::int64_t nth =
         frame_counter_->fetch_add(1, std::memory_order_relaxed) + 1;
@@ -212,15 +224,7 @@ bool FaultInjectingConnection::read_frame(FrameHeader& header,
       }
     }
   }
-  if (delay) {
-    log_fault('r', frame, "delay");
-    std::this_thread::sleep_for(std::chrono::milliseconds(spec_.delay_ms));
-  }
-  // Corruption is armed per frame and fires on the first header byte (the
-  // magic LSB), so decode_header is guaranteed to reject it — faults must
-  // never be able to silently alter a payload the parity gate would pass.
-  corrupt_next_read_ = corrupt;
-  return TcpConnection::read_frame(header, payload, wake_fd);
+  return true;
 }
 
 ssize_t FaultInjectingConnection::transport_recv(std::uint8_t* buf,

@@ -10,8 +10,8 @@
 // frame.
 //
 //   ./serve --model mlp --port 7421 --workers 2
-//   ./serve --model csnn --batch 32 --latency-budget-us 3000 \
-//           --metrics-out serve_metrics.csv --ledger runs
+//   ./serve --model csnn --batch 32 --latency-budget-us 3000 --ledger runs
+//   ./serve --model csnn --metrics-out serve_metrics.csv
 #include <poll.h>
 
 #include <cstdio>
@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "core/cli.h"
+#include "core/crc32.h"
 #include "core/error.h"
 #include "core/parallel.h"
 #include "exp/standard_flags.h"
@@ -140,8 +141,10 @@ int main(int argc, char** argv) {
     const std::string build_stamp = std::string("cxx ") + __VERSION__;
     const std::string argv_text = join_argv(argc, argv);
     cfg.build_stamp = build_stamp;
+    const std::string fingerprint_text =
+        build_stamp + "\n" + model_name + "\n" + argv_text;
     cfg.config_fingerprint =
-        obs::fnv1a64(build_stamp + "\n" + model_name + "\n" + argv_text);
+        fnv1a64(fingerprint_text.data(), fingerprint_text.size());
 
     // Black-box forensics, armed before any request can arrive.  The flight
     // recorder is on by default: its disabled-path cost is one atomic load,

@@ -84,6 +84,9 @@
 
 namespace spiketune::serve {
 
+// Every member has a default member initializer (`{}` for the ones whose
+// default is empty), so a designated initializer may name any subset
+// without -Wmissing-field-initializers.
 struct ServerConfig {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral (resolved port via Server::port())
@@ -106,18 +109,18 @@ struct ServerConfig {
   // spec string wraps the listener so every accepted connection misbehaves
   // on a seeded schedule.  fault_log (optional) is where the fired-fault
   // JSONL is written at drain.
-  std::string fault_spec;
-  std::string fault_log;
+  std::string fault_spec{};
+  std::string fault_log{};
   // Test hook: called for every request before each run it rides in, so
   // again when a failed batch's rows re-run alone.  Lets tests wedge a
   // worker (sleep) or poison a chosen request (throw) deterministically.
   // Leave empty in production.
-  std::function<void(const InferRequest&)> poison_hook;
+  std::function<void(const InferRequest&)> poison_hook{};
   // Request-scoped observability (see obs/spans.h).  Sampling keys off the
   // server-assigned request id: 0 disables spans, 1 records every request.
   std::uint64_t span_sample_every = 16;
   std::size_t span_capacity = 4096;  // spans retained in the ring
-  std::string span_log;              // JSONL dump path, written at drain
+  std::string span_log{};            // JSONL dump path, written at drain
   // Live windowed aggregates (STAT snapshots) look back this many seconds
   // (must be positive).
   int stat_window_s = 10;
@@ -131,12 +134,12 @@ struct ServerConfig {
   // eviction is impossible, so opens past the bound are refused with
   // kOverloaded instead.
   std::int64_t max_live_streams = 4096;
-  std::string stream_checkpoint_dir;
+  std::string stream_checkpoint_dir{};
   // Identification surfaced through STAT's "build" object (and serve_top):
   // a human-readable build stamp and the FNV-1a config fingerprint the
-  // driver computed over build + model + flags (obs::fnv1a64).  Both are
+  // driver computed over build + model + flags (core/crc32.h).  Both are
   // purely informational; empty/0 omits the object.
-  std::string build_stamp;
+  std::string build_stamp{};
   std::uint64_t config_fingerprint = 0;
 };
 

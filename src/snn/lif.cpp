@@ -90,11 +90,10 @@ void Lif::backward_rows(std::int64_t count, const LifConfig& config,
   const float beta = config.beta;
   const float theta = config.threshold;
   const Surrogate sg = config.surrogate;
-  const bool detach = config.detach_reset;
   parallel_for(0, count, kElemGrain, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
       const float c = carry ? carry[i] : 0.0f;
-      const float spike_path = go[i] - (detach ? 0.0f : theta * c);
+      const float spike_path = go[i] - theta * c;
       const float gi = c + spike_path * sg.grad(u_pre[i] - theta);
       grad_input[i] = gi;
       carry_out[i] = beta * gi;  // c[t-1] = beta * dL/du_pre[t]

@@ -15,8 +15,8 @@
 //   dL/dI[t]     = dL/du_pre[t]                   (to the upstream layer)
 //   c[t-1]       = beta * dL/du_pre[t]
 //
-// With `detach_reset` the reset path is excluded from the gradient (the
-// `- theta * c[t]` term is dropped), mirroring snnTorch's option.
+// The reset path stays in the gradient (the `- theta * c[t]` term), as in
+// snnTorch's default.
 //
 // Both are written once, as the static bodies step_rows and backward_rows;
 // infer::InferenceSession calls step_rows too.
@@ -31,7 +31,6 @@ struct LifConfig {
   float beta = 0.25f;       // membrane leak (paper default)
   float threshold = 1.0f;   // firing threshold theta (paper default)
   Surrogate surrogate = Surrogate::fast_sigmoid(25.0f);
-  bool detach_reset = false;
 };
 
 class Lif final : public Layer {
@@ -60,8 +59,7 @@ class Lif final : public Layer {
   /// Surrogate backward over `count` elements, with c = carry[i] (0 when
   /// carry is null):
   ///   gi[i] = c + (go[i] - theta * c) * sg'(u_pre[i] - theta),
-  ///   carry_out[i] = beta * gi[i]  (carry_out may alias carry),
-  /// with no `theta * c` term under detach_reset.
+  ///   carry_out[i] = beta * gi[i]  (carry_out may alias carry).
   static void backward_rows(std::int64_t count, const LifConfig& config,
                             const float* go, const float* u_pre,
                             const float* carry, float* grad_input,

@@ -48,7 +48,7 @@ struct EpochMetrics {
   double train_accuracy = 0.0;
   double lr = 0.0;
   /// Gradient L2-norm stats over the epoch's healthy batches, measured by
-  /// the numerical health pass; 0 when health_checks are disabled.
+  /// the numerical health pass; 0 when no batch of the epoch was healthy.
   double grad_norm_mean = 0.0;
   double grad_norm_max = 0.0;
   std::int64_t epoch = 0;

@@ -9,6 +9,7 @@
 #include <string>
 #include <typeinfo>
 
+#include "core/crc32.h"
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/parallel.h"
@@ -65,9 +66,6 @@ Trainer::Trainer(snn::SpikingNetwork& net, const data::SpikeEncoder& encoder,
   ST_REQUIRE(config_.keep_last >= 1, "keep_last must be >= 1");
   ST_REQUIRE(config_.stop_after_epochs >= 0,
              "stop_after_epochs must be non-negative");
-  ST_REQUIRE(config_.rollback_lr_cut > 0.0 && config_.rollback_lr_cut <= 1.0,
-             "rollback_lr_cut must be in (0, 1]");
-  ST_REQUIRE(config_.max_rollbacks >= 0, "max_rollbacks must be non-negative");
   if (config_.run_tag.empty())
     config_.run_tag = "net" + std::to_string(g_next_run_ordinal++);
   if (config_.threads > 0) set_num_threads(config_.threads);
@@ -145,12 +143,9 @@ EpochMetrics Trainer::train_epoch(data::DataLoader& loader, Adam& opt,
     if (testing::force_nan_loss && testing::force_nan_loss(epoch, batch_idx))
       lr.loss = std::numeric_limits<double>::quiet_NaN();
 
-    bool do_update = true;
-    if (config_.health_checks && !std::isfinite(lr.loss)) {
-      // Non-finite loss: apply the policy without a backward pass (the
-      // gradients would be garbage anyway).  Throws under throw/rollback.
-      do_update = batch_is_healthy(lr.loss, epoch, batch_idx);
-    } else {
+    // A non-finite loss skips the backward pass (its gradients would be
+    // garbage anyway); the health check then judges the loss alone.
+    if (std::isfinite(lr.loss)) {
       {
         ST_PROF_SCOPE("train.backward");
         net_.backward(lr.grad_counts);
@@ -162,10 +157,9 @@ EpochMetrics Trainer::train_epoch(data::DataLoader& loader, Adam& opt,
           params[0]->grad.data()[0] =
               std::numeric_limits<float>::infinity();
       }
-      if (config_.health_checks)
-        do_update = batch_is_healthy(lr.loss, epoch, batch_idx);
     }
-    if (do_update) {
+    // Throws under the throw and rollback policies.
+    if (batch_is_healthy(lr.loss, epoch, batch_idx)) {
       ST_PROF_SCOPE("train.step");
       opt.step();
       loss_mean.add(lr.loss, batch.batch_size());
@@ -192,13 +186,9 @@ std::uint64_t Trainer::config_fingerprint(
   // FNV-1a over everything that shapes the training trajectory.  Threads,
   // verbosity, and the checkpoint/health settings are deliberately
   // excluded: they never change the computed numbers.
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnv1a64Basis;
   auto mix_bytes = [&h](const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
+    h = fnv1a64(data, size, h);
   };
   auto mix_u64 = [&](std::uint64_t v) { mix_bytes(&v, sizeof(v)); };
   auto mix_f64 = [&](double v) { mix_bytes(&v, sizeof(v)); };
@@ -310,14 +300,13 @@ void Trainer::fit(data::DataLoader& loader, const EpochCallback& on_epoch) {
       if (!latest)
         throw NumericalError(std::string(ex.what()) +
                              "; no checkpoint to roll back to");
-      if (rollbacks >= config_.max_rollbacks)
+      if (rollbacks >= kMaxRollbacks)
         throw NumericalError(std::string(ex.what()) + "; rollback limit (" +
-                             std::to_string(config_.max_rollbacks) +
-                             ") exhausted");
+                             std::to_string(kMaxRollbacks) + ") exhausted");
       epoch = restore_training_state(*latest, opt, loader);
       obs::flight_record(obs::FlightEventId::kCheckpointRestore,
                          static_cast<std::uint64_t>(epoch));
-      lr_scale_ *= config_.rollback_lr_cut;
+      lr_scale_ *= kRollbackLrCut;
       ++rollbacks;
       if (obs::metrics_enabled())
         obs::add(obs::counter("train.health.rollbacks"));

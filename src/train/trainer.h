@@ -44,6 +44,11 @@ enum class NanPolicy {
 NanPolicy nan_policy_by_name(const std::string& name);
 const char* nan_policy_name(NanPolicy policy);
 
+/// Multiplier applied to the LR after each rollback (kRollback only).
+inline constexpr double kRollbackLrCut = 0.5;
+/// fit() gives up (throws NumericalError) after this many rollbacks.
+inline constexpr int kMaxRollbacks = 3;
+
 struct TrainerConfig {
   std::int64_t epochs = 25;      // paper: cosine annealing over 25 epochs
   std::int64_t num_steps = 10;   // BPTT window length T
@@ -79,13 +84,9 @@ struct TrainerConfig {
   std::int64_t stop_after_epochs = 0;
 
   // -- numerical guard rails ------------------------------------------------
-  /// Per-batch NaN/Inf checks on the loss and gradient norm.
-  bool health_checks = true;
+  /// What a batch with a non-finite loss or gradient norm triggers; every
+  /// batch is checked.
   NanPolicy nan_policy = NanPolicy::kThrow;
-  /// Multiplier applied to the LR after each rollback (kRollback only).
-  double rollback_lr_cut = 0.5;
-  /// Give up (throw NumericalError) after this many rollbacks in one fit().
-  int max_rollbacks = 3;
 
   // -- evaluation inference -------------------------------------------------
   /// Options for the compiled inference sessions that evaluate() and the
@@ -149,7 +150,7 @@ class Trainer {
   /// hardware trajectories.
   snn::SpikeRecord record_activity(data::DataLoader& loader,
                                    std::int64_t epoch,
-                                   std::int64_t max_batches = 2);
+                                   std::int64_t max_batches);
 
   /// Persists the complete training state (weights, optimizer, counters) to
   /// `path` as one atomic STK2 checkpoint.  `next_epoch` is the epoch a
@@ -174,9 +175,9 @@ class Trainer {
 
  private:
   /// Checks loss/gradients for NaN/Inf after a batch's backward pass.
-  /// Returns true if the batch is healthy (or checks are off); on an
-  /// unhealthy batch applies the configured policy (throw / skip).  Healthy
-  /// batches also feed the per-epoch gradient-norm stats.
+  /// Returns true if the batch is healthy; on an unhealthy batch applies
+  /// the configured policy (throw / skip).  Healthy batches also feed the
+  /// per-epoch gradient-norm stats.
   bool batch_is_healthy(double loss, std::int64_t epoch, std::int64_t batch);
 
   snn::SpikingNetwork& net_;

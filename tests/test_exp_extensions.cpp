@@ -1,5 +1,5 @@
-// End-to-end coverage of the extended experiment paths: the SynthDigits
-// task, the count-MSE loss, and configuration validation.
+// End-to-end coverage of the extended experiment paths: the count-MSE
+// loss, rate encoding, and configuration validation.
 #include <gtest/gtest.h>
 
 #include "core/error.h"
@@ -8,52 +8,14 @@
 namespace spiketune::exp {
 namespace {
 
-ExperimentConfig digits_config() {
-  auto cfg = ExperimentConfig::for_profile(Profile::kSmoke);
-  cfg.dataset = "digits";
-  cfg.model.in_channels = 1;
-  cfg.model.lif.surrogate = snn::Surrogate::fast_sigmoid(0.25f);
-  return cfg;
-}
-
-TEST(ExpExtensions, DigitsDatasetRunsEndToEnd) {
-  const auto r = run_experiment(digits_config());
-  EXPECT_GE(r.accuracy, 0.0);
-  EXPECT_LE(r.accuracy, 1.0);
-  EXPECT_GT(r.latency_us, 0.0);
-  EXPECT_EQ(r.mapping.workloads.size(), 4u);
-  // 1-channel input halves conv1's per-spike fan-in footprint: the
-  // workload must reflect the smaller input plane.
-  EXPECT_EQ(r.mapping.workloads[0].input_size, 1 * 12 * 12);
-}
-
-TEST(ExpExtensions, DigitsIsEasierThanSvhn) {
-  // Same budget, same topology width: the clean grayscale task should
-  // train at least as well as the cluttered colour one.
-  auto digits = digits_config();
-  digits.trainer.epochs = 10;
-  auto svhn = ExperimentConfig::for_profile(Profile::kSmoke);
-  svhn.model.lif.surrogate = snn::Surrogate::fast_sigmoid(0.25f);
-  svhn.trainer.epochs = 10;
-  const auto rd = run_experiment(digits);
-  const auto rs = run_experiment(svhn);
-  EXPECT_GE(rd.final_train_accuracy, rs.final_train_accuracy - 0.05);
-}
-
 TEST(ExpExtensions, DatasetChannelMismatchThrows) {
-  auto cfg = digits_config();
-  cfg.model.in_channels = 3;  // digits is 1-channel
-  EXPECT_THROW(run_experiment(cfg), InvalidArgument);
   auto svhn = ExperimentConfig::for_profile(Profile::kSmoke);
   svhn.model.in_channels = 1;  // svhn is 3-channel
   EXPECT_THROW(run_experiment(svhn), InvalidArgument);
 }
 
-TEST(ExpExtensions, UnknownDatasetOrLossThrows) {
+TEST(ExpExtensions, UnknownLossThrows) {
   auto cfg = ExperimentConfig::for_profile(Profile::kSmoke);
-  cfg.dataset = "imagenet";
-  EXPECT_THROW(run_experiment(cfg), InvalidArgument);
-  cfg = ExperimentConfig::for_profile(Profile::kSmoke);
   cfg.loss = "hinge";
   EXPECT_THROW(run_experiment(cfg), InvalidArgument);
 }

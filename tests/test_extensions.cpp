@@ -1,5 +1,5 @@
-// Tests for the extension modules: checkpoint serialization, weight
-// quantization, and the SynthDigits dataset.
+// Tests for the extension modules: checkpoint serialization and weight
+// quantization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 
 #include "core/error.h"
 #include "core/serialize.h"
-#include "data/synth_digits.h"
 #include "snn/checkpoint.h"
 #include "snn/model_zoo.h"
 #include "snn/quantize.h"
@@ -142,57 +141,6 @@ TEST(Quantize, ZeroTensorUntouchedAndBadBitsThrow) {
   Tensor t(Shape{2}, {1.0f, -1.0f});
   EXPECT_THROW(snn::quantize_tensor(t, 1), InvalidArgument);
   EXPECT_THROW(snn::quantize_tensor(t, 17), InvalidArgument);
-}
-
-TEST(SynthDigits, ShapeRangeDeterminism) {
-  data::SynthDigitsConfig cfg;
-  cfg.num_examples = 16;
-  cfg.image_size = 14;
-  data::SynthDigits a(cfg);
-  data::SynthDigits b(cfg);
-  EXPECT_EQ(a.image_shape(), Shape({1, 14, 14}));
-  for (std::int64_t i = 0; i < a.size(); ++i) {
-    const auto ea = a.get(i);
-    const auto eb = b.get(i);
-    EXPECT_EQ(ea.label, eb.label);
-    EXPECT_GE(ops::min(ea.image), 0.0f);
-    EXPECT_LE(ops::max(ea.image), 1.0f);
-    for (std::int64_t k = 0; k < ea.image.numel(); ++k)
-      EXPECT_EQ(ea.image[k], eb.image[k]);
-  }
-}
-
-TEST(SynthDigits, DigitIsBrighterThanBackground) {
-  data::SynthDigitsConfig cfg;
-  cfg.num_examples = 8;
-  cfg.image_size = 16;
-  cfg.noise_stddev = 0.0f;
-  data::SynthDigits ds(cfg);
-  for (std::int64_t i = 0; i < ds.size(); ++i) {
-    const auto ex = ds.get(i);
-    // Dark background (a solid zero fraction even with anti-aliased ink
-    // spreading); digit ink is bright.
-    EXPECT_GT(ops::zero_fraction(ex.image), 0.3);
-    EXPECT_LT(ops::mean(ex.image), 0.5f);
-    EXPECT_GT(ops::max(ex.image), 0.7f);
-  }
-}
-
-TEST(SynthDigits, SplitsDisjoint) {
-  auto splits = data::make_synth_digits_splits(8, 8, 12, 99);
-  int identical = 0;
-  for (std::int64_t i = 0; i < 8; ++i) {
-    const auto tr = splits.train.get(i);
-    const auto te = splits.test.get(i);
-    bool same = true;
-    for (std::int64_t k = 0; k < tr.image.numel(); ++k)
-      if (tr.image[k] != te.image[k]) {
-        same = false;
-        break;
-      }
-    identical += same;
-  }
-  EXPECT_EQ(identical, 0);
 }
 
 }  // namespace

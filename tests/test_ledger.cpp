@@ -343,25 +343,27 @@ TEST(SpikeHealth, DeadLayerFiresOnceAndRearmsAfterRecovery) {
   auto dead = healthy_layers(0.1);
   dead[1].out_density = 0.0;
 
-  // Warm-up epochs are a grace period: nothing fires before min_epoch.
+  // Warm-up epochs are a grace period: nothing fires before the minimum
+  // epoch.
   EXPECT_TRUE(monitor.check(0, dead).empty());
-  ASSERT_GE(monitor.config().min_epoch, 1);
+  static_assert(obs::kSpikeHealthMinEpoch >= 1);
 
-  const auto first = monitor.check(monitor.config().min_epoch, dead);
+  const auto first = monitor.check(obs::kSpikeHealthMinEpoch, dead);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].detector, "dead_layer");
   // Layers are identified by "<index>.<name>": the test topology has two
   // layers named "lif" and only index 1 is dead.
   EXPECT_EQ(first[0].layer, "1.lif");
   EXPECT_DOUBLE_EQ(first[0].value, 0.0);
+  EXPECT_DOUBLE_EQ(first[0].threshold, obs::kDeadOutputDensity);
   EXPECT_NE(first[0].message.find("1.lif"), std::string::npos);
 
   // Staying dead is not news; recovering and dying again is.
-  EXPECT_TRUE(monitor.check(monitor.config().min_epoch + 1, dead).empty());
+  EXPECT_TRUE(monitor.check(obs::kSpikeHealthMinEpoch + 1, dead).empty());
   EXPECT_TRUE(
-      monitor.check(monitor.config().min_epoch + 2, healthy_layers(0.1))
+      monitor.check(obs::kSpikeHealthMinEpoch + 2, healthy_layers(0.1))
           .empty());
-  EXPECT_EQ(monitor.check(monitor.config().min_epoch + 3, dead).size(), 1u);
+  EXPECT_EQ(monitor.check(obs::kSpikeHealthMinEpoch + 3, dead).size(), 1u);
   EXPECT_EQ(monitor.warning_count(), 2);
 
   const auto snaps = obs::snapshot_metrics();
@@ -374,30 +376,23 @@ TEST(SpikeHealth, SaturatedLayerFires) {
   obs::SpikeHealthMonitor monitor;
   auto layers = healthy_layers(0.1);
   layers[2].out_density = 0.99;
-  const auto warnings = monitor.check(monitor.config().min_epoch, layers);
+  const auto warnings = monitor.check(obs::kSpikeHealthMinEpoch, layers);
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].detector, "saturated_layer");
-  EXPECT_DOUBLE_EQ(warnings[0].threshold,
-                   monitor.config().saturation_density);
+  EXPECT_DOUBLE_EQ(warnings[0].threshold, obs::kSaturationDensity);
 }
 
 TEST(SpikeHealth, CollapseFiresOnMeanRateDrop) {
   obs::SpikeHealthMonitor monitor;
-  const auto e0 = monitor.config().min_epoch;
+  const auto e0 = obs::kSpikeHealthMinEpoch;
   EXPECT_TRUE(monitor.check(e0, healthy_layers(0.2)).empty());
   // Mean rate falls to < half the running peak -> network-wide collapse.
   const auto warnings = monitor.check(e0 + 1, healthy_layers(0.05));
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].detector, "collapse");
   EXPECT_TRUE(warnings[0].layer.empty());
-}
-
-TEST(SpikeHealth, DisabledMonitorStaysQuiet) {
-  obs::SpikeHealthConfig config;
-  config.enabled = false;
-  obs::SpikeHealthMonitor monitor(config);
-  auto dead = healthy_layers(0.0);
-  EXPECT_TRUE(monitor.check(10, dead).empty());
+  // The floor is the running peak (mean of 0.2 and 0.3) less the drop.
+  EXPECT_DOUBLE_EQ(warnings[0].threshold, 0.25 * (1.0 - obs::kCollapseDrop));
 }
 
 // ------------------------------------------------------ SpikeRecord guards

@@ -189,28 +189,6 @@ TEST(Lif, BackwardMatchesHandRolledRecurrence) {
         << expect[static_cast<std::size_t>(t)];
 }
 
-TEST(Lif, DetachResetDropsResetPath) {
-  LifConfig cfg = config(0.6f, 1.0f, Surrogate::fast_sigmoid(5.0f));
-  cfg.detach_reset = true;
-  Lif lif(cfg);
-  lif.begin_window(1, true);
-  lif.forward_step(scalar_input(1.5f));  // fires
-  lif.forward_step(scalar_input(0.5f));
-  lif.begin_backward();
-  // Step 1 backward: carry starts 0, gi1 = g * sg'(u1 - theta).
-  Tensor g1 = lif.backward_step(scalar_input(1.0f));
-  // Step 0 backward with detach: gi0 = c + g * sg'(...), where the
-  // -theta*c term is absent.  Compare against manual computation.
-  Tensor g0 = lif.backward_step(scalar_input(0.0f));
-  const Surrogate sg = Surrogate::fast_sigmoid(5.0f);
-  const float u1 = 0.6f * 0.5f + 0.5f;  // u_post0 = 1.5 - 1.0 = 0.5
-  const float gi1 = 1.0f * sg.grad(u1 - 1.0f);
-  const float carry = 0.6f * gi1;
-  const float gi0 = carry + (0.0f /*g*/) * sg.grad(1.5f - 1.0f);
-  EXPECT_NEAR(g1[0], gi1, 1e-6f);
-  EXPECT_NEAR(g0[0], gi0, 1e-6f);
-}
-
 TEST(Lif, BackwardWithoutForwardThrows) {
   Lif lif(config(0.5f, 1.0f));
   lif.begin_window(1, true);

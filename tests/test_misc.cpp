@@ -10,7 +10,7 @@
 #include "core/serialize.h"
 #include "data/dataloader.h"
 #include "data/encoders.h"
-#include "data/synth_digits.h"
+#include "data/synth_svhn.h"
 #include "snn/linear.h"
 #include "snn/model_zoo.h"
 #include "train/trainer.h"
@@ -84,17 +84,15 @@ TEST(Trainer, ExplicitOptimizerAndSchedule) {
   // Drive train_epoch directly with a caller-built optimizer and a schedule
   // whose t_max is not the trainer's epoch budget (fit() builds its own from
   // TrainerConfig); the learning rate must follow the given schedule.
-  data::SynthDigitsConfig dcfg;
-  dcfg.num_examples = 32;
-  dcfg.image_size = 12;
+  const auto splits = data::make_synth_svhn_splits(32, 8, 12, 3);
   auto ds = std::make_shared<data::InMemoryDataset>(
-      data::InMemoryDataset::from(data::SynthDigits(dcfg)));
+      data::InMemoryDataset::from(splits.train));
   data::DataLoader loader(ds, 16, true, 3);
 
   auto net = std::make_unique<snn::SpikingNetwork>();
   net->add<snn::Flatten>();
   Rng rng(11);
-  net->add<snn::Linear>(snn::LinearConfig{144, 16}, rng);
+  net->add<snn::Linear>(snn::LinearConfig{3 * 12 * 12, 16}, rng);
   net->add<snn::Lif>(snn::LifConfig{});
   net->add<snn::Linear>(snn::LinearConfig{16, 10}, rng);
   net->add<snn::Lif>(snn::LifConfig{});

@@ -1117,13 +1117,6 @@ TEST(ServeServer, StatReportsConsistentWindowedBreakdown) {
   while (s.server->spans().recorded() < kRequests &&
          std::chrono::steady_clock::now() < give_up)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  // qps counts completed 1 s epochs of the process-wide telemetry clock
-  // (obs/window.h), so once that clock is past its first second a burst
-  // still inside the current epoch reads 0; let that epoch end first.
-  const std::uint64_t last_epoch = obs::telemetry_now_ns() / 1'000'000'000;
-  while (obs::telemetry_now_ns() / 1'000'000'000 == last_epoch)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
   // STAT on the same connection, interleaved with inference traffic.
   const TcpClient::StatReply stat = client.stat(777);
   ASSERT_TRUE(stat.ok);

@@ -143,32 +143,46 @@ TEST(WindowedHistogram, ConcurrentWritersLoseNothing) {
 
 // --- WindowedRate -----------------------------------------------------------
 
-TEST(WindowedRate, PerSecondAveragesCompletedEpochsOnly) {
+TEST(WindowedRate, PerSecondIsWindowTotalOverCoveredTime) {
   constexpr std::uint64_t kSecond = 1'000'000'000;
   WindowedRate r({.epoch_ns = kSecond, .epochs = 5});
   for (std::uint64_t e = 0; e < 5; ++e)
     r.add_at(10, e * kSecond + kSecond / 2);
 
-  // At t=5s, epochs 0..4 are complete: 50 events over 5 s.
+  // At t=5s the window is epochs 1..5: 40 events over the 4 s from the
+  // start of epoch 1 to now.
   EXPECT_DOUBLE_EQ(r.per_second_at(5 * kSecond), 10.0);
-  // A partial current epoch never drags the rate down: 2 events early in
-  // epoch 5 leave the completed-epoch average untouched.
+  // The current, partial epoch counts with the time it has run: 2 events
+  // half-way into epoch 5 make 42 events over 4.5 s.
   r.add_at(2, 5 * kSecond + 1);
-  EXPECT_DOUBLE_EQ(r.per_second_at(5 * kSecond + 2), 10.0);
-  // ...but the in-window total does include the partial epoch.
-  EXPECT_EQ(r.total_in_window_at(5 * kSecond + 2), 42);
+  EXPECT_EQ(r.total_in_window_at(5 * kSecond + kSecond / 2), 42);
+  EXPECT_DOUBLE_EQ(r.per_second_at(5 * kSecond + kSecond / 2), 42.0 / 4.5);
 
   // One window later everything has aged out.
   EXPECT_DOUBLE_EQ(r.per_second_at(20 * kSecond), 0.0);
   EXPECT_EQ(r.total_in_window_at(20 * kSecond), 0);
 }
 
-TEST(WindowedRate, EarlyLifeFallbackUsesElapsedFraction) {
+TEST(WindowedRate, CurrentEpochTrafficCountsPastTheFirstSecond) {
+  constexpr std::uint64_t kSecond = 1'000'000'000;
+  WindowedRate r({.epoch_ns = kSecond, .epochs = 5});
+  // Every event lands in epoch 3, which has not completed: the window
+  // (epochs 0..3, clamped at time 0) covers 3.5 s.
+  r.add_at(7, 3 * kSecond + kSecond / 4);
+  EXPECT_GT(r.per_second_at(3 * kSecond + kSecond / 2), 0.0);
+  EXPECT_DOUBLE_EQ(r.per_second_at(3 * kSecond + kSecond / 2), 7.0 / 3.5);
+}
+
+TEST(WindowedRate, EarlyLifeWindowStartsAtTimeZero) {
   constexpr std::uint64_t kSecond = 1'000'000'000;
   WindowedRate r({.epoch_ns = kSecond, .epochs = 5});
   r.add_at(4, kSecond / 4);
-  // No epoch has completed yet: 4 events over 0.5 s elapsed.
+  // No epoch has completed yet: 4 events over the 0.5 s since time 0.
   EXPECT_DOUBLE_EQ(r.per_second_at(kSecond / 2), 8.0);
+  // At time 0 the window covers no time at all.
+  EXPECT_DOUBLE_EQ(WindowedRate({.epoch_ns = kSecond, .epochs = 5})
+                       .per_second_at(0),
+                   0.0);
 }
 
 // --- SpanRecorder -----------------------------------------------------------
