@@ -1,8 +1,8 @@
 // MICRO — google-benchmark suite for the hot kernels underpinning training
 // and simulation: GEMM variants, im2col, conv forward/backward (and the
-// direct conv's paired ratio against its im2col+GEMM oracle), the LIF
-// step, spike encoders, the end-to-end CSNN timestep, and the hardware
-// models (allocator, analytic analysis, event-sim tick).
+// paired ratio of each against its im2col+GEMM oracle), the LIF step,
+// spike encoders, the end-to-end CSNN timestep, and the hardware models
+// (allocator, analytic analysis, event-sim tick).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "conv_oracle.h"  // tests/: the conv backward's reference loop
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "data/encoders.h"
@@ -124,14 +125,61 @@ BENCHMARK(BM_ConvForward)
     ->ArgNames({"img", "threads"})
     ->ArgsProduct({{16, 32}, kThreadCounts});
 
+// Times `oracle` and `fast` rep by rep, alternating which runs first, with
+// `prepare` (untimed) before each `fast`.  The reported time is fast's; the
+// counters are the quartiles of the per-pair ratio oracle / fast, so above
+// 1 means the kernel under test is faster.
+template <typename Oracle, typename Prepare, typename Fast>
+void time_pairs(benchmark::State& state, const Oracle& oracle,
+                const Prepare& prepare, const Fast& fast) {
+  const auto seconds = [](const auto& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    benchmark::ClobberMemory();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  std::vector<double> ratios;
+  bool fast_first = false;
+  for (auto _ : state) {
+    fast_first = !fast_first;
+    double t_fast = 0.0;
+    double t_oracle = 0.0;
+    if (!fast_first) t_oracle = seconds(oracle);
+    prepare();
+    t_fast = seconds(fast);
+    if (fast_first) t_oracle = seconds(oracle);
+    state.SetIterationTime(t_fast);
+    ratios.push_back(t_oracle / t_fast);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const auto quantile = [&](double q) {
+    return ratios[static_cast<std::size_t>(
+        q * static_cast<double>(ratios.size() - 1) + 0.5)];
+  };
+  state.counters["ratio_q1"] = quantile(0.25);
+  state.counters["ratio_p50"] = quantile(0.5);
+  state.counters["ratio_q3"] = quantile(0.75);
+}
+
+// The CSNN's conv input at layer 1 ([3, 32, 32] binary spikes) or layer 2
+// ([32, 15, 15] graded avg-pooled spikes), both at density 0.5.
+Tensor csnn_conv_input(bool conv1, std::int64_t n, Rng& rng) {
+  const std::int64_t ic = conv1 ? 3 : 32;
+  const std::int64_t size = conv1 ? 32 : 15;
+  Tensor x(Shape{n, ic, size, size});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    if (rng.uniform(0.0, 1.0) >= 0.5) continue;
+    x[i] = conv1 ? 1.0f
+                 : 0.25f * static_cast<float>(1 + (rng.next_u64() & 3));
+  }
+  return x;
+}
+
 // The dense conv forward body against the im2col + gemm + bias oracle it
-// replaced, at the CSNN's two conv shapes (batch 32, one thread): layer 1
-// reads [3, 32, 32] binary spikes at density 0.5, layer 2 reads
-// [32, 15, 15] graded avg-pooled spikes at density 0.5.  It first asserts
-// the two agree bit for bit (a mismatch fails the benchmark), then times
-// them rep by rep, alternating which runs first.  The reported time is the
-// direct conv's; the counters are the quartiles of the per-pair ratio
-// oracle / direct, so above 1 means the direct conv is faster.
+// replaced, at the CSNN's two conv shapes (batch 32, one thread,
+// csnn_conv_input).  It first asserts the two agree bit for bit (a
+// mismatch fails the benchmark), then times the pair (time_pairs).
 void conv_oracle(const ConvGeom& g, const Tensor& weight, const Tensor& bias,
                  const float* in, std::int64_t n, float* cols, float* out) {
   const std::int64_t ocn = weight.shape()[0];
@@ -153,12 +201,7 @@ void BM_ConvDirectVsIm2colGemm(benchmark::State& state) {
   Rng rng(conv1 ? 41 : 42);
   snn::Conv2d conv(snn::Conv2dConfig{ic, 32, 3}, rng);
   const ConvGeom g{ic, size, size, 3, 3};
-  Tensor x(Shape{n, ic, size, size});
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    if (rng.uniform(0.0, 1.0) >= 0.5) continue;
-    x[i] = conv1 ? 1.0f
-                 : 0.25f * static_cast<float>(1 + (rng.next_u64() & 3));
-  }
+  const Tensor x = csnn_conv_input(conv1, n, rng);
   const Tensor weight_t = ops::transpose_2d(conv.weight().value);
   const std::int64_t out_elems = n * 32 * g.col_cols();
   std::vector<float> cols(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
@@ -180,39 +223,66 @@ void BM_ConvDirectVsIm2colGemm(benchmark::State& state) {
     state.SkipWithError("direct conv differs from the im2col+gemm oracle");
     return;
   }
-  const auto seconds = [](const auto& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    benchmark::ClobberMemory();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  std::vector<double> ratios;
-  bool direct_first = false;
-  for (auto _ : state) {
-    direct_first = !direct_first;
-    double t_direct = 0.0;
-    double t_oracle = 0.0;
-    if (direct_first) {
-      t_direct = seconds(direct);
-      t_oracle = seconds(oracle);
-    } else {
-      t_oracle = seconds(oracle);
-      t_direct = seconds(direct);
-    }
-    state.SetIterationTime(t_direct);
-    ratios.push_back(t_oracle / t_direct);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const auto quantile = [&](double q) {
-    return ratios[static_cast<std::size_t>(
-        q * static_cast<double>(ratios.size() - 1) + 0.5)];
-  };
-  state.counters["ratio_q1"] = quantile(0.25);
-  state.counters["ratio_p50"] = quantile(0.5);
-  state.counters["ratio_q3"] = quantile(0.75);
+  time_pairs(state, oracle, [] {}, direct);
 }
 BENCHMARK(BM_ConvDirectVsIm2colGemm)
+    ->UseManualTime()
+    ->ArgNames({"layer"})
+    ->Arg(1)
+    ->Arg(2);
+
+// The conv backward step against the per-sample im2col, gemm_nt, gemm_tn,
+// col2im and bias-sum loop it replaced (tests/conv_oracle.h), at the
+// CSNN's two conv shapes (batch 32, one thread, the inputs of
+// BM_ConvDirectVsIm2colGemm, gradients uniform in [-1, 1]).  Both compute
+// all three gradients.  A bitwise mismatch fails the benchmark; the
+// counters are the paired ratio oracle / backward_step.
+void BM_ConvBackwardVsIm2colGemm(benchmark::State& state) {
+  const bool conv1 = state.range(0) == 1;
+  const std::int64_t n = 32;
+  Rng rng(conv1 ? 43 : 44);
+  const Tensor x = csnn_conv_input(conv1, n, rng);
+  const std::int64_t ic = x.shape()[1];
+  const std::int64_t size = x.shape()[2];
+  snn::Conv2d conv(snn::Conv2dConfig{ic, 32, 3}, rng);
+  const ConvGeom g{ic, size, size, 3, 3};
+  const Tensor go = Tensor::uniform(Shape{n, 32, g.out_h(), g.out_w()}, rng,
+                                    -1.0f, 1.0f);
+  Tensor want_gi(x.shape());
+  Tensor want_wg(conv.weight().value.shape());
+  Tensor want_bg(conv.bias().value.shape());
+  Tensor got_gi;
+  const auto oracle = [&] {
+    oracle::conv_backward_oracle(g, 32, conv.weight().value.data(), x.data(),
+                                 go.data(), n, want_gi.data(), want_wg.data(),
+                                 want_bg.data());
+    benchmark::DoNotOptimize(want_gi.data());
+  };
+  const auto prepare = [&] {
+    conv.begin_window(n, true);
+    conv.forward_step(x);
+  };
+  const auto backward = [&] {
+    got_gi = conv.backward_step(go);
+    benchmark::DoNotOptimize(got_gi.data());
+  };
+  oracle();
+  prepare();
+  backward();
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+               0;
+  };
+  if (!same(want_gi, got_gi) || !same(want_wg, conv.weight().grad) ||
+      !same(want_bg, conv.bias().grad)) {
+    state.SkipWithError("conv backward differs from the im2col+gemm oracle");
+    return;
+  }
+  time_pairs(state, oracle, prepare, backward);
+}
+BENCHMARK(BM_ConvBackwardVsIm2colGemm)
     ->UseManualTime()
     ->ArgNames({"layer"})
     ->Arg(1)

@@ -7,7 +7,6 @@
 #include "core/error.h"
 #include "core/parallel.h"
 #include "obs/profiler.h"
-#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
 namespace spiketune::snn {
@@ -41,7 +40,9 @@ ConvGeom Conv2d::geom_for(const Shape& input) const {
 
 void Conv2d::begin_window(std::int64_t, bool training) {
   training_ = training;
+  input_grad_ = true;
   input_cache_.clear();
+  weight_bwd_.clear();
   weight_t_ = ops::transpose_2d(weight_.value);
 }
 
@@ -141,26 +142,34 @@ void conv_tile(const RowArgs& a, std::int64_t ox, std::int64_t ob) {
     for (int r = 0; r < R; ++r) o[r] = tile[r][c];
 }
 
-// The remainder of a row: one tile exactly `width` (< kTileR) pixels wide.
-template <int V, bool kPartial, int R = kTileR - 1>
-void conv_tail(const RowArgs& a, std::int64_t ox, std::int64_t ob,
-               std::int64_t width) {
+// Walks `rows` rows in tiles of kR: full tiles, then one narrower tile for
+// the remainder, kept out of the full-tile loop.  Calls
+// fn.template operator()<R>(first row) per tile.  The rows are output
+// pixels (forward), taps (weight gradient) or input pixels (input
+// gradient).
+template <int R, typename Fn>
+void tile_tail(std::int64_t width, std::int64_t r0, Fn& fn) {
   if constexpr (R > 0) {
     if (width == R)
-      conv_tile<R, V, kPartial>(a, ox, ob);
+      fn.template operator()<R>(r0);
     else
-      conv_tail<V, kPartial, R - 1>(a, ox, ob, width);
+      tile_tail<R - 1>(width, r0, fn);
   }
 }
 
-// One channel block across a whole output row: full kTileR-pixel tiles,
-// then one narrower tile for the remainder, kept out of the full-tile loop.
+template <int kR, typename Fn>
+void for_row_tiles(std::int64_t rows, Fn fn) {
+  std::int64_t r0 = 0;
+  for (; r0 + kR <= rows; r0 += kR) fn.template operator()<kR>(r0);
+  tile_tail<kR - 1>(rows - r0, r0, fn);
+}
+
+// One channel block across a whole output row.
 template <int V, bool kPartial = false>
 void conv_row_block(const RowArgs& a, std::int64_t ow, std::int64_t ob) {
-  std::int64_t ox = 0;
-  for (; ox + kTileR <= ow; ox += kTileR)
-    conv_tile<kTileR, V, kPartial>(a, ox, ob);
-  conv_tail<V, kPartial>(a, ox, ob, ow - ox);
+  for_row_tiles<kTileR>(ow, [&]<int R>(std::int64_t ox) {
+    conv_tile<R, V, kPartial>(a, ox, ob);
+  });
 }
 
 // Channel blocks of kTileV vectors, then single vectors.  A channel count
@@ -185,6 +194,168 @@ std::int64_t row_grain(std::int64_t macs_per_row) {
   constexpr std::int64_t kSliceMacs = std::int64_t{1} << 16;
   return std::max<std::int64_t>(1, kSliceMacs / std::max<std::int64_t>(
                                                     1, macs_per_row));
+}
+
+// Copies one [H, W] plane into the interior of a zeroed
+// [H + 2*pad_h, W + 2*pad_w] plane.
+void pad_plane(const ConvGeom& g, const float* src, float* dst) {
+  const std::int64_t row = g.width + 2 * g.pad_w;
+  std::fill(dst, dst + (g.height + 2 * g.pad_h) * row, 0.0f);
+  for (std::int64_t y = 0; y < g.height; ++y)
+    std::copy(src + y * g.width, src + (y + 1) * g.width,
+              dst + (y + g.pad_h) * row + g.pad_w);
+}
+
+// One sample's weight gradient, dW[oc, p] = sum_s go[oc, s] * x(p, s), read
+// from the (padded) input in place.  `got` is the [S, ocp] transpose of go,
+// each row zero beyond ocn so every channel vector loads whole.
+struct WeightGradArgs {
+  const float* x;
+  std::int64_t row;    // floats per (padded) input row
+  std::int64_t plane;  // floats per (padded) input channel
+  std::int64_t kernel_h;
+  std::int64_t kernel_w;
+  std::int64_t oh;
+  std::int64_t ow;
+  const float* got;
+  std::int64_t ocp;  // row stride of got, a multiple of kLanes
+  std::int64_t ocn;
+  std::int64_t taps;  // IC*KH*KW: the row stride of dw
+  float* dw;          // [ocn, taps]
+};
+
+// R taps x V channel vectors starting at channel ob.  Each accumulator
+// starts at +0 and adds x * go over ascending s = (oy, ox): the gemm_nt dot
+// product over im2col's row p, term for term, zero inputs included.
+template <int R, int V>
+void weight_grad_tile(const WeightGradArgs& a, std::int64_t p0,
+                      std::int64_t ob) {
+  const std::int64_t kk = a.kernel_h * a.kernel_w;
+  const float* xr[R];
+  for (int r = 0; r < R; ++r) {
+    const std::int64_t t = (p0 + r) % kk;
+    xr[r] = a.x + ((p0 + r) / kk * a.plane + t / a.kernel_w * a.row +
+                   t % a.kernel_w);
+  }
+  Vec acc[R][V] = {};
+  const float* g = a.got + ob;
+  for (std::int64_t oy = 0; oy < a.oh; ++oy) {
+    const std::int64_t base = oy * a.row;
+    for (std::int64_t ox = 0; ox < a.ow; ++ox, g += a.ocp) {
+      Vec gv[V];
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v)
+        std::memcpy(&gv[v], g + v * kLanes, sizeof(Vec));
+#pragma GCC unroll 16
+      for (int r = 0; r < R; ++r) {
+        const float xv = xr[r][base + ox];
+#pragma GCC unroll 8
+        for (int v = 0; v < V; ++v) acc[r][v] += xv * gv[v];
+      }
+    }
+  }
+  alignas(64) float tile[R][V * kLanes];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v)
+      std::memcpy(&tile[r][v * kLanes], &acc[r][v], sizeof(Vec));
+  const std::int64_t width = std::min<std::int64_t>(V * kLanes, a.ocn - ob);
+  for (std::int64_t c = 0; c < width; ++c) {
+    float* d = a.dw + (ob + c) * a.taps + p0;
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) d[r] = tile[r][c];
+  }
+}
+
+template <int R>
+void weight_grad_taps(const WeightGradArgs& a, std::int64_t p0) {
+  std::int64_t ob = 0;
+  for (; ob + kTileV * kLanes <= a.ocp; ob += kTileV * kLanes)
+    weight_grad_tile<R, kTileV>(a, p0, ob);
+  for (; ob < a.ocp; ob += kLanes) weight_grad_tile<R, 1>(a, p0, ob);
+}
+
+// One sample's input gradient as a transposed direct conv, read from go
+// and the weights in place of gemm_tn's columns and col2im's scatter.
+// `go` is zero-padded by kernel_w - 1 columns on each side; `wb` is the
+// [KH, KW, OC, cp] weight, zero beyond the input channels.
+struct InputGradArgs {
+  const float* go;
+  std::int64_t go_row;    // ow + 2 * (kernel_w - 1)
+  std::int64_t go_plane;  // oh * go_row
+  const float* wb;
+  std::int64_t cp;  // channel stride of wb, a multiple of kLanes
+  std::int64_t ocn;
+  std::int64_t oh;
+  ConvGeom g;
+  float* gi;  // [C, H, W]
+};
+
+// Input pixels (iy, ix0 .. ix0+R-1) x V channel vectors from cb.  For each
+// tap (kh, kw) in ascending order, t sums W * go over ascending oc from +0
+// (one element of gemm_tn's column matrix, whose skipped zero weights are
+// exact +-0 products here), and acc adds t, starting from +0 as col2im's
+// zeroed image did.  A tap whose output row lies outside go is skipped, as
+// in col2im; one whose output column does reads the zero padding, so its t
+// is +0, which leaves acc unchanged.
+template <int R, int V>
+void input_grad_tile(const InputGradArgs& a, std::int64_t iy,
+                     std::int64_t ix0, std::int64_t cb) {
+  const ConvGeom& g = a.g;
+  Vec acc[R][V] = {};
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    const std::int64_t oy = iy + g.pad_h - kh;
+    if (oy < 0 || oy >= a.oh) continue;
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+      const float* go =
+          a.go + oy * a.go_row + ix0 + g.pad_w - kw + g.kernel_w - 1;
+      const float* w = a.wb + (kh * g.kernel_w + kw) * a.ocn * a.cp + cb;
+      Vec t[R][V] = {};
+      for (std::int64_t oc = 0; oc < a.ocn;
+           ++oc, go += a.go_plane, w += a.cp) {
+        Vec wv[V];
+#pragma GCC unroll 8
+        for (int v = 0; v < V; ++v)
+          std::memcpy(&wv[v], w + v * kLanes, sizeof(Vec));
+#pragma GCC unroll 16
+        for (int r = 0; r < R; ++r) {
+          const float gs = go[r];
+#pragma GCC unroll 8
+          for (int v = 0; v < V; ++v) t[r][v] += wv[v] * gs;
+        }
+      }
+#pragma GCC unroll 16
+      for (int r = 0; r < R; ++r)
+#pragma GCC unroll 8
+        for (int v = 0; v < V; ++v) acc[r][v] += t[r][v];
+    }
+  }
+  alignas(64) float tile[R][V * kLanes];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v)
+      std::memcpy(&tile[r][v * kLanes], &acc[r][v], sizeof(Vec));
+  const std::int64_t width =
+      std::min<std::int64_t>(V * kLanes, g.channels - cb);
+  float* d = a.gi + cb * g.height * g.width + iy * g.width + ix0;
+  for (std::int64_t c = 0; c < width; ++c, d += g.height * g.width)
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) d[r] = tile[r][c];
+}
+
+// Half-height pixel tiles: each keeps both t and acc in registers.
+constexpr int kGradPixels = kTileR / 2;
+
+void input_grad_sample(const InputGradArgs& a) {
+  for (std::int64_t iy = 0; iy < a.g.height; ++iy)
+    for_row_tiles<kGradPixels>(a.g.width, [&]<int R>(std::int64_t ix0) {
+      std::int64_t cb = 0;
+      for (; cb + kTileV * kLanes <= a.cp; cb += kTileV * kLanes)
+        input_grad_tile<R, kTileV>(a, iy, ix0, cb);
+      for (; cb < a.cp; cb += kLanes) input_grad_tile<R, 1>(a, iy, ix0, cb);
+    });
 }
 
 }  // namespace
@@ -215,14 +386,8 @@ void Conv2d::forward_samples(const ConvGeom& g, const Tensor& weight_t,
     ST_REQUIRE(padded != nullptr, "padded conv needs its scratch planes");
     const std::int64_t hw = g.height * g.width;
     parallel_for(0, n * g.channels, 1, [&](std::int64_t pb, std::int64_t pe) {
-      for (std::int64_t c = pb; c < pe; ++c) {
-        float* dst = padded + c * plane;
-        const float* src = in + c * hw;
-        std::fill(dst, dst + plane, 0.0f);
-        for (std::int64_t y = 0; y < g.height; ++y)
-          std::copy(src + y * g.width, src + (y + 1) * g.width,
-                    dst + (y + g.pad_h) * row + g.pad_w);
-      }
+      for (std::int64_t c = pb; c < pe; ++c)
+        pad_plane(g, in + c * hw, padded + c * plane);
     });
     x = padded;
   }
@@ -276,47 +441,126 @@ Tensor Conv2d::backward_step(const Tensor& grad_output) {
 
   const ConvGeom g = geom_for(input.shape());
   const std::int64_t n = input.shape()[0];
+  const std::int64_t ocn = config_.out_channels;
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
   const std::int64_t kk = g.col_rows();
   const std::int64_t spatial = oh * ow;
-  ST_REQUIRE(grad_output.shape() ==
-                 Shape({n, config_.out_channels, oh, ow}),
+  ST_REQUIRE(grad_output.shape() == Shape({n, ocn, oh, ow}),
              "conv grad_output shape mismatch");
 
-  Tensor grad_input(input.shape());
-  std::vector<float> grad_cols(static_cast<std::size_t>(kk * spatial));
-  col_buf_.resize(static_cast<std::size_t>(kk * spatial));
+  // Scratch per chunk of samples: go's transpose, a padded input copy and
+  // a column-padded go.  Partials per sample: the weight gradient, then
+  // the bias gradient.
+  const std::int64_t ocp = (ocn + kLanes - 1) / kLanes * kLanes;
+  const std::int64_t row = g.width + 2 * g.pad_w;
+  const std::int64_t plane = (g.height + 2 * g.pad_h) * row;
+  const std::int64_t padded = padded_elems(g);
+  const std::int64_t go_row = ow + 2 * (g.kernel_w - 1);
+  const std::int64_t go_elems = input_grad_ ? ocn * oh * go_row : 0;
+  const std::int64_t scratch = spatial * ocp + padded + go_elems;
+  const std::int64_t part = ocn * kk + ocn;
+  const std::int64_t chunks = std::min<std::int64_t>(n, num_threads());
+  bwd_scratch_.resize(static_cast<std::size_t>(chunks * scratch));
+  grad_partial_.resize(static_cast<std::size_t>(n * part));
+  Tensor grad_input;
+  const std::int64_t cp = (g.channels + kLanes - 1) / kLanes * kLanes;
+  if (input_grad_) {
+    grad_input = Tensor(input.shape());
+    // The weight as [KH*KW, OC, cp], on the window's first backward step.
+    const std::int64_t taps = g.kernel_h * g.kernel_w;
+    if (weight_bwd_.empty()) {
+      weight_bwd_.assign(static_cast<std::size_t>(taps * ocn * cp), 0.0f);
+      const float* w = weight_.value.data();
+      for (std::int64_t oc = 0; oc < ocn; ++oc)
+        for (std::int64_t p = 0; p < kk; ++p)
+          weight_bwd_[static_cast<std::size_t>(
+              (p % taps * ocn + oc) * cp + p / taps)] = w[oc * kk + p];
+    }
+  }
 
   const std::int64_t in_stride = g.channels * g.height * g.width;
-  const std::int64_t out_stride = config_.out_channels * spatial;
-  // The weight gradient accumulates across samples, so the sample loop
-  // stays serial to preserve the serial path's summation order exactly;
-  // the per-sample im2col/gemm/col2im kernels parallelize internally over
-  // disjoint output rows instead.
-  for (std::int64_t i = 0; i < n; ++i) {
+  const std::int64_t out_stride = ocn * spatial;
+  const auto sample = [&](std::int64_t i, float* buf) {
     const float* go = grad_output.data() + i * out_stride;
-    // Weight gradient: gW[OC, K] += go[OC, OHW] * cols[K, OHW]^T.
-    im2col(g, input.data() + i * in_stride, col_buf_.data());
-    gemm_nt(config_.out_channels, kk, spatial, 1.0f, go, col_buf_.data(),
-            1.0f, weight_.grad.data());
-    // Input gradient: gCols[K, OHW] = W[OC, K]^T * go[OC, OHW].
-    gemm_tn(kk, spatial, config_.out_channels, 1.0f, weight_.value.data(), go,
-            0.0f, grad_cols.data());
-    col2im(g, grad_cols.data(), grad_input.data() + i * in_stride);
-    // Bias gradient: sum over spatial positions (disjoint per channel).
-    if (config_.bias) {
-      float* gb = bias_.grad.data();
-      parallel_for(0, config_.out_channels, 4,
-                   [&](std::int64_t ob, std::int64_t oe) {
-                     for (std::int64_t oc = ob; oc < oe; ++oc) {
-                       const float* plane = go + oc * spatial;
-                       double acc = 0.0;
-                       for (std::int64_t s = 0; s < spatial; ++s)
-                         acc += plane[s];
-                       gb[oc] += static_cast<float>(acc);
-                     }
-                   });
+    float* got = buf;
+    const float* x = input.data() + i * in_stride;
+    if (padded > 0) {
+      float* xp = got + spatial * ocp;
+      for (std::int64_t c = 0; c < g.channels; ++c)
+        pad_plane(g, x + c * g.height * g.width, xp + c * plane);
+      x = xp;
+    }
+    for (std::int64_t s = 0; s < spatial; ++s) {
+      float* t = got + s * ocp;
+      for (std::int64_t oc = 0; oc < ocn; ++oc) t[oc] = go[oc * spatial + s];
+      std::fill(t + ocn, t + ocp, 0.0f);
+    }
+    float* dw = grad_partial_.data() + i * part;
+    const WeightGradArgs wa{.x = x,
+                            .row = row,
+                            .plane = plane,
+                            .kernel_h = g.kernel_h,
+                            .kernel_w = g.kernel_w,
+                            .oh = oh,
+                            .ow = ow,
+                            .got = got,
+                            .ocp = ocp,
+                            .ocn = ocn,
+                            .taps = kk,
+                            .dw = dw};
+    for_row_tiles<kTileR>(kk, [&]<int R>(std::int64_t p0) {
+      weight_grad_taps<R>(wa, p0);
+    });
+    // Bias gradient: each channel's spatial sum, in double over ascending
+    // s, kLanes channels at a time so the sums run side by side.
+    if (config_.bias)
+      for (std::int64_t ob = 0; ob < ocn; ob += kLanes) {
+        double acc[kLanes] = {};
+        for (std::int64_t s = 0; s < spatial; ++s)
+          for (int j = 0; j < kLanes; ++j) acc[j] += got[s * ocp + ob + j];
+        for (std::int64_t j = 0; j < std::min<std::int64_t>(kLanes, ocn - ob);
+             ++j)
+          dw[ocn * kk + ob + j] = static_cast<float>(acc[j]);
+      }
+    if (!input_grad_) return;
+    float* gp = got + spatial * ocp + padded;
+    std::fill(gp, gp + go_elems, 0.0f);
+    for (std::int64_t r = 0; r < ocn * oh; ++r)
+      std::copy(go + r * ow, go + (r + 1) * ow,
+                gp + r * go_row + g.kernel_w - 1);
+    input_grad_sample(InputGradArgs{.go = gp,
+                                    .go_row = go_row,
+                                    .go_plane = oh * go_row,
+                                    .wb = weight_bwd_.data(),
+                                    .cp = cp,
+                                    .ocn = ocn,
+                                    .oh = oh,
+                                    .g = g,
+                                    .gi = grad_input.data() + i * in_stride});
+  };
+  // One fork per layer-step: chunk c runs its samples serially in its own
+  // scratch, and each sample writes only its own partial and grad_input.
+  parallel_for(0, chunks, 1, [&](std::int64_t cb, std::int64_t ce) {
+    for (std::int64_t c = cb; c < ce; ++c)
+      for (std::int64_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i)
+        sample(i, bwd_scratch_.data() + c * scratch);
+  });
+
+  // Each gradient element adds its per-sample partials in ascending sample
+  // order, as the serial loop added each sample's dot product.
+  float* gw = weight_.grad.data();
+  parallel_for(0, ocn * kk, kElemGrain, [&](std::int64_t eb, std::int64_t ee) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* src = grad_partial_.data() + i * part;
+      for (std::int64_t e = eb; e < ee; ++e) gw[e] += src[e];
+    }
+  });
+  if (config_.bias) {
+    float* gb = bias_.grad.data();
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* src = grad_partial_.data() + i * part + ocn * kk;
+      for (std::int64_t oc = 0; oc < ocn; ++oc) gb[oc] += src[oc];
     }
   }
   return grad_input;

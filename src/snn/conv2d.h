@@ -6,7 +6,10 @@
 //
 // The forward pass is a register-tiled direct convolution over the
 // [IC*KH*KW, OC] weight transpose, refreshed in begin_window, so after
-// every optimizer step.  The backward pass lowers onto im2col + GEMM.
+// every optimizer step.  The backward pass is register-tiled as well, with
+// no im2col: one parallel_for over the samples of a step, each writing its
+// own weight and bias partial, which are then added in ascending sample
+// order.
 #pragma once
 
 #include "core/rng.h"
@@ -29,6 +32,10 @@ class Conv2d final : public Layer {
 
   void begin_window(std::int64_t batch_size, bool training) override;
   Tensor forward_step(const Tensor& input) override;
+  void begin_backward(bool input_grad) override { input_grad_ = input_grad; }
+  /// Bit-identical to the per-sample im2col, gemm_nt (weight), gemm_tn +
+  /// col2im (input) and double-sum (bias) loop of tests/conv_oracle.h, at
+  /// any thread count (DESIGN.md §10).
   Tensor backward_step(const Tensor& grad_output) override;
 
   std::vector<Param*> params() override;
@@ -74,10 +81,13 @@ class Conv2d final : public Layer {
   Param weight_;
   Param bias_;
   bool training_ = false;
+  bool input_grad_ = true;  // set by begin_backward, reset by begin_window
   Tensor weight_t_;  // [IC*KH*KW, OC] transpose of weight_, set in begin_window
   std::vector<Tensor> input_cache_;  // per-step inputs (training only)
   std::vector<float> pad_buf_;       // forward padded-plane scratch
-  std::vector<float> col_buf_;       // backward im2col scratch
+  std::vector<float> weight_bwd_;    // [KH*KW, OC, C padded], per window
+  std::vector<float> bwd_scratch_;   // backward scratch, one block per chunk
+  std::vector<float> grad_partial_;  // backward [weight | bias] per sample
 };
 
 }  // namespace spiketune::snn

@@ -43,10 +43,14 @@ class Layer {
   virtual Tensor forward_step(const Tensor& input) = 0;
 
   /// Resets BPTT carry state; called once before the reverse sweep.
-  virtual void begin_backward() {}
+  /// `input_grad` false means the caller discards every gradient that
+  /// backward_step returns this window (the network's first layer), so the
+  /// layer may skip computing it.
+  virtual void begin_backward(bool /*input_grad*/) {}
 
   /// One timestep backward, invoked in reverse order of forward_step calls.
-  /// Accepts dL/d(output of that step), returns dL/d(input of that step).
+  /// Accepts dL/d(output of that step), returns dL/d(input of that step),
+  /// or an empty tensor after begin_backward(false).
   virtual Tensor backward_step(const Tensor& grad_output) = 0;
 
   /// Learnable parameters (empty for stateless/pool layers).

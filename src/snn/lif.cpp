@@ -131,7 +131,7 @@ Tensor Lif::forward_step(const Tensor& input) {
   return spikes;
 }
 
-void Lif::begin_backward() { has_grad_carry_ = false; }
+void Lif::begin_backward(bool) { has_grad_carry_ = false; }
 
 Tensor Lif::backward_step(const Tensor& grad_output) {
   ST_PROF_SCOPE("lif.bwd");

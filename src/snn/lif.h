@@ -39,7 +39,7 @@ class Lif final : public Layer {
 
   void begin_window(std::int64_t batch_size, bool training) override;
   Tensor forward_step(const Tensor& input) override;
-  void begin_backward() override;
+  void begin_backward(bool input_grad) override;
   Tensor backward_step(const Tensor& grad_output) override;
 
   /// Advances `n` rows of `row_elems` neurons one step, row s updating its

@@ -53,7 +53,9 @@ ForwardResult SpikingNetwork::forward(const std::vector<Tensor>& step_inputs,
 
 void SpikingNetwork::backward(const Tensor& grad_counts) {
   ST_REQUIRE(last_window_steps_ > 0, "backward without a prior forward");
-  for (auto& l : layers_) l->begin_backward();
+  // The first layer's input gradient would be dL/d(encoded input): unused.
+  for (std::size_t li = 0; li < layers_.size(); ++li)
+    layers_[li]->begin_backward(li > 0);
   // counts = sum_t s[t]  =>  dL/ds[t] = dL/dcounts for every step.
   for (std::int64_t t = last_window_steps_ - 1; t >= 0; --t) {
     Tensor g = grad_counts;

@@ -24,9 +24,9 @@ void count_gemm(std::int64_t m, std::int64_t n, std::int64_t k) {
 constexpr std::int64_t kBlockM = 64;
 constexpr std::int64_t kBlockN = 256;
 constexpr std::int64_t kBlockK = 256;
-// Minimum C rows per thread slice.  Small enough that the skinny GEMMs in
-// the conv backward pass (m = out_channels = 32) still split across
-// threads, large enough to amortize the fork-join handshake.
+// Minimum C rows per thread slice: small enough that the linear backward's
+// GEMMs split across threads, large enough to amortize the fork-join
+// handshake.
 constexpr std::int64_t kRowGrain = 8;
 
 void require_args(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -46,7 +46,7 @@ void scale_c(std::int64_t mn, float beta, float* c) {
 }
 }  // namespace
 
-// Threading: all three kernels are parallelized over rows of C, so each
+// Threading: both kernels are parallelized over rows of C, so each
 // slice owns a disjoint block of the output.  For any fixed C element the
 // reduction over k runs in ascending-p order regardless of where the slice
 // boundaries fall, so results are bit-identical to the serial path for any
@@ -109,36 +109,6 @@ void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
             float* crow = c + i * n;
             for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
           }
-        }
-      }
-    }
-  });
-}
-
-void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-             const float* a, const float* b, float beta, float* c) {
-  ST_PROF_SCOPE("gemm_nt");
-  require_args(m, n, k, a, b, c);
-  if (m == 0 || n == 0) return;
-  count_gemm(m, n, k);
-
-  // Dot-product formulation: C[i,j] = sum_p A[i,p] * B[j,p].  Blocked over
-  // rows of B so a tile of B (kBlockNtJ rows of k floats) is reused across
-  // every row of the slice instead of streaming all of B once per row.
-  constexpr std::int64_t kBlockNtJ = 64;
-  parallel_for(0, m, kRowGrain, [&](std::int64_t rb, std::int64_t re) {
-    scale_c((re - rb) * n, beta, c + rb * n);
-    if (alpha == 0.0f || k == 0) return;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kBlockNtJ) {
-      const std::int64_t j1 = std::min(j0 + kBlockNtJ, n);
-      for (std::int64_t i = rb; i < re; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (std::int64_t j = j0; j < j1; ++j) {
-          const float* brow = b + j * k;
-          float acc = 0.0f;
-          for (std::int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-          crow[j] += alpha * acc;
         }
       }
     }

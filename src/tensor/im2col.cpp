@@ -55,35 +55,4 @@ void im2col(const ConvGeom& g, const float* image, float* columns) {
   });
 }
 
-void col2im(const ConvGeom& g, const float* columns, float* image) {
-  ST_PROF_SCOPE("col2im");
-  ST_REQUIRE(image != nullptr && columns != nullptr, "col2im null pointer");
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  // Column rows of the *same* channel overlap in the image, so the scatter
-  // is partitioned per channel: each slice owns whole image planes, and
-  // within a channel the (kh, kw) accumulation order matches the serial
-  // path exactly — bit-identical for any thread count.
-  parallel_for(0, g.channels, 1, [&](std::int64_t cb, std::int64_t ce) {
-    for (std::int64_t c = cb; c < ce; ++c) {
-      float* plane = image + c * g.height * g.width;
-      std::int64_t row = c * g.kernel_h * g.kernel_w;
-      for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-          const float* in = columns + row * oh * ow;
-          for (std::int64_t y = 0; y < oh; ++y) {
-            const std::int64_t sy = y * g.stride_h + kh - g.pad_h;
-            if (sy < 0 || sy >= g.height) continue;
-            float* dst = plane + sy * g.width;
-            for (std::int64_t x = 0; x < ow; ++x) {
-              const std::int64_t sx = x * g.stride_w + kw - g.pad_w;
-              if (sx >= 0 && sx < g.width) dst[sx] += in[y * ow + x];
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
 }  // namespace spiketune

@@ -1,8 +1,8 @@
-// im2col / col2im lowering for 2-D convolution.
+// im2col lowering for 2-D convolution.
 //
 // Layout conventions (match PyTorch):
-//   input   : [C, H, W]                    (single image; batch handled by
-//                                           the layer, which loops images)
+//   input   : [C, H, W]                    (single image; callers loop
+//                                           over a batch)
 //   columns : [C*KH*KW, OH*OW]  row-major  (each output position is a column)
 // Convolutions in spiketune are stride-1 with optional symmetric zero
 // padding, which covers the paper's topology; kernel sizes are arbitrary.
@@ -38,9 +38,5 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
 
 /// Expands `image` [C,H,W] into `columns` [C*KH*KW, OH*OW].
 void im2col(const ConvGeom& g, const float* image, float* columns);
-
-/// Accumulates `columns` [C*KH*KW, OH*OW] back into `image` [C,H,W].
-/// `image` must be zeroed by the caller if accumulation is not wanted.
-void col2im(const ConvGeom& g, const float* columns, float* image);
 
 }  // namespace spiketune

@@ -1,10 +1,12 @@
-// GEMM kernels vs a naive reference, including a property-style sweep over
-// shapes (parameterized) and alpha/beta handling.
+// GEMM kernels (and the tests' serial gemm_nt) vs a naive reference,
+// including a property-style sweep over shapes (parameterized) and
+// alpha/beta handling.
 #include <gtest/gtest.h>
 
 #include <tuple>
 #include <vector>
 
+#include "conv_oracle.h"
 #include "core/rng.h"
 #include "tensor/gemm.h"
 
@@ -64,6 +66,8 @@ TEST_P(GemmShapes, TransposedAMatchesReference) {
     EXPECT_NEAR(c[i], ref[i], 1e-3f) << "at " << i;
 }
 
+// The tests' serial gemm_nt (the conv backward oracle's weight-gradient
+// product) against the same reference.
 TEST_P(GemmShapes, TransposedBMatchesReference) {
   const auto [m, n, k] = GetParam();
   Rng rng(static_cast<std::uint64_t>(m * 3 + n * 5 + k * 7));
@@ -76,7 +80,8 @@ TEST_P(GemmShapes, TransposedBMatchesReference) {
 
   std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
   std::vector<float> ref = c;
-  gemm_nt(m, n, k, 1.0f, a.data(), b_t.data(), 0.0f, c.data());
+  oracle::gemm_nt_serial(m, n, k, 1.0f, a.data(), b_t.data(), 0.0f,
+                         c.data());
   reference_gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, ref.data());
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(c[i], ref[i], 1e-3f) << "at " << i;

@@ -1,8 +1,10 @@
-// im2col/col2im vs direct convolution, plus gradcheck self-tests.
+// im2col vs direct convolution, the tests' col2im as its adjoint, plus
+// gradcheck self-tests.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "conv_oracle.h"
 #include "core/error.h"
 #include "core/rng.h"
 #include "tensor/gemm.h"
@@ -106,7 +108,7 @@ TEST(Im2col, Col2ImIsAdjoint) {
   std::vector<float> ax(static_cast<std::size_t>(col_n));
   im2col(g, x.data(), ax.data());
   std::vector<float> aty(static_cast<std::size_t>(img_n), 0.0f);
-  col2im(g, y.data(), aty.data());
+  oracle::col2im_serial(g, y.data(), aty.data());
 
   double lhs = 0.0, rhs = 0.0;
   for (std::int64_t i = 0; i < col_n; ++i)

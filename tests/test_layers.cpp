@@ -2,6 +2,7 @@
 // gradient checks of every backward path.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "core/error.h"
 #include "core/parallel.h"
+#include "conv_oracle.h"
 #include "core/rng.h"
 #include "snn/conv2d.h"
 #include "snn/linear.h"
@@ -43,6 +45,7 @@ struct ThreadGuard {
 
 void expect_bitwise_equal(const Tensor& want, const Tensor& got) {
   ASSERT_EQ(want.shape(), got.shape());
+  if (want.numel() == 0) return;  // an empty tensor may have no data
   EXPECT_EQ(std::memcmp(want.data(), got.data(),
                         static_cast<std::size_t>(want.numel()) * sizeof(float)),
             0);
@@ -54,7 +57,7 @@ Tensor gemm_nt_reference(const Linear& fc, const Tensor& x) {
   const std::int64_t n = x.shape()[0];
   const std::int64_t out_f = fc.config().out_features;
   Tensor y(Shape{n, out_f});
-  gemm_nt(n, out_f, fc.config().in_features, 1.0f, x.data(),
+  oracle::gemm_nt_serial(n, out_f, fc.config().in_features, 1.0f, x.data(),
           fc.weight().value.data(), 0.0f, y.data());
   for (std::int64_t i = 0; i < n; ++i)
     for (std::int64_t j = 0; j < out_f; ++j)
@@ -374,6 +377,130 @@ TEST(Conv2d, BiasGradIsSpatialSumOfProbe) {
   conv.backward_step(probe);
   EXPECT_NEAR(conv.bias().grad[0], 4.0f, 1e-5f);
   EXPECT_NEAR(conv.bias().grad[1], 4.0f, 1e-5f);
+}
+
+// Overwrites a regular pattern of `t` with +0, -0, a spike, and tiny
+// magnitudes whose products with other tiny values are subnormal or
+// underflow to +-0; the rest stays as drawn (about half negative).
+void season(Tensor& t, std::int64_t phase) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    switch ((i + phase) % 9) {
+      case 0: t[i] = 0.0f; break;
+      case 1: t[i] = -0.0f; break;
+      case 2: t[i] = 1.0f; break;
+      case 3: t[i] = 3e-20f; break;
+      case 4: t[i] = -2e-22f; break;
+      default: break;
+    }
+  }
+}
+
+// Runs a two-step window through `conv` at `threads` and returns the
+// per-step input gradients in backward order.  The parameter gradients
+// start from `wg0` / `bg0`, as they do on every step after the first.
+std::vector<Tensor> run_conv_backward(Conv2d& conv, int threads,
+                                      const std::vector<Tensor>& xs,
+                                      const std::vector<Tensor>& gos,
+                                      const Tensor& wg0, const Tensor& bg0) {
+  ThreadGuard guard(threads);
+  conv.weight().grad = wg0;
+  conv.bias().grad = bg0;
+  conv.begin_window(xs[0].shape()[0], true);
+  for (const Tensor& x : xs) conv.forward_step(x);
+  std::vector<Tensor> gis;
+  for (std::size_t t = gos.size(); t-- > 0;)
+    gis.push_back(conv.backward_step(gos[t]));
+  return gis;
+}
+
+TEST(Conv2d, BackwardMatchesIm2colGemmOracleBitwise) {
+  Rng rng(40);
+  // The CSNN's two conv shapes (16x16 images) and one whose channel counts
+  // fill no vector and whose planes are not square.
+  const struct {
+    std::int64_t ic, oc, h, w;
+  } shapes[] = {{3, 32, 16, 16}, {32, 32, 7, 7}, {5, 7, 9, 11}};
+  for (const auto& sh : shapes)
+    for (std::int64_t pad : {0, 1})
+      for (bool with_bias : {true, false})
+        for (std::int64_t n : {1, 5}) {
+          SCOPED_TRACE("ic=" + std::to_string(sh.ic) + " oc=" +
+                       std::to_string(sh.oc) + " pad=" + std::to_string(pad) +
+                       " bias=" + std::to_string(with_bias) +
+                       " n=" + std::to_string(n));
+          Conv2d conv(Conv2dConfig{sh.ic, sh.oc, 3, pad, with_bias}, rng);
+          season(conv.weight().value, 5);
+          const ConvGeom g{sh.ic, sh.h, sh.w, 3, 3, pad, pad};
+          const Shape out{n, sh.oc, g.out_h(), g.out_w()};
+          std::vector<Tensor> xs;
+          std::vector<Tensor> gos;
+          for (std::int64_t t = 0; t < 2; ++t) {
+            xs.push_back(Tensor::uniform(Shape{n, sh.ic, sh.h, sh.w}, rng,
+                                         -2.0f, 2.0f));
+            season(xs.back(), t);
+            gos.push_back(Tensor::uniform(out, rng, -1.0f, 1.0f));
+            season(gos.back(), t + 3);
+          }
+          const Tensor wg0 =
+              Tensor::uniform(conv.weight().value.shape(), rng, -1.0f, 1.0f);
+          const Tensor bg0 =
+              Tensor::uniform(conv.bias().value.shape(), rng, -1.0f, 1.0f);
+
+          Tensor want_wg = wg0;
+          Tensor want_bg = bg0;
+          std::vector<Tensor> want_gi;
+          for (std::size_t t = gos.size(); t-- > 0;) {
+            want_gi.emplace_back(xs[t].shape());
+            oracle::conv_backward_oracle(
+                g, sh.oc, conv.weight().value.data(), xs[t].data(),
+                gos[t].data(), n, want_gi.back().data(), want_wg.data(),
+                with_bias ? want_bg.data() : nullptr);
+          }
+          for (int threads : {1, 2, 4}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            const std::vector<Tensor> gis =
+                run_conv_backward(conv, threads, xs, gos, wg0, bg0);
+            ASSERT_EQ(gis.size(), want_gi.size());
+            for (std::size_t t = 0; t < gis.size(); ++t)
+              expect_bitwise_equal(want_gi[t], gis[t]);
+            expect_bitwise_equal(want_wg, conv.weight().grad);
+            expect_bitwise_equal(want_bg, conv.bias().grad);
+          }
+        }
+}
+
+// An overflowed or NaN gradient must still reach the bias gradient as a
+// non-finite value, so the trainer's --nan-policy sees it as before.
+TEST(Conv2d, NonFiniteGradOutputLeavesNonFiniteBiasGrad) {
+  Rng rng(41);
+  Conv2d conv(Conv2dConfig{4, 6, 3}, rng);
+  const ConvGeom g{4, 8, 8, 3, 3};
+  const std::vector<Tensor> xs{
+      Tensor::uniform(Shape{3, 4, 8, 8}, rng, -1.0f, 1.0f)};
+  Tensor go = Tensor::uniform(Shape{3, 6, 6, 6}, rng, -1.0f, 1.0f);
+  go[1 * 36 + 7] = INFINITY;                  // sample 0, channel 1
+  go[(2 * 6 + 4) * 36 + 20] = -INFINITY;      // sample 2, channel 4
+  go[(1 * 6 + 2) * 36 + 3] = std::nanf("");  // sample 1, channel 2
+  const Tensor wg0(conv.weight().value.shape());
+  const Tensor bg0(conv.bias().value.shape());
+  Tensor want_gi(xs[0].shape());
+  Tensor want_wg = wg0;
+  Tensor want_bg = bg0;
+  oracle::conv_backward_oracle(g, 6, conv.weight().value.data(),
+                               xs[0].data(), go.data(), 3, want_gi.data(),
+                               want_wg.data(), want_bg.data());
+  for (int threads : {1, 4}) {
+    run_conv_backward(conv, threads, xs, {go}, wg0, bg0);
+    expect_bitwise_equal(want_bg, conv.bias().grad);
+    for (std::int64_t oc = 0; oc < 6; ++oc)
+      EXPECT_EQ(std::isfinite(conv.bias().grad[oc]),
+                oc != 1 && oc != 2 && oc != 4)
+          << "oc=" << oc;
+    for (std::int64_t i = 0; i < want_wg.numel(); ++i)
+      ASSERT_EQ(std::isfinite(want_wg[i]),
+                std::isfinite(conv.weight().grad[i]))
+          << "weight grad " << i;
+  }
 }
 
 TEST(Conv2d, PaddingGeometry) {

@@ -163,7 +163,7 @@ TEST(Lif, BackwardMatchesHandRolledRecurrence) {
     u_post = up - (up > theta ? theta : 0.0f);
   }
 
-  lif.begin_backward();
+  lif.begin_backward(true);
   std::vector<float> got(3);
   for (int t = 2; t >= 0; --t) {
     Tensor g = lif.backward_step(
@@ -192,7 +192,7 @@ TEST(Lif, BackwardMatchesHandRolledRecurrence) {
 TEST(Lif, BackwardWithoutForwardThrows) {
   Lif lif(config(0.5f, 1.0f));
   lif.begin_window(1, true);
-  lif.begin_backward();
+  lif.begin_backward(true);
   EXPECT_THROW(lif.backward_step(scalar_input(1.0f)), InvalidArgument);
 }
 
@@ -200,7 +200,7 @@ TEST(Lif, InferenceWindowCachesNothing) {
   Lif lif(config(0.5f, 1.0f));
   lif.begin_window(1, false);
   lif.forward_step(scalar_input(2.0f));
-  lif.begin_backward();
+  lif.begin_backward(true);
   EXPECT_THROW(lif.backward_step(scalar_input(1.0f)), InvalidArgument);
 }
 

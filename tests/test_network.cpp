@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/error.h"
 #include "infer/compiled_model.h"
@@ -125,6 +126,60 @@ TEST(Network, BackwardProducesFiniteNonzeroGrads) {
       grad_l1 += std::fabs(p->grad[i]);
     }
   EXPECT_GT(grad_l1, 0.0);
+}
+
+// SpikingNetwork::backward tells layer 0 that its input gradient is
+// discarded, so the first conv skips it.  Every parameter gradient must
+// come out with the same bits as a sweep in which every layer computes it.
+TEST(Network, FirstLayerInputGradSkippedKeepsParamGradsBitwise) {
+  CsnnConfig cfg;
+  cfg.image_size = 12;
+  cfg.lif.threshold = 0.5f;
+  auto skip = make_svhn_csnn(cfg);
+  auto full = make_svhn_csnn(cfg);
+  Rng rng(91);
+  std::vector<Tensor> window;
+  for (int t = 0; t < 3; ++t)
+    window.push_back(Tensor::uniform(Shape{4, 3, 12, 12}, rng, -1.0f, 2.0f));
+  skip->zero_grad();
+  full->zero_grad();
+  const auto out = skip->forward(window, {.training = true});
+  full->forward(window, {.training = true});
+  const Tensor g =
+      Tensor::uniform(out.spike_counts.shape(), rng, -1.0f, 1.0f);
+  skip->backward(g);
+
+  for (std::size_t l = 0; l < full->num_layers(); ++l)
+    full->layer(l).begin_backward(true);
+  for (int t = 2; t >= 0; --t) {
+    Tensor x = g;
+    for (std::size_t l = full->num_layers(); l-- > 0;)
+      x = full->layer(l).backward_step(x);
+    EXPECT_EQ(x.shape(), Shape({4, 3, 12, 12}));
+  }
+
+  const auto ps = skip->params();
+  const auto pf = full->params();
+  ASSERT_EQ(ps.size(), pf.size());
+  double grad_l1 = 0.0;
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    ASSERT_EQ(ps[i]->grad.shape(), pf[i]->grad.shape());
+    EXPECT_EQ(std::memcmp(ps[i]->grad.data(), pf[i]->grad.data(),
+                          static_cast<std::size_t>(ps[i]->numel()) *
+                              sizeof(float)),
+              0)
+        << ps[i]->name << " (param " << i << ")";
+    for (std::int64_t j = 0; j < ps[i]->numel(); ++j)
+      grad_l1 += std::fabs(ps[i]->grad[j]);
+  }
+  EXPECT_GT(grad_l1, 0.0);
+
+  // The skipping layer returns an empty gradient.
+  auto& conv1 = dynamic_cast<Conv2d&>(skip->layer(0));
+  conv1.begin_window(4, true);
+  const Tensor y = conv1.forward_step(window[0]);
+  conv1.begin_backward(false);
+  EXPECT_EQ(conv1.backward_step(Tensor::full(y.shape(), 0.5f)).numel(), 0);
 }
 
 TEST(Network, BackwardWithoutForwardThrows) {
