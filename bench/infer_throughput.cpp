@@ -1,19 +1,12 @@
-// INFER — serving-throughput benchmark for the sparsity-aware inference
-// engine.  Compiles a model-zoo network into a CompiledModel, then times
-// identical InferenceSession windows with the conv crossover forced to each
-// side:
-//
-//   * sparse  — the event-driven scatter kernel on every conv layer,
-//   * dense   — the training stack's direct-conv forward body
-//               (snn::Conv2d::forward_samples) on every conv layer.
-//
-// Linear layers run their one zero-skipping kernel in both modes, so the
-// two paths differ only in conv time and the dispatch counts are conv
-// layer-steps.  Reports FPS, latency percentiles, and the achieved input
-// density of the conv and linear layers.  Because both paths are bit-identical to
-// SpikingNetwork::forward, the bench first asserts spike-count parity
-// against the dense training path and aborts on any mismatch — a
-// performance number for a wrong result is worthless.
+// INFER — serving-throughput benchmark for the inference engine.  Compiles
+// a model-zoo network into a CompiledModel, then times identical
+// InferenceSession windows: every conv layer runs the training stack's
+// direct-conv forward body (snn::Conv2d::forward_samples) and every linear
+// layer its zero-skipping kernel.  Reports FPS, latency percentiles, and
+// the achieved input density of the conv and linear layers.  The session
+// is bit-identical to SpikingNetwork::forward, so the bench first asserts
+// spike-count parity against the training path and aborts on any mismatch
+// — a performance number for a wrong result is worthless.
 //
 // Writes BENCH_infer.json (machine-readable summary, consumed by CI) and,
 // with --ledger <dir>, a run-ledger stream with the measured numbers.
@@ -21,9 +14,7 @@
 //   ./infer_throughput                        # quickstart CSNN, beta=0.5
 //   ./infer_throughput --model mlp --reps 50
 //   ./infer_throughput --threads 4 --ledger runs
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -47,7 +38,7 @@ using namespace spiketune;
 
 namespace {
 
-struct PathResult {
+struct WindowTiming {
   double fps = 0.0;          // batch / steady-state mean latency
   double mean_ms = 0.0;      // steady state: first timed window excluded
   double p50_ms = 0.0;
@@ -59,24 +50,21 @@ struct PathResult {
   std::int64_t dense_dispatches = 0;
 };
 
-// Times `reps` runs of one window through a session with the crossover
-// forced to `crossover` (< 0 dense, >= 1 sparse).  The first timed window
+// Times `reps` runs of one window through a session.  The first timed window
 // is reported separately and excluded from the steady-state summary: even
 // after the untimed warm-ups, the first measured run can still pay
 // one-time costs (page faults on freshly-touched scratch, thread-pool
 // spin-up, cold caches) that a long-lived serving process never sees
 // again, and with small `reps` that single outlier used to drag the FPS
 // figure well below what the engine sustains.
-PathResult time_path(const infer::CompiledModel& model,
-                     const std::vector<Tensor>& window, double crossover,
-                     int warmup, int reps) {
-  infer::InferenceSession session(
-      model, {.max_batch = window.front().shape()[0],
-              .sparse_crossover = crossover,
-              .record_stats = false});
+WindowTiming time_windows(const infer::CompiledModel& model,
+                          const std::vector<Tensor>& window, int warmup,
+                          int reps) {
+  infer::InferenceSession session(model,
+                                  {.max_batch = window.front().shape()[0]});
   for (int i = 0; i < warmup; ++i) session.run(window);
 
-  PathResult r;
+  WindowTiming r;
   std::vector<double> lat_ms;
   lat_ms.reserve(static_cast<std::size_t>(reps));
   const double batch = static_cast<double>(window.front().shape()[0]);
@@ -122,7 +110,7 @@ std::vector<Tensor> spike_window(std::int64_t steps, Shape shape,
   return window;
 }
 
-std::string json_path(const PathResult& r) {
+std::string json_timing(const WindowTiming& r) {
   std::ostringstream os;
   os << "{\"fps\": " << r.fps << ", \"mean_ms\": " << r.mean_ms
      << ", \"p50_ms\": " << r.p50_ms << ", \"p90_ms\": " << r.p90_ms
@@ -144,8 +132,8 @@ int main(int argc, char** argv) {
   flags.declare("density", "0.15", "input spike probability per step");
   flags.declare("beta", "0.5", "LIF membrane leak");
   flags.declare("theta", "1.5", "LIF firing threshold");
-  flags.declare("warmup", "3", "untimed warm-up runs per path");
-  flags.declare("reps", "20", "timed runs per path");
+  flags.declare("warmup", "3", "untimed warm-up runs");
+  flags.declare("reps", "20", "timed runs");
   flags.declare("json", "BENCH_infer.json", "JSON summary path (empty: skip)");
   flags.declare("ledger", "", "write a run ledger into this directory");
   exp::declare_standard_flags(flags, exp::DriverKind::kPlain);
@@ -181,8 +169,7 @@ int main(int argc, char** argv) {
     // The ledger is written on BOTH exits (clean and parity failure): a run
     // that fails its gate must still leave a final record, or the sweep
     // dashboard silently shows nothing instead of a red row.
-    const auto write_ledger = [&](bool parity_ok, const PathResult* sp,
-                                  const PathResult* de, double speedup) {
+    const auto write_ledger = [&](bool parity_ok, const WindowTiming* r) {
       if (ledger_dir.empty()) return;
       std::error_code ec;
       std::filesystem::create_directories(ledger_dir, ec);
@@ -201,37 +188,30 @@ int main(int argc, char** argv) {
       ledger.write_manifest(m);
       obs::LedgerFinal fin;
       fin.values.emplace_back("parity", parity_ok ? 1.0 : 0.0);
-      if (sp != nullptr && de != nullptr) {
-        fin.values.emplace_back("measured_fps", sp->fps);
-        fin.values.emplace_back("dense_fps", de->fps);
-        fin.values.emplace_back("speedup", speedup);
-        fin.values.emplace_back("p99_ms", sp->p99_ms);
-        fin.values.emplace_back("input_density", sp->input_density);
+      if (r != nullptr) {
+        fin.values.emplace_back("measured_fps", r->fps);
+        fin.values.emplace_back("p99_ms", r->p99_ms);
+        fin.values.emplace_back("input_density", r->input_density);
       }
       ledger.write_final(fin);
       std::cout << "wrote " << ledger.path() << "\n";
     };
 
-    // Parity gate: both session paths must reproduce the training-stack
-    // forward bit for bit before any timing is believed.
+    // Parity gate: the session must reproduce the training-stack forward
+    // bit for bit before any timing is believed.
     const auto model = infer::CompiledModel::compile(*zoo.net, zoo.per_sample);
     const auto reference = zoo.net->forward(window);
     std::string parity_error;
     try {
-      for (double crossover : {2.0, -1.0}) {
-        infer::InferenceSession session(
-            model, {.max_batch = batch, .sparse_crossover = crossover});
-        const auto got = session.run(window);
-        const auto* want = reference.spike_counts.data();
-        const auto* have = got.spike_counts.data();
-        for (std::int64_t i = 0; i < reference.spike_counts.numel(); ++i) {
-          ST_REQUIRE(want[i] == have[i],
-                     "parity failure on the " +
-                         std::string(crossover >= 1.0 ? "sparse" : "dense") +
-                         " path at element " + std::to_string(i) +
-                         ": dense forward " + std::to_string(want[i]) +
-                         " vs session " + std::to_string(have[i]));
-        }
+      infer::InferenceSession session(model, {.max_batch = batch});
+      const auto got = session.run(window);
+      const auto* want = reference.spike_counts.data();
+      const auto* have = got.spike_counts.data();
+      for (std::int64_t i = 0; i < reference.spike_counts.numel(); ++i) {
+        ST_REQUIRE(want[i] == have[i],
+                   "parity failure at element " + std::to_string(i) +
+                       ": training forward " + std::to_string(want[i]) +
+                       " vs session " + std::to_string(have[i]));
       }
     } catch (const Error& e) {
       parity_error = e.what();
@@ -254,42 +234,26 @@ int main(int argc, char** argv) {
             << "}\n";
         std::cout << "wrote " << json << "\n";
       }
-      write_ledger(false, nullptr, nullptr, 0.0);
+      write_ledger(false, nullptr);
       return 1;
     }
-    std::cout << "parity: sparse and dense session paths match "
-                 "SpikingNetwork::forward bitwise\n\n";
+    std::cout << "parity: the session matches SpikingNetwork::forward "
+                 "bitwise\n\n";
 
-    const auto sparse = time_path(model, window, 2.0, warmup, reps);
-    const auto dense = time_path(model, window, -1.0, warmup, reps);
-    const double speedup = dense.fps > 0.0 ? sparse.fps / dense.fps : 0.0;
+    const auto r = time_windows(model, window, warmup, reps);
 
-    AsciiTable table({"path", "FPS", "mean", "p50", "p90", "p99", "density"});
+    AsciiTable table({"FPS", "mean", "p50", "p90", "p99", "density"});
     table.set_title("serving throughput (" + std::to_string(reps) +
                     " reps, first timed window excluded)");
-    auto row = [](const char* name, const PathResult& r) {
-      return std::vector<std::string>{
-          name,
-          fmt_f(r.fps, 0),
-          fmt_f(r.mean_ms, 2) + "ms",
-          fmt_f(r.p50_ms, 2) + "ms",
-          fmt_f(r.p90_ms, 2) + "ms",
-          fmt_f(r.p99_ms, 2) + "ms",
-          fmt_pct(r.input_density, 1)};
-    };
-    table.add_row(row("sparse", sparse));
-    table.add_row(row("dense", dense));
+    table.add_row({fmt_f(r.fps, 0), fmt_f(r.mean_ms, 2) + "ms",
+                   fmt_f(r.p50_ms, 2) + "ms", fmt_f(r.p90_ms, 2) + "ms",
+                   fmt_f(r.p99_ms, 2) + "ms", fmt_pct(r.input_density, 1)});
     table.print(std::cout);
-    std::cout << "sparse vs dense: " << fmt_x(speedup, 2)
-              << " FPS at achieved input density "
-              << fmt_pct(sparse.input_density, 1) << "\n";
 
     if (obs::metrics_enabled()) {
       obs::set(obs::gauge("infer.bench.parity"), 1.0);
-      obs::set(obs::gauge("infer.bench.fps_sparse"), sparse.fps);
-      obs::set(obs::gauge("infer.bench.fps_dense"), dense.fps);
-      obs::set(obs::gauge("infer.bench.speedup"), speedup);
-      obs::set(obs::gauge("infer.bench.input_density"), sparse.input_density);
+      obs::set(obs::gauge("infer.bench.fps"), r.fps);
+      obs::set(obs::gauge("infer.bench.input_density"), r.input_density);
     }
 
     if (!json.empty()) {
@@ -304,14 +268,12 @@ int main(int argc, char** argv) {
           << "  \"threads\": " << num_threads() << ",\n"
           << "  \"reps\": " << reps << ",\n"
           << "  \"parity\": true,\n"
-          << "  \"sparse\": " << json_path(sparse) << ",\n"
-          << "  \"dense\": " << json_path(dense) << ",\n"
-          << "  \"speedup\": " << speedup << "\n"
+          << "  \"dense\": " << json_timing(r) << "\n"
           << "}\n";
       std::cout << "wrote " << json << "\n";
     }
 
-    write_ledger(true, &sparse, &dense, speedup);
+    write_ledger(true, &r);
     return 0;
   });
 }

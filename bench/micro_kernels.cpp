@@ -300,6 +300,9 @@ void BM_ConvBackward(benchmark::State& state) {
     state.PauseTiming();
     conv.begin_window(8, true);
     conv.forward_step(x);
+    // A 3->32 conv is the network's first layer, which training runs
+    // without the input gradient.
+    conv.begin_backward(false);
     state.ResumeTiming();
     Tensor gx = conv.backward_step(g);
     benchmark::DoNotOptimize(gx.data());

@@ -240,10 +240,9 @@ serve::InferRequest make_request(const Options& o, std::uint64_t request_id,
 /// connection thread (sessions are not thread-safe).
 class ParityReplay {
  public:
-  /// `opts` must set max_batch = 1: every replay is a single sample.
-  ParityReplay(const infer::CompiledModel& model,
-               const infer::InferOptions& opts)
-      : session_(model, opts) {}
+  /// Every replay is a single sample, so the session holds one.
+  explicit ParityReplay(const infer::CompiledModel& model)
+      : session_(model, {.max_batch = 1}) {}
 
   /// Replays `req`'s window through run(StreamState* const*, 1, window)
   /// and compares the served counts bitwise.  A stream chunk passes its
@@ -320,8 +319,7 @@ Burst run_burst(const Options& o, Work work, Body body) {
 
 /// Request mode: --requests windows split over the connections, each
 /// retried under --retries.
-Burst run_requests(const Options& o, const infer::CompiledModel& model,
-                   const infer::InferOptions& ref_opts) {
+Burst run_requests(const Options& o, const infer::CompiledModel& model) {
   const std::int64_t elems = model.input_shape().numel();
   const std::int64_t per_conn =
       (o.total_requests + o.conns - 1) / o.conns;  // last conn may send fewer
@@ -334,7 +332,7 @@ Burst run_requests(const Options& o, const infer::CompiledModel& model,
                                      std::unique_ptr<serve::TcpClient>& client,
                                      ConnResult& r) {
     const std::int64_t count = count_for(c);
-    ParityReplay replay(model, ref_opts);
+    ParityReplay replay(model);
     Rng rng(0x10adc4feULL ^
             (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(c + 1)));
     r.latency_ms.reserve(static_cast<std::size_t>(count));
@@ -450,8 +448,7 @@ Burst run_requests(const Options& o, const infer::CompiledModel& model,
 /// gate replays checked streams through a direct StreamState: every
 /// chunk's counts AND the close totals must match bitwise — LRU
 /// eviction/restore on the daemon must be invisible.
-Burst run_streams(const Options& o, const infer::CompiledModel& model,
-                  const infer::InferOptions& ref_opts) {
+Burst run_streams(const Options& o, const infer::CompiledModel& model) {
   const std::int64_t elems = model.input_shape().numel();
   const auto streams_for = [&](int c) {
     return c < o.streams_total ? (o.streams_total - 1 - c) / o.conns + 1
@@ -476,7 +473,7 @@ Burst run_streams(const Options& o, const infer::CompiledModel& model,
                 static_cast<std::int64_t>(mine.size()) < o.parity_per_conn;
       mine.push_back(std::move(s));
     }
-    ParityReplay replay(model, ref_opts);
+    ParityReplay replay(model);
 
     for (LocalStream& s : mine) {
       const auto ack = client->stream_open(s.id);
@@ -862,10 +859,10 @@ int main(int argc, char** argv) {
                 "StreamState (every chunk and the close totals)");
   flags.declare("json", "BENCH_serve.json", "JSON summary path (empty: skip)");
   flags.declare("ledger", "", "write a run ledger into this directory");
-  exp::declare_standard_flags(flags, exp::DriverKind::kInfer);
+  exp::declare_standard_flags(flags, exp::DriverKind::kPlain);
   return run_main(flags, argc, argv, [&] {
     const auto std_flags =
-        exp::apply_standard_flags(flags, exp::DriverKind::kInfer);
+        exp::apply_standard_flags(flags, exp::DriverKind::kPlain);
     // Read every flag value before any client thread starts.
     const Options o = read_options(flags);
 
@@ -914,11 +911,8 @@ int main(int argc, char** argv) {
                 << " ==\n";
     }
 
-    infer::InferOptions ref_opts = std_flags.infer;
-    ref_opts.max_batch = 1;
-    const Burst burst = o.streams_total > 0
-                            ? run_streams(o, model, ref_opts)
-                            : run_requests(o, model, ref_opts);
+    const Burst burst = o.streams_total > 0 ? run_streams(o, model)
+                                            : run_requests(o, model);
     if (!burst.error.empty()) {
       std::cerr << burst.error << "\n";
       return 1;

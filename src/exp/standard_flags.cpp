@@ -1,13 +1,10 @@
 #include "exp/standard_flags.h"
 
-#include <sstream>
-
 namespace spiketune::exp {
 
 namespace {
 
 // Which shared flags each kind declares; declare and apply both read this.
-bool has_crossover(DriverKind kind) { return kind != DriverKind::kPlain; }
 bool has_checkpoint(DriverKind kind) {
   return kind == DriverKind::kTrain || kind == DriverKind::kFit ||
          kind == DriverKind::kSweep;
@@ -19,9 +16,8 @@ bool has_ledger(DriverKind kind) {
   return kind == DriverKind::kTrain || kind == DriverKind::kSweep;
 }
 
-/// The fit flags (and the crossover every trainer evaluates with).
+/// The fit flags.
 void apply_trainer_flags(const CliFlags& flags, DriverKind kind,
-                         const StandardFlags& out,
                          train::TrainerConfig& config) {
   config.checkpoint_dir = flags.get("checkpoint-dir");
   config.resume = flags.get_bool("resume");
@@ -31,7 +27,6 @@ void apply_trainer_flags(const CliFlags& flags, DriverKind kind,
     config.stop_after_epochs = flags.get_int("stop-after");
     config.nan_policy = train::nan_policy_by_name(flags.get("nan-policy"));
   }
-  config.infer = out.infer;
 }
 
 }  // namespace
@@ -39,14 +34,6 @@ void apply_trainer_flags(const CliFlags& flags, DriverKind kind,
 void declare_standard_flags(CliFlags& flags, DriverKind kind) {
   declare_threads_flag(flags);
   obs::declare_telemetry_flags(flags);
-  if (has_crossover(kind)) {
-    std::ostringstream crossover;  // shortest form, e.g. "0.35"
-    crossover << infer::InferOptions{}.sparse_crossover;
-    flags.declare("sparse-crossover", crossover.str(),
-                  "input density at or below which inference conv layers "
-                  "take the sparse scatter kernel (DESIGN.md §10; both "
-                  "kernels are bit-identical, so this only moves time)");
-  }
   if (has_checkpoint(kind)) {
     flags.declare("checkpoint-dir", "",
                   "directory for crash-safe training checkpoints; a driver "
@@ -84,8 +71,6 @@ StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind) {
   StandardFlags out;
   out.threads = apply_threads_flag(flags);
   out.telemetry = obs::apply_telemetry_flags(flags);
-  if (has_crossover(kind))
-    out.infer.sparse_crossover = flags.get_double("sparse-crossover");
   if (kind == DriverKind::kSweep) out.journal = flags.get("journal");
   return out;
 }
@@ -94,7 +79,7 @@ StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind,
                                    ExperimentConfig& config, int argc,
                                    char** argv) {
   StandardFlags out = apply_standard_flags(flags, kind);
-  apply_trainer_flags(flags, kind, out, config.trainer);
+  apply_trainer_flags(flags, kind, config.trainer);
   config.ledger.dir = flags.get("ledger");
   config.ledger.argv = join_argv(argc, argv);
   return out;
@@ -103,7 +88,7 @@ StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind,
 StandardFlags apply_standard_flags(const CliFlags& flags,
                                    train::TrainerConfig& config) {
   StandardFlags out = apply_standard_flags(flags, DriverKind::kFit);
-  apply_trainer_flags(flags, DriverKind::kFit, out, config);
+  apply_trainer_flags(flags, DriverKind::kFit, config);
   return out;
 }
 

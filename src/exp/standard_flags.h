@@ -17,33 +17,29 @@
 //
 // Flag sets per kind (all include --threads, --trace, --metrics-out,
 // --profile):
-//   kPlain   nothing further: drivers that build no Trainer and no session
-//            from flags
-//   kInfer   --sparse-crossover: the serving daemon and its load generator
-//   kTrain   --sparse-crossover, the crash-safety fit flags
-//            (--checkpoint-dir, --checkpoint-every, --keep-last, --resume,
-//            --stop-after, --nan-policy) and --ledger: ExperimentConfig
-//            drivers
-//   kFit     --sparse-crossover and the fit flags: bare-TrainerConfig
-//            drivers
-//   kSweep   --sparse-crossover, --checkpoint-dir, --resume, --ledger and
-//            --journal: the journaled Fig. 1/Fig. 2 sweeps.  The loop in
-//            exp/sweep.h gives each point its own checkpoint subdirectory
-//            and ledger stream.  --stop-after is left out: a point stopped
-//            early would be journaled done with a partly trained model.
+//   kPlain   nothing further: drivers that build no Trainer from flags,
+//            the serving daemon and its load generator included
+//   kTrain   the crash-safety fit flags (--checkpoint-dir,
+//            --checkpoint-every, --keep-last, --resume, --stop-after,
+//            --nan-policy) and --ledger: ExperimentConfig drivers
+//   kFit     the fit flags: bare-TrainerConfig drivers
+//   kSweep   --checkpoint-dir, --resume, --ledger and --journal: the
+//            journaled Fig. 1/Fig. 2 sweeps.  The loop in exp/sweep.h gives
+//            each point its own checkpoint subdirectory and ledger stream.
+//            --stop-after is left out: a point stopped early would be
+//            journaled done with a partly trained model.
 #pragma once
 
 #include <string>
 
 #include "core/cli.h"
 #include "exp/experiment.h"
-#include "infer/options.h"
 #include "obs/flags.h"
 #include "train/trainer.h"
 
 namespace spiketune::exp {
 
-enum class DriverKind { kPlain, kInfer, kTrain, kFit, kSweep };
+enum class DriverKind { kPlain, kTrain, kFit, kSweep };
 
 /// What apply_standard_flags() produced.  Move-only: the telemetry session
 /// flushes trace/metrics/profiler output when it leaves scope, so keep the
@@ -51,10 +47,6 @@ enum class DriverKind { kPlain, kInfer, kTrain, kFit, kSweep };
 struct StandardFlags {
   int threads = 0;                  // resolved --threads value
   obs::TelemetrySession telemetry;  // flushes on destruction
-  /// --sparse-crossover (every kind but kPlain); the config overloads also
-  /// copy it into TrainerConfig::infer.  Drivers override the per-call
-  /// fields (max_batch, record_stats) themselves.
-  infer::InferOptions infer;
   /// --journal (kSweep): the sweep journal path, empty when off.
   std::string journal;
 };
@@ -63,17 +55,17 @@ struct StandardFlags {
 /// the driver's own flags so --help lists driver-specific flags first.
 void declare_standard_flags(CliFlags& flags, DriverKind kind);
 
-/// Applies the shared flags (after parse()) for kPlain and kInfer drivers.
+/// Applies the shared flags (after parse()) for kPlain drivers.
 StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind);
 
-/// kTrain and kSweep: also reads the checkpoint, resume and crossover flags
-/// into `config.trainer` (kTrain: the other fit flags too), and --ledger
+/// kTrain and kSweep: also reads the checkpoint and resume flags into
+/// `config.trainer` (kTrain: the other fit flags too), and --ledger
 /// with the command line into `config.ledger`.
 StandardFlags apply_standard_flags(const CliFlags& flags, DriverKind kind,
                                    ExperimentConfig& config, int argc,
                                    char** argv);
 
-/// kFit: also reads the fit and crossover flags into `config`.
+/// kFit: also reads the fit flags into `config`.
 StandardFlags apply_standard_flags(const CliFlags& flags,
                                    train::TrainerConfig& config);
 

@@ -56,18 +56,6 @@ std::vector<LayerWorkload> extract_workloads(const snn::SpikingNetwork& net,
   return out;
 }
 
-double total_dense_synops(const std::vector<LayerWorkload>& ws) {
-  double s = 0.0;
-  for (const auto& w : ws) s += w.dense_synops();
-  return s;
-}
-
-double total_sparse_synops(const std::vector<LayerWorkload>& ws) {
-  double s = 0.0;
-  for (const auto& w : ws) s += w.sparse_synops();
-  return s;
-}
-
 std::int64_t total_neurons(const std::vector<LayerWorkload>& ws) {
   std::int64_t n = 0;
   for (const auto& w : ws) n += w.neurons;

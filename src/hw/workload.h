@@ -54,9 +54,6 @@ std::vector<LayerWorkload> extract_workloads(const snn::SpikingNetwork& net,
                                              const snn::SpikeRecord& record,
                                              std::int64_t timesteps);
 
-/// Sum of dense/sparse synops per timestep across layers (model totals).
-double total_dense_synops(const std::vector<LayerWorkload>& ws);
-double total_sparse_synops(const std::vector<LayerWorkload>& ws);
 /// Total neurons updated per timestep.
 std::int64_t total_neurons(const std::vector<LayerWorkload>& ws);
 

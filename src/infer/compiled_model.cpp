@@ -90,10 +90,4 @@ snn::SpikeRecord CompiledModel::make_record() const {
   return snn::SpikeRecord(std::move(names), std::move(spiking));
 }
 
-std::int64_t CompiledModel::num_parameters() const {
-  std::int64_t n = 0;
-  for (const auto& l : layers_) n += l.weight.numel() + l.bias.numel();
-  return n;
-}
-
 }  // namespace spiketune::infer

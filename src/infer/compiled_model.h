@@ -1,13 +1,14 @@
 // CompiledModel: a trained SpikingNetwork frozen for inference.
 //
 // compile() walks the network once and snapshots everything the serving hot
-// path needs — weights (plus the [K, out] transpose that the linear kernel
-// and the sparse conv scatter read), biases, conv geometry, pool kernels, LIF constants, and the
-// per-layer shapes for a given per-sample input — so an InferenceSession can
-// run windows with no layer objects, no gradient caches, and no per-step
-// shape inference.  The source network is not retained: a CompiledModel is a
-// self-contained value and stays valid after the network is mutated or
-// destroyed (re-compile to pick up new weights, e.g. after quantization).
+// path needs — weights (plus the [K, out] transpose that the linear and
+// conv kernels read), biases, conv geometry, pool kernels, LIF constants,
+// and the per-layer shapes for a given per-sample input — so an
+// InferenceSession can run windows with no layer objects, no gradient
+// caches, and no per-step shape inference.  The source network is not
+// retained: a CompiledModel is a self-contained value and stays valid after
+// the network is mutated or destroyed (re-compile to pick up new weights,
+// e.g. after quantization).
 #pragma once
 
 #include <string>
@@ -42,10 +43,9 @@ struct CompiledLayer {
 
   // kConv2d / kLinear.  `weight` keeps the training layout ([OC, IC*KH*KW]
   // for conv, [out, in] for linear); the kernels do not read it.
-  // `weight_t` is its [K, out] transpose, read by snn::Linear::forward_rows,
-  // the dense conv (snn::Conv2d::forward_samples) and the sparse conv
-  // scatter: one contiguous row per input element or kernel tap.  `bias`
-  // is empty when the layer has none.
+  // `weight_t` is its [K, out] transpose, read by snn::Linear::forward_rows
+  // and snn::Conv2d::forward_samples: one contiguous row per input element
+  // or kernel tap.  `bias` is empty when the layer has none.
   Tensor weight;
   Tensor weight_t;
   Tensor bias;
@@ -83,8 +83,6 @@ class CompiledModel {
   /// Fresh SpikeRecord matching this topology (same layer names and spiking
   /// flags as the source network's make_record()).
   snn::SpikeRecord make_record() const;
-
-  std::int64_t num_parameters() const;
 
   /// Total floats of persistent membrane state one stream carries (the
   /// StreamState arena size): the sum of every LIF layer's out_elems.

@@ -1,13 +1,8 @@
 // InferOptions: the one aggregate for every inference-construction knob.
 //
-// PR 5 replaced the training stack's positional forward arguments with
-// ForwardOptions; this is the inference-side mirror.  InferenceSession used
-// to grow a new positional field per feature (max_batch, then the
-// crossover, then two recording switches), and
-// every driver that built a session re-spelled the tail.  All of it now
-// lives here, threaded through the drivers by exp::apply_standard_flags
-// (StandardFlags::infer), so a new knob is one field plus one flag — not
-// fourteen call-site edits.
+// The inference-side mirror of the training stack's ForwardOptions: a
+// session's buffer size and its two recording switches, set by designated
+// initializer at each call site ({.max_batch = 16, .record_stats = true}).
 #pragma once
 
 #include <cstdint>
@@ -18,20 +13,12 @@ struct InferOptions {
   /// Initial buffer capacity in samples.  Running a larger batch grows the
   /// buffers (a one-off reallocation); steady state never allocates.
   std::int64_t max_batch = 32;
-  /// Batch-wide input density at or below which a conv layer takes the
-  /// sparse scatter kernel instead of the dense direct conv.  The default
-  /// sits between the measured crossings at the CSNN's two conv shapes
-  /// (DESIGN.md §10).  Set < 0 to force the dense path, >= 1 to force the
-  /// sparse path (both paths stay bit-identical; only speed changes).
-  /// Linear layers have one kernel and ignore it.  The --sparse-crossover
-  /// flag and serve::ServerConfig read their defaults from here.
-  double sparse_crossover = 0.05;
   /// Populate InferenceResult::stats (one counting pass per layer boundary,
   /// identical to ForwardOptions::record_stats).
   bool record_stats = false;
-  /// Accumulate wall-clock per-stage timings (index building vs. sparse vs.
-  /// dense kernel time) into InferenceResult.  A few clock reads per
-  /// layer-step; never alters dispatch or results.
+  /// Accumulate wall-clock per-stage timings (conv nonzero counts vs.
+  /// linear vs. conv kernel time) into InferenceResult.  A few clock reads
+  /// per layer-step; never alters results.
   bool record_stage_times = false;
 };
 

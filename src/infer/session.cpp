@@ -22,13 +22,9 @@ InferenceSession::InferenceSession(const CompiledModel& model,
   ST_REQUIRE(config_.max_batch > 0, "max_batch must be positive");
   acts_.resize(model.num_layers());
   for (const auto& l : model.layers()) {
-    if (l.kind == OpKind::kConv2d) {
-      const std::int64_t spatial = l.geom.col_cols();
-      scratch_stride_ = std::max(scratch_stride_, spatial * l.out_shape[0]);
+    if (l.kind == OpKind::kConv2d)
       padded_stride_ =
           std::max(padded_stride_, snn::Conv2d::padded_elems(l.geom));
-      idx_stride_ = std::max(idx_stride_, l.in_elems);
-    }
   }
   ensure_capacity(config_.max_batch);
 }
@@ -41,9 +37,6 @@ void InferenceSession::ensure_capacity(std::int64_t batch) {
     if (layers[li].kind == OpKind::kFlatten) continue;
     acts_[li].resize(static_cast<std::size_t>(batch * layers[li].out_elems));
   }
-  nz_idx_.resize(static_cast<std::size_t>(batch * idx_stride_));
-  nz_count_.resize(static_cast<std::size_t>(batch));
-  scratch_.resize(static_cast<std::size_t>(batch * scratch_stride_));
   padded_.resize(static_cast<std::size_t>(batch * padded_stride_));
   m_rows_.resize(static_cast<std::size_t>(batch));
   fresh_.resize(static_cast<std::size_t>(batch));
@@ -52,92 +45,6 @@ void InferenceSession::ensure_capacity(std::int64_t batch) {
     pool_.emplace_back(*model_);
   capacity_ = batch;
 }
-
-void InferenceSession::build_index_lists(const float* in, std::int64_t batch,
-                                         std::int64_t in_elems) {
-  parallel_for(0, batch, 1, [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t s = sb; s < se; ++s) {
-      const float* x = in + s * in_elems;
-      std::int32_t* idx = nz_idx_.data() + s * idx_stride_;
-      std::int64_t c = 0;
-      for (std::int64_t i = 0; i < in_elems; ++i)
-        if (x[i] != 0.0f) idx[c++] = static_cast<std::int32_t>(i);
-      nz_count_[static_cast<std::size_t>(s)] = c;
-    }
-  });
-}
-
-namespace {
-
-// --- Sparse conv ------------------------------------------------------------
-//
-// Per sample, scatter each nonzero input pixel through the [K, OC]
-// transposed weights into a zeroed [spatial, OC] scratch, then transpose
-// into the [OC, OH, OW] output fusing the bias add.  For any fixed output
-// element, contributions land in ascending p = (ic, kh, kw) order — the
-// reduction order of snn::Conv2d::forward_samples — and the terms that
-// differ between the two are exact ±0.0 products, so the result is
-// bit-identical to the dense body (DESIGN.md §10).
-
-void conv_sparse(const CompiledLayer& l, const float* in, std::int64_t n,
-                 const std::int32_t* nz_idx, std::int64_t idx_stride,
-                 const std::int64_t* nz_count, float* scratch,
-                 std::int64_t scratch_stride, float* out) {
-  ST_PROF_SCOPE("infer.conv_sparse");
-  const ConvGeom& g = l.geom;
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t spatial = oh * ow;
-  const std::int64_t ocn = l.out_shape[0];
-  const std::int64_t hw = g.height * g.width;
-  const float* wt = l.weight_t.data();
-  const float* b = l.bias.numel() > 0 ? l.bias.data() : nullptr;
-
-  parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t s = sb; s < se; ++s) {
-      float* scr = scratch + s * scratch_stride;
-      std::fill(scr, scr + spatial * ocn, 0.0f);
-      const float* x = in + s * l.in_elems;
-      const std::int32_t* idx = nz_idx + s * idx_stride;
-      const std::int64_t cnt = nz_count[s];
-      for (std::int64_t e = 0; e < cnt; ++e) {
-        const std::int64_t f = idx[e];
-        const float v = x[f];
-        const std::int64_t ic = f / hw;
-        const std::int64_t rem = f - ic * hw;
-        const std::int64_t iy = rem / g.width;
-        const std::int64_t ix = rem - iy * g.width;
-        const std::int64_t base_p = ic * g.kernel_h * g.kernel_w;
-        for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-          const std::int64_t oy = iy + g.pad_h - kh;
-          if (oy < 0 || oy >= oh) continue;
-          for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-            const std::int64_t ox = ix + g.pad_w - kw;
-            if (ox < 0 || ox >= ow) continue;
-            const float* wrow = wt + (base_p + kh * g.kernel_w + kw) * ocn;
-            float* srow = scr + (oy * ow + ox) * ocn;
-            for (std::int64_t oc = 0; oc < ocn; ++oc)
-              srow[oc] += v * wrow[oc];
-          }
-        }
-      }
-      float* o = out + s * l.out_elems;
-      for (std::int64_t oc = 0; oc < ocn; ++oc) {
-        float* oplane = o + oc * spatial;
-        if (b != nullptr) {
-          const float bv = b[oc];
-          for (std::int64_t sp = 0; sp < spatial; ++sp)
-            oplane[sp] = scr[sp * ocn + oc] + bv;
-        } else {
-          for (std::int64_t sp = 0; sp < spatial; ++sp)
-            oplane[sp] = scr[sp * ocn + oc];
-        }
-      }
-    }
-  });
-}
-
-}  // namespace
 
 void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
                                   const float* x, float* window_counts,
@@ -168,33 +75,20 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
 
     switch (l.kind) {
       case OpKind::kConv2d: {
-        // Exact batch-wide density drives the kernel choice, so dispatch
-        // is deterministic for any thread count.  Only the sparse kernel
-        // reads the index lists, so only its branch builds them.
+        // The exact nonzero count feeds mean_input_density, the recorded
+        // stats and the flight event; the kernel itself reads every pixel.
         const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
         in_nz = ops::count_nonzero(x, in_total);
-        const bool sparse = static_cast<double>(in_nz) /
-                                static_cast<double>(in_total) <=
-                            config_.sparse_crossover;
-        if (sparse) build_index_lists(x, n, l.in_elems);
         const std::uint64_t t1 = timed ? obs::telemetry_now_ns() : 0;
         if (timed) result.index_ns += t1 - t0;
-        obs::flight_record(sparse ? obs::FlightEventId::kInferSparseDispatch
-                                  : obs::FlightEventId::kInferDenseDispatch,
+        obs::flight_record(obs::FlightEventId::kInferDenseDispatch,
                            static_cast<std::uint64_t>(li),
                            static_cast<std::uint64_t>(in_nz));
-        if (sparse) {
-          ++result.sparse_dispatches;
-          conv_sparse(l, x, n, nz_idx_.data(), idx_stride_, nz_count_.data(),
-                      scratch_.data(), scratch_stride_, out);
-          if (timed) result.sparse_kernel_ns += obs::telemetry_now_ns() - t1;
-        } else {
-          ST_PROF_SCOPE("infer.conv_dense");
-          ++result.dense_dispatches;
-          snn::Conv2d::forward_samples(l.geom, l.weight_t, l.bias, x, n,
-                                       padded_.data(), out);
-          if (timed) result.dense_kernel_ns += obs::telemetry_now_ns() - t1;
-        }
+        ST_PROF_SCOPE("infer.conv_dense");
+        ++result.dense_dispatches;
+        snn::Conv2d::forward_samples(l.geom, l.weight_t, l.bias, x, n,
+                                     padded_.data(), out);
+        if (timed) result.dense_kernel_ns += obs::telemetry_now_ns() - t1;
         totals.dispatch_nz += in_nz;
         totals.dispatch_elems += in_total;
         break;
@@ -332,11 +226,9 @@ InferenceResult InferenceSession::run(StreamState* const* streams,
   if (obs::metrics_enabled()) {
     static const obs::MetricId kSpikes = obs::counter("infer.spikes");
     static const obs::MetricId kSteps = obs::counter("infer.steps");
-    static const obs::MetricId kSparse = obs::counter("infer.sparse_dispatch");
     static const obs::MetricId kDense = obs::counter("infer.dense_dispatch");
     obs::add(kSpikes, totals.spikes);
     obs::add(kSteps, steps);
-    obs::add(kSparse, result.sparse_dispatches);
     obs::add(kDense, result.dense_dispatches);
   }
   return result;

@@ -1,9 +1,8 @@
 // InferenceSession: sparsity-aware serving path for a CompiledModel.
 //
 // The session owns every *transient* buffer the hot loop needs — per-layer
-// activation planes, spike index lists, the scatter scratch and the dense
-// conv's zero-padded input planes —
-// sized once for `max_batch` samples, so steady-state inference performs no
+// activation planes and the conv's zero-padded input planes — sized once
+// for `max_batch` samples, so steady-state inference performs no
 // allocation.  *Persistent* state (LIF membranes, cumulative spike counts)
 // lives in StreamState (infer/stream.h): the session steps a batch of
 // streams, each row reading and writing its own stream's membrane arena.
@@ -20,21 +19,16 @@
 //
 // Every layer runs the training stack's own forward body, so there is no
 // second copy to keep in sync: snn::Linear::forward_rows for linear layers,
-// snn::Conv2d::forward_samples for dense conv, the pool layers'
-// forward_planes, and snn::Lif::step_rows for LIF, each row reading and
-// writing its own stream's membrane plane.  Flatten is a reshape: the next
-// layer reads its input as it stands, with no copy and no plane.  Linear
-// has that one zero-skipping kernel at every density.  Conv has two: per
-// step it counts the exact nonzeros of its input and dispatches either
+// snn::Conv2d::forward_samples (the register-tiled direct conv) for conv,
+// the pool layers' forward_planes, and snn::Lif::step_rows for LIF, each
+// row reading and writing its own stream's membrane plane.  Flatten is a
+// reshape: the next layer reads its input as it stands, with no copy and
+// no plane.  Linear skips zero inputs at every density; conv reads every
+// pixel, and counts the exact nonzeros of its input per step for the
+// density statistics.
 //
-//   * the sparse scatter kernel, which builds per-sample spike index lists
-//     and touches only the nonzero input pixels via the model's [K, OC]
-//     transposed weights, or
-//   * the dense register-tiled direct conv, snn::Conv2d::forward_samples,
-//     once batch-wide input density exceeds InferOptions::sparse_crossover.
-//
-// Both conv kernels, at any thread count, produce bit-identical activations
-// to SpikingNetwork::forward (see DESIGN.md §10 for the determinism
+// At any thread count the session produces activations bit-identical to
+// SpikingNetwork::forward (see DESIGN.md §10 for the determinism
 // argument), so spike counts, accuracies, and recorded densities match the
 // training path exactly.
 #pragma once
@@ -57,14 +51,15 @@ struct InferenceResult {
   /// Achieved input density over every conv and linear layer-step this
   /// window (exact integer counts).
   double mean_input_density = 0.0;
-  std::int64_t sparse_dispatches = 0;  // conv layer-steps on the scatter
-  std::int64_t dense_dispatches = 0;   // conv layer-steps on the direct conv
+  /// Always 0: conv has one kernel.  Kept only because perfbench's probe
+  /// reads it, until the next benchmark change (ROADMAP 12(d)).
+  std::int64_t sparse_dispatches = 0;
+  std::int64_t dense_dispatches = 0;  // conv layer-steps
 
   /// Wall-clock stage split, populated when record_stage_times: time in
-  /// conv dispatch (the nonzero count, plus build_index_lists on the
-  /// sparse branch), in zero-skipping kernels (the conv scatter and every
-  /// linear layer), and in dense conv kernels.  The serving span log
-  /// forwards the kernel split per request.
+  /// the conv layers' nonzero counts, in the zero-skipping linear kernels,
+  /// and in the conv kernels.  The serving span log forwards the kernel
+  /// split per request.
   std::uint64_t index_ns = 0;
   std::uint64_t sparse_kernel_ns = 0;
   std::uint64_t dense_kernel_ns = 0;
@@ -116,10 +111,6 @@ class InferenceSession {
   };
 
   void ensure_capacity(std::int64_t batch);
-  /// Fills per-sample nonzero index lists for a conv layer's input (the
-  /// sparse scatter's only).
-  void build_index_lists(const float* in, std::int64_t batch,
-                         std::int64_t in_elems);
   /// One timestep for `n` stream rows: runs every layer on the batch `x`
   /// ([n, in_elems] floats), accumulates the final layer's spikes into both
   /// `window_counts` ([n, out_features], the per-window tally) and each
@@ -134,16 +125,11 @@ class InferenceSession {
 
   // Per layer: capacity * out_elems activation floats (none for Flatten).
   std::vector<std::vector<float>> acts_;
-  std::vector<std::int32_t> nz_idx_;      // capacity * idx_stride_
-  std::vector<std::int64_t> nz_count_;    // per-sample nonzero counts
-  std::vector<float> scratch_;            // conv scatter: [spatial, OC]
-  std::vector<float> padded_;             // dense conv: zero-padded inputs
+  std::vector<float> padded_;             // conv: zero-padded inputs
   std::vector<float*> m_rows_;            // per-row membrane planes (1 layer)
   std::vector<unsigned char> fresh_;      // per-row "stream has no history"
   std::vector<StreamState> pool_;         // scratch streams for null rows
-  std::int64_t idx_stride_ = 0;      // max conv in_elems
-  std::int64_t scratch_stride_ = 0;  // max conv spatial*OC
-  std::int64_t padded_stride_ = 0;   // max conv padded_elems (0: no pad)
+  std::int64_t padded_stride_ = 0;  // max conv padded_elems (0: no pad)
 };
 
 }  // namespace spiketune::infer

@@ -560,11 +560,6 @@ svg .label { fill: var(--text2); font-size: 11px; }
 }  // namespace
 
 std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
-                                  const DashboardOptions& options) {
-  return render_dashboard_html(runs, {}, PostmortemTimeline{}, options);
-}
-
-std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
                                   const std::vector<RequestSpan>& spans,
                                   const PostmortemTimeline& postmortem,
                                   const DashboardOptions& options) {
@@ -623,12 +618,6 @@ std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
   html += "<h2>Spike-health warnings</h2>\n" + render_warnings(runs);
   html += "</body>\n</html>\n";
   return html;
-}
-
-void write_dashboard_html(const std::string& path,
-                          const std::vector<ParsedLedger>& runs,
-                          const DashboardOptions& options) {
-  write_dashboard_html(path, runs, {}, PostmortemTimeline{}, options);
 }
 
 void write_dashboard_html(const std::string& path,

@@ -34,29 +34,21 @@ struct DashboardOptions {
   std::string title = "spiketune run ledger";
 };
 
-/// Renders the dashboard document; `runs` must be non-empty.
-std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
-                                  const DashboardOptions& options = {});
-
-/// Same, plus a "Serving" section fed from a request-span log
-/// (obs/spans.h): windowed p50/p99 latency over wall time, the per-stage
-/// time breakdown, and batch-size trajectory.  `spans` may be empty (the
-/// section is skipped).  And a "Post-mortem" section fed from a merged
-/// crash timeline written by spiketune_flightdump (obs/flight.h): the crash
-/// header (signal, fingerprint, recorder occupancy), per-event counts, and
-/// the final stretch of the flight-recorder timeline leading into the
-/// crash.  Skipped when `postmortem.entries` is empty and no crash was
-/// recorded.
+/// Renders the dashboard document; `runs` must be non-empty.  A "Serving"
+/// section is fed from a request-span log (obs/spans.h): windowed p50/p99
+/// latency over wall time, the per-stage time breakdown, and batch-size
+/// trajectory; it is skipped when `spans` is empty.  A "Post-mortem"
+/// section is fed from a merged crash timeline written by
+/// spiketune_flightdump (obs/flight.h): the crash header (signal,
+/// fingerprint, recorder occupancy), per-event counts, and the final
+/// stretch of the flight-recorder timeline leading into the crash.  Skipped
+/// when `postmortem.entries` is empty and no crash was recorded.
 std::string render_dashboard_html(const std::vector<ParsedLedger>& runs,
                                   const std::vector<RequestSpan>& spans,
                                   const PostmortemTimeline& postmortem,
                                   const DashboardOptions& options);
 
 /// Renders and writes the dashboard to `path`.
-void write_dashboard_html(const std::string& path,
-                          const std::vector<ParsedLedger>& runs,
-                          const DashboardOptions& options = {});
-
 void write_dashboard_html(const std::string& path,
                           const std::vector<ParsedLedger>& runs,
                           const std::vector<RequestSpan>& spans,

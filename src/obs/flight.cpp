@@ -195,7 +195,6 @@ const char* flight_event_name(std::uint16_t id) {
     case FlightEventId::kStreamClose: return "stream.close";
     case FlightEventId::kStreamEvict: return "stream.evict";
     case FlightEventId::kStreamRestore: return "stream.restore";
-    case FlightEventId::kInferSparseDispatch: return "infer.sparse_dispatch";
     case FlightEventId::kInferDenseDispatch: return "infer.dense_dispatch";
     case FlightEventId::kEpochStart: return "train.epoch_start";
     case FlightEventId::kEpochEnd: return "train.epoch_end";

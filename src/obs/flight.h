@@ -54,9 +54,9 @@ enum class FlightEventId : std::uint16_t {
   kStreamClose = 13,    // a0 = stream id, a1 = live streams
   kStreamEvict = 14,    // a0 = stream id, a1 = in-memory streams
   kStreamRestore = 15,  // a0 = stream id, a1 = steps done at restore
-  // infer: dispatch-path choice per conv layer step.
-  kInferSparseDispatch = 20,  // a0 = layer index, a1 = nonzero count
-  kInferDenseDispatch = 21,   // a0 = layer index, a1 = nonzero count
+  // infer: one per conv layer step.  20 (the retired sparse-scatter
+  // dispatch) stays unused, so old dumps still decode 21 as this one.
+  kInferDenseDispatch = 21,  // a0 = layer index, a1 = nonzero count
   // train: epoch / checkpoint boundaries.
   kEpochStart = 30,         // a0 = epoch
   kEpochEnd = 31,           // a0 = epoch, a1 = accuracy in ppm

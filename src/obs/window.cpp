@@ -98,10 +98,6 @@ WindowedHistogram::Slot& WindowedHistogram::claim_slot(std::uint64_t epoch,
   return s;
 }
 
-void WindowedHistogram::record(double value) {
-  record_at(value, telemetry_now_ns());
-}
-
 void WindowedHistogram::record_at(double value, std::uint64_t now_ns) {
   const std::uint64_t epoch = now_ns / config_.epoch_ns;
   bool ok = false;
@@ -117,10 +113,6 @@ void WindowedHistogram::record_at(double value, std::uint64_t now_ns) {
   atomic_add_double(s.sum, value);
   atomic_min_double(s.min, value);
   atomic_max_double(s.max, value);
-}
-
-LogHistogram WindowedHistogram::merged() const {
-  return merged_at(telemetry_now_ns());
 }
 
 LogHistogram WindowedHistogram::merged_at(std::uint64_t now_ns) const {
@@ -181,10 +173,6 @@ void WindowedRate::add_at(std::int64_t n, std::uint64_t now_ns) {
   s.count.fetch_add(n, std::memory_order_relaxed);
 }
 
-double WindowedRate::per_second() const {
-  return per_second_at(telemetry_now_ns());
-}
-
 double WindowedRate::per_second_at(std::uint64_t now_ns) const {
   // The window's events over the time it covers: from the start of its
   // oldest epoch (time 0 while the clock is younger than the window) to now.
@@ -195,10 +183,6 @@ double WindowedRate::per_second_at(std::uint64_t now_ns) const {
   return covered_s > 0.0
              ? static_cast<double>(total_in_window_at(now_ns)) / covered_s
              : 0.0;
-}
-
-std::int64_t WindowedRate::total_in_window() const {
-  return total_in_window_at(telemetry_now_ns());
 }
 
 std::int64_t WindowedRate::total_in_window_at(std::uint64_t now_ns) const {

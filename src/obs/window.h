@@ -11,17 +11,17 @@
 // CAS and zeroes it, so the structure has no maintenance cost when idle.
 //
 // Concurrency contract:
-//   * record()/add() are safe from any number of threads; the hot path is
-//     an epoch division, a tag load, and a handful of relaxed RMWs;
-//   * merged()/per_second() are safe concurrently with writers, but a
+//   * record_at()/add() are safe from any number of threads; the hot path
+//     is an epoch division, a tag load, and a handful of relaxed RMWs;
+//   * merged_at()/per_second_at() are safe concurrently with writers, but a
 //     snapshot taken while a slot is being recycled may transiently miss
 //     the first samples of the newest epoch (bounded by one epoch);
 //   * a writer stalled so long that its epoch's slot was already recycled
 //     for a newer epoch drops the sample and counts it in dropped_late() —
 //     with epochs + 2 slots that takes a stall of more than epochs seconds.
 //
-// All methods take an explicit `now_ns` so tests can drive a synthetic
-// clock; the convenience overloads read obs::telemetry_now_ns().
+// Every method takes an explicit `now_ns` so tests can drive a synthetic
+// clock, except WindowedRate::add(n), which reads obs::telemetry_now_ns().
 #pragma once
 
 #include <atomic>
@@ -44,12 +44,10 @@ class WindowedHistogram {
   explicit WindowedHistogram(WindowConfig config = {});
   ~WindowedHistogram();  // out of line: Slot is incomplete here
 
-  void record(double value);
   void record_at(double value, std::uint64_t now_ns);
 
   /// Merged view of every in-window epoch; empty histogram when no sample
   /// landed inside the window (quantile() then returns 0, per LogHistogram).
-  LogHistogram merged() const;
   LogHistogram merged_at(std::uint64_t now_ns) const;
 
   /// Samples dropped because their epoch's slot was already recycled.
@@ -78,14 +76,12 @@ class WindowedRate {
   void add(std::int64_t n = 1);
   void add_at(std::int64_t n, std::uint64_t now_ns);
 
-  /// total_in_window() over the seconds from the start of the window's
+  /// total_in_window_at() over the seconds from the start of the window's
   /// oldest epoch (clamped at time 0) to now, so the current, partial epoch
   /// counts with the time it has run.
-  double per_second() const;
   double per_second_at(std::uint64_t now_ns) const;
 
   /// Total events across every in-window epoch (current one included).
-  std::int64_t total_in_window() const;
   std::int64_t total_in_window_at(std::uint64_t now_ns) const;
 
   std::int64_t dropped_late() const {

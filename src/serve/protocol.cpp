@@ -253,37 +253,15 @@ std::vector<std::uint8_t> RequestBuilder::infer_request(
                detail::encode_request_payload(r));
 }
 
-std::vector<std::uint8_t> RequestBuilder::infer_response(
-    const InferResponse& r) const {
-  return frame(FrameKind::kInferResponse, r.request_id,
-               detail::encode_response_payload(r));
-}
-
-std::vector<std::uint8_t> RequestBuilder::error(const ErrorResponse& r) const {
-  return frame(FrameKind::kError, r.request_id,
-               detail::encode_error_payload(r));
-}
-
 std::vector<std::uint8_t> RequestBuilder::stat_request(
     std::uint64_t request_id) const {
   return frame(FrameKind::kStatRequest, request_id, {});
-}
-
-std::vector<std::uint8_t> RequestBuilder::stat_response(
-    std::uint64_t request_id, const std::string& json) const {
-  return frame(FrameKind::kStatResponse, request_id,
-               detail::encode_stat_payload(json));
 }
 
 std::vector<std::uint8_t> RequestBuilder::stream_open(
     const StreamControl& c) const {
   return frame(FrameKind::kStreamOpen, c.request_id,
                detail::encode_stream_control_payload(c));
-}
-
-std::vector<std::uint8_t> RequestBuilder::stream_open_ack(
-    const StreamControl& c) const {
-  return stream_open(c);  // the ack is an echo frame of the same layout
 }
 
 std::vector<std::uint8_t> RequestBuilder::stream_step(
@@ -296,12 +274,6 @@ std::vector<std::uint8_t> RequestBuilder::stream_close(
     const StreamControl& c) const {
   return frame(FrameKind::kStreamClose, c.request_id,
                detail::encode_stream_control_payload(c));
-}
-
-std::vector<std::uint8_t> RequestBuilder::stream_close_reply(
-    const StreamCloseReply& r) const {
-  return frame(FrameKind::kStreamClose, r.request_id,
-               detail::encode_stream_close_reply_payload(r));
 }
 
 InferRequest decode_request(std::uint64_t request_id,

@@ -167,27 +167,20 @@ struct StreamCloseReply {
 void encode_header(const FrameHeader& h, std::uint8_t out[kHeaderBytes]);
 FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]);
 
-/// Builds complete frames (header + payload, one contiguous buffer ready
-/// for send()).  The constructor takes the protocol version so a caller
-/// states the version it frames for; anything but kProtocolVersion throws.
+/// Builds the client's request frames (header + payload, one contiguous
+/// buffer ready for send()); the server writes its replies from the
+/// detail:: encoders.  The constructor takes the protocol version so a
+/// caller states the version it frames for; anything but kProtocolVersion
+/// throws.
 class RequestBuilder {
  public:
   explicit RequestBuilder(std::uint32_t version = kProtocolVersion);
 
   std::vector<std::uint8_t> infer_request(const InferRequest& r) const;
-  std::vector<std::uint8_t> infer_response(const InferResponse& r) const;
-  std::vector<std::uint8_t> error(const ErrorResponse& r) const;
   std::vector<std::uint8_t> stat_request(std::uint64_t request_id) const;
-  std::vector<std::uint8_t> stat_response(std::uint64_t request_id,
-                                          const std::string& json) const;
-
-  // Streaming frames (request and reply directions).
   std::vector<std::uint8_t> stream_open(const StreamControl& c) const;
-  std::vector<std::uint8_t> stream_open_ack(const StreamControl& c) const;
   std::vector<std::uint8_t> stream_step(const StreamStepRequest& r) const;
   std::vector<std::uint8_t> stream_close(const StreamControl& c) const;
-  std::vector<std::uint8_t> stream_close_reply(
-      const StreamCloseReply& r) const;
 
  private:
   std::vector<std::uint8_t> frame(FrameKind kind, std::uint64_t request_id,

@@ -90,13 +90,13 @@ int main(int argc, char** argv) {
   flags.declare("crash-dir", "serve_crash",
                 "crash-bundle directory for the fatal-signal handler "
                 "(empty = no crash handler)");
-  exp::declare_standard_flags(flags, exp::DriverKind::kInfer);
+  exp::declare_standard_flags(flags, exp::DriverKind::kPlain);
   return run_main(flags, argc, argv, [&] {
     // Cooperative shutdown must be armed BEFORE telemetry: once armed, the
     // flush-and-exit signal handler stands down and SIGTERM means "drain".
     obs::install_shutdown_request();
     const auto std_flags =
-        exp::apply_standard_flags(flags, exp::DriverKind::kInfer);
+        exp::apply_standard_flags(flags, exp::DriverKind::kPlain);
 
     // Read every flag value before the server starts.
     snn::LifConfig lif;
@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
     cfg.max_steps = flags.get_int("max-steps");
     cfg.max_live_streams = flags.get_int("max-streams");
     cfg.stream_checkpoint_dir = flags.get("stream-dir");
-    cfg.sparse_crossover = std_flags.infer.sparse_crossover;
     cfg.span_log = flags.get("span-log");
     cfg.span_sample_every =
         static_cast<std::uint64_t>(flags.get_int("span-sample"));

@@ -456,7 +456,6 @@ void Server::worker_main(int index) {
   obs::set_thread_label("serve-worker-" + std::to_string(index));
   infer::InferenceSession session(
       *model_, {.max_batch = config_.max_batch,
-                .sparse_crossover = config_.sparse_crossover,
                 .record_stats = false,
                 .record_stage_times = config_.span_sample_every != 0});
   const Shape& per_sample = model_->input_shape();

@@ -15,8 +15,8 @@
 //
 // Serving is bitwise-faithful: a request's spike counts equal a direct
 // InferenceSession::run on the same window, whatever batch it rode in,
-// because every kernel computes samples independently and both dispatch
-// paths are bit-identical (DESIGN.md §10, §11).  bench/serve_loadgen's
+// because every kernel computes samples independently and no kernel
+// choice depends on the batch (DESIGN.md §10, §11).  bench/serve_loadgen's
 // parity gate enforces this end to end.
 //
 // The daemon speaks protocol v3 only (serve/protocol.h): a frame with any
@@ -95,8 +95,6 @@ struct ServerConfig {
   std::int64_t batch_timeout_us = 2000;  // upper bound on holding a batch
   std::int64_t max_queue_depth = 256;    // admission-control bound
   std::int64_t max_steps = 64;           // per-request window-length cap
-  // Forwarded to every session.
-  double sparse_crossover = infer::InferOptions{}.sparse_crossover;
   // Connection hygiene.  send_timeout_ms bounds every response write: a
   // peer that stops reading is cut after this budget instead of wedging a
   // worker (0 = unbounded).  idle_timeout_ms reaps connections with no

@@ -76,12 +76,6 @@ void SpikingNetwork::zero_grad() {
   for (auto& l : layers_) l->zero_grad();
 }
 
-std::int64_t SpikingNetwork::num_parameters() {
-  std::int64_t n = 0;
-  for (Param* p : params()) n += p->numel();
-  return n;
-}
-
 Shape SpikingNetwork::output_shape(Shape per_sample_input) const {
   Shape s = std::move(per_sample_input);
   for (const auto& l : layers_) s = l->output_shape(s);

@@ -57,7 +57,6 @@ class SpikingNetwork {
 
   std::vector<Param*> params();
   void zero_grad();
-  std::int64_t num_parameters();
 
   /// Per-sample output shape for a per-sample input shape; also validates
   /// layer compatibility.

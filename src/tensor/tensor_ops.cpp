@@ -35,35 +35,6 @@ void scale_(Tensor& a, float s) {
   for (std::int64_t i = 0, n = a.numel(); i < n; ++i) pa[i] *= s;
 }
 
-float sum(const Tensor& a) {
-  // Pairwise-ish accumulation in double to keep large reductions accurate.
-  double acc = 0.0;
-  const float* p = a.data();
-  for (std::int64_t i = 0, n = a.numel(); i < n; ++i) acc += p[i];
-  return static_cast<float>(acc);
-}
-
-float mean(const Tensor& a) {
-  ST_REQUIRE(a.numel() > 0, "mean of empty tensor");
-  return sum(a) / static_cast<float>(a.numel());
-}
-
-float max(const Tensor& a) {
-  ST_REQUIRE(a.numel() > 0, "max of empty tensor");
-  return *std::max_element(a.data(), a.data() + a.numel());
-}
-
-float min(const Tensor& a) {
-  ST_REQUIRE(a.numel() > 0, "min of empty tensor");
-  return *std::min_element(a.data(), a.data() + a.numel());
-}
-
-double zero_fraction(const Tensor& a) {
-  if (a.numel() == 0) return 0.0;
-  return 1.0 - static_cast<double>(count_nonzero(a)) /
-                   static_cast<double>(a.numel());
-}
-
 std::int64_t count_nonzero(const float* p, std::int64_t n) {
   std::atomic<std::int64_t> total{0};
   parallel_for(0, n, kElemGrain, [&](std::int64_t b, std::int64_t e) {
@@ -76,14 +47,6 @@ std::int64_t count_nonzero(const float* p, std::int64_t n) {
 
 std::int64_t count_nonzero(const Tensor& a) {
   return count_nonzero(a.data(), a.numel());
-}
-
-float l2_norm(const Tensor& a) {
-  double acc = 0.0;
-  const float* p = a.data();
-  for (std::int64_t i = 0, n = a.numel(); i < n; ++i)
-    acc += static_cast<double>(p[i]) * p[i];
-  return static_cast<float>(std::sqrt(acc));
 }
 
 Tensor transpose_2d(const Tensor& m) {

@@ -19,18 +19,10 @@ void scale_(Tensor& a, float s);
 
 // ---- reductions -----------------------------------------------------------
 
-float sum(const Tensor& a);
-float mean(const Tensor& a);
-float max(const Tensor& a);
-float min(const Tensor& a);
-/// Fraction of elements equal to zero.
-double zero_fraction(const Tensor& a);
 /// Number of nonzero elements.  Runs in parallel; per-slice integer tallies
 /// sum exactly, so the count is the same at any thread count.
 std::int64_t count_nonzero(const float* p, std::int64_t n);
 std::int64_t count_nonzero(const Tensor& a);
-/// sqrt(sum of squares)
-float l2_norm(const Tensor& a);
 
 // ---- nn helpers ------------------------------------------------------------
 

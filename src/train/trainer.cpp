@@ -389,8 +389,7 @@ namespace {
 // compile (a Layer subclass it has no op for) is refused.
 class EvalEngine {
  public:
-  EvalEngine(snn::SpikingNetwork& net, const infer::InferOptions& opts)
-      : net_(net), opts_(opts) {}
+  explicit EvalEngine(snn::SpikingNetwork& net) : net_(net) {}
 
   /// Compiles on the first window (its shape fixes the session's batch);
   /// a layer type CompiledModel cannot run throws InvalidArgument.
@@ -400,17 +399,14 @@ class EvalEngine {
       const std::vector<std::int64_t> per_sample(s.dims().begin() + 1,
                                                  s.dims().end());
       model_ = infer::CompiledModel::compile(net_, Shape(per_sample));
-      infer::InferOptions opts = opts_;
-      opts.max_batch = s[0];
-      opts.record_stats = true;
-      session_.emplace(*model_, opts);
+      session_.emplace(*model_, infer::InferOptions{.max_batch = s[0],
+                                                    .record_stats = true});
     }
     return session_->run(steps);
   }
 
  private:
   snn::SpikingNetwork& net_;
-  infer::InferOptions opts_;
   std::optional<infer::CompiledModel> model_;
   std::optional<infer::InferenceSession> session_;  // points into model_
 };
@@ -424,7 +420,7 @@ snn::SpikeRecord Trainer::record_activity(data::DataLoader& loader,
   ST_REQUIRE(max_batches > 0, "record_activity needs max_batches > 0");
   loader.start_epoch(0);
   snn::SpikeRecord record = net_.make_record();
-  EvalEngine engine(net_, config_.infer);
+  EvalEngine engine(net_);
   data::Batch batch;
   std::uint64_t batch_idx = 0;
   while (batch_idx < static_cast<std::uint64_t>(max_batches) &&
@@ -446,7 +442,7 @@ EvalMetrics Trainer::evaluate(data::DataLoader& loader) {
   out.record = net_.make_record();
   RunningMean loss_mean;
   RunningMean acc_mean;
-  EvalEngine engine(net_, config_.infer);
+  EvalEngine engine(net_);
   data::Batch batch;
   const std::uint64_t call = eval_calls_++;
   std::uint64_t batch_idx = 0;

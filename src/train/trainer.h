@@ -25,7 +25,6 @@
 #include "core/serialize.h"
 #include "data/dataloader.h"
 #include "data/encoders.h"
-#include "infer/options.h"
 #include "snn/loss.h"
 #include "snn/network.h"
 #include "train/lr_scheduler.h"
@@ -87,14 +86,6 @@ struct TrainerConfig {
   /// What a batch with a non-finite loss or gradient norm triggers; every
   /// batch is checked.
   NanPolicy nan_policy = NanPolicy::kThrow;
-
-  // -- evaluation inference -------------------------------------------------
-  /// Options for the compiled inference sessions that evaluate() and the
-  /// activity probe run batches through.  max_batch and record_stats are
-  /// overridden per pass; the remaining knobs (sparse_crossover) apply
-  /// as-is.  Both dispatch paths are bit-identical, so these never change
-  /// metrics — only wall-clock time.
-  infer::InferOptions infer;
 };
 
 /// Thrown out of train_epoch when the health monitor trips under

@@ -174,18 +174,14 @@ StandardFlags apply_to(DriverKind kind, ExperimentConfig& config,
 TEST(StandardFlags, TrainAndSweepFillTheExperimentConfig) {
   for (DriverKind kind : {DriverKind::kTrain, DriverKind::kSweep}) {
     ExperimentConfig cfg;
-    const auto out =
-        apply_to(kind, cfg,
-                 {"drv", "--threads=1", "--checkpoint-dir", "ck", "--resume",
-                  "--ledger", "runs", "--sparse-crossover", "0.125"});
+    apply_to(kind, cfg,
+             {"drv", "--threads=1", "--checkpoint-dir", "ck", "--resume",
+              "--ledger", "runs"});
     EXPECT_EQ(cfg.trainer.checkpoint_dir, "ck");
     EXPECT_TRUE(cfg.trainer.resume);
     EXPECT_EQ(cfg.ledger.dir, "runs");
     EXPECT_EQ(cfg.ledger.argv,
-              "drv --threads=1 --checkpoint-dir ck --resume --ledger runs "
-              "--sparse-crossover 0.125");
-    EXPECT_EQ(cfg.trainer.infer.sparse_crossover, 0.125);
-    EXPECT_EQ(out.infer.sparse_crossover, 0.125);
+              "drv --threads=1 --checkpoint-dir ck --resume --ledger runs");
   }
 }
 
@@ -205,8 +201,7 @@ TEST(StandardFlags, FitFillsTheTrainerConfig) {
   CliFlags flags;
   declare_standard_flags(flags, DriverKind::kFit);
   Argv a({"abl", "--threads=1", "--checkpoint-dir=ck", "--resume",
-          "--stop-after=2", "--nan-policy=rollback",
-          "--sparse-crossover=0.5"});
+          "--stop-after=2", "--nan-policy=rollback"});
   flags.parse(a.argc() - 1, a.argv() + 1);
   train::TrainerConfig tcfg;
   apply_standard_flags(flags, tcfg);
@@ -214,18 +209,6 @@ TEST(StandardFlags, FitFillsTheTrainerConfig) {
   EXPECT_TRUE(tcfg.resume);
   EXPECT_EQ(tcfg.stop_after_epochs, 2);
   EXPECT_EQ(tcfg.nan_policy, train::NanPolicy::kRollback);
-  EXPECT_EQ(tcfg.infer.sparse_crossover, 0.5);
-}
-
-TEST(StandardFlags, PlainDriversDeclareNoCrossover) {
-  CliFlags flags;
-  declare_standard_flags(flags, DriverKind::kPlain);
-  EXPECT_EQ(flags.usage("p").find("--sparse-crossover"), std::string::npos);
-  CliFlags infer_flags;
-  declare_standard_flags(infer_flags, DriverKind::kInfer);
-  EXPECT_NE(infer_flags.usage("p").find("--sparse-crossover"),
-            std::string::npos);
-  EXPECT_EQ(infer_flags.usage("p").find("--resume"), std::string::npos);
 }
 
 /// Runs a --preset driver body through the front door.

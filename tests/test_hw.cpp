@@ -65,10 +65,6 @@ TEST(Workload, SynopsAlgebra) {
   EXPECT_DOUBLE_EQ(ws[0].dense_synops(), 3072.0 * 288.0);
   EXPECT_DOUBLE_EQ(ws[0].sparse_synops(), 0.25 * 3072.0 * 288.0);
   EXPECT_DOUBLE_EQ(ws[0].input_density(), 0.25);
-  EXPECT_DOUBLE_EQ(total_dense_synops(ws),
-                   ws[0].dense_synops() + ws[1].dense_synops());
-  EXPECT_DOUBLE_EQ(total_sparse_synops(ws),
-                   ws[0].sparse_synops() + ws[1].sparse_synops());
   EXPECT_EQ(total_neurons(ws), 4096 + 256);
 }
 

@@ -2,8 +2,8 @@
 //
 // InferenceSession promises results *bit-identical* to
 // SpikingNetwork::forward — same spike counts, same recorded activity, same
-// membrane potentials — for every model-zoo topology, at any thread count,
-// on either side of the sparse/dense crossover.  These tests pin that contract with random
+// membrane potentials — for every model-zoo topology, at any thread count
+// and any input density.  These tests pin that contract with random
 // weights and density-controlled random inputs, and exercise the session
 // lifecycle (reuse across windows, buffer growth past max_batch) plus the
 // compile-time rejection of unsupported layers.
@@ -33,7 +33,7 @@ struct ThreadGuard {
 };
 
 // A window of `steps` batches where each element is nonzero with the given
-// probability — both dispatch paths see realistic mixed-density inputs.
+// probability — the kernels see realistic mixed-density inputs.
 std::vector<Tensor> random_window(std::int64_t steps, Shape shape,
                                   double density, Rng& rng) {
   std::vector<Tensor> window;
@@ -100,37 +100,37 @@ void expect_membranes_equal(const snn::SpikingNetwork& net,
   }
 }
 
-// Runs the window through the dense training path once, then through a
-// session on explicit stream rows at 1 and 4 threads, at the given conv
-// crossover and with each conv kernel forced (< 0 dense, >= 1 sparse),
-// asserting bitwise-equal spike counts and membranes and identical activity
-// records every time.
+// Runs the window, extended by an all-zero step and a step holding one
+// spike, through the dense training path once, then through a session on
+// explicit stream rows at 1 and 4 threads, asserting bitwise-equal spike
+// counts and membranes and identical activity records each time.  The two
+// extra steps pin the direct conv at the lowest densities a layer can see.
 void check_parity(snn::SpikingNetwork& net, const Shape& per_sample,
-                  const std::vector<Tensor>& window, double crossover) {
+                  std::vector<Tensor> window) {
+  const Shape shape = window.front().shape();
+  window.push_back(Tensor::full(shape, 0.0f));
+  Tensor one_spike = Tensor::full(shape, 0.0f);
+  one_spike.data()[one_spike.numel() / 2 + 5] = 1.0f;  // mid-batch, interior
+  window.push_back(std::move(one_spike));
+
   const auto dense = net.forward(window, {.record_stats = true});
   const auto model = CompiledModel::compile(net, per_sample);
-  const std::int64_t n = window.front().shape()[0];
+  const std::int64_t n = shape[0];
   for (int threads : {1, 4}) {
     ThreadGuard guard(threads);
-    for (double xover : {crossover, -1.0, 1.5}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " crossover=" + std::to_string(xover));
-      InferenceSession session(model, {.max_batch = n,
-                                       .sparse_crossover = xover,
-                                       .record_stats = true});
-      std::vector<StreamState> rows;
-      for (std::int64_t s = 0; s < n; ++s)
-        rows.push_back(session.make_stream());
-      std::vector<StreamState*> ptrs;
-      for (StreamState& r : rows) ptrs.push_back(&r);
-      const auto got = session.run(ptrs.data(), n, window);
-      EXPECT_EQ(got.timesteps, dense.timesteps);
-      expect_bitwise_equal(dense.spike_counts, got.spike_counts);
-      expect_records_equal(dense.stats, got.stats);
-      expect_membranes_equal(net, model, rows);
-      EXPECT_GE(got.mean_input_density, 0.0);
-      EXPECT_LE(got.mean_input_density, 1.0);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    InferenceSession session(model, {.max_batch = n, .record_stats = true});
+    std::vector<StreamState> rows;
+    for (std::int64_t s = 0; s < n; ++s) rows.push_back(session.make_stream());
+    std::vector<StreamState*> ptrs;
+    for (StreamState& r : rows) ptrs.push_back(&r);
+    const auto got = session.run(ptrs.data(), n, window);
+    EXPECT_EQ(got.timesteps, dense.timesteps);
+    expect_bitwise_equal(dense.spike_counts, got.spike_counts);
+    expect_records_equal(dense.stats, got.stats);
+    expect_membranes_equal(net, model, rows);
+    EXPECT_GE(got.mean_input_density, 0.0);
+    EXPECT_LE(got.mean_input_density, 1.0);
   }
 }
 
@@ -144,7 +144,7 @@ TEST(InferParity, MlpMatchesDenseForwardAtBothDensities) {
   for (double density : {0.15, 0.85}) {
     SCOPED_TRACE("density=" + std::to_string(density));
     auto window = random_window(6, Shape{5, 48}, density, rng);
-    check_parity(*net, Shape{48}, window, /*crossover=*/0.35);
+    check_parity(*net, Shape{48}, window);
   }
 }
 
@@ -157,11 +157,11 @@ TEST(InferParity, CsnnMatchesDenseForwardAtBothDensities) {
   for (double density : {0.1, 0.9}) {
     SCOPED_TRACE("density=" + std::to_string(density));
     auto window = random_window(4, Shape{3, 3, 12, 12}, density, rng);
-    check_parity(*net, Shape{3, 12, 12}, window, /*crossover=*/0.35);
+    check_parity(*net, Shape{3, 12, 12}, window);
   }
 }
 
-TEST(InferParity, CrossoverForcesEachKernelWithoutChangingResults) {
+TEST(InferParity, EveryConvLayerStepIsOneDenseDispatch) {
   snn::CsnnConfig cfg;
   cfg.image_size = 12;
   cfg.fc_hidden = 24;
@@ -171,33 +171,18 @@ TEST(InferParity, CrossoverForcesEachKernelWithoutChangingResults) {
   auto window = random_window(steps, Shape{4, 3, 12, 12}, 0.5, rng);
   const auto dense = net->forward(window, {.record_stats = true});
   const auto model = CompiledModel::compile(*net, Shape{3, 12, 12});
-  // The crossover chooses between the two conv kernels only; the linear
-  // layers have one kernel and are not counted as dispatches.
+  // Conv layer-steps are the dispatches; the linear layers are not counted.
   const std::int64_t conv_layers = 2;
 
-  // >= 1 forces the sparse scatter kernel on every conv layer-step.
-  InferenceSession sparse_only(model, {.max_batch = 4,
-                                       .sparse_crossover = 1.5,
-                                       .record_stats = true});
-  const auto got_sparse = sparse_only.run(window);
-  EXPECT_EQ(got_sparse.sparse_dispatches, steps * conv_layers);
-  EXPECT_EQ(got_sparse.dense_dispatches, 0);
-  expect_bitwise_equal(dense.spike_counts, got_sparse.spike_counts);
-  expect_records_equal(dense.stats, got_sparse.stats);
-
-  // < 0 forces the dense direct-conv body on every conv layer-step.
-  InferenceSession dense_only(model, {.max_batch = 4,
-                                      .sparse_crossover = -1.0,
-                                      .record_stats = true});
-  const auto got_dense = dense_only.run(window);
-  EXPECT_EQ(got_dense.sparse_dispatches, 0);
-  EXPECT_EQ(got_dense.dense_dispatches, steps * conv_layers);
-  expect_bitwise_equal(dense.spike_counts, got_dense.spike_counts);
-  expect_records_equal(dense.stats, got_dense.stats);
-  EXPECT_EQ(got_dense.mean_input_density, got_sparse.mean_input_density);
+  InferenceSession session(model, {.max_batch = 4, .record_stats = true});
+  const auto got = session.run(window);
+  EXPECT_EQ(got.sparse_dispatches, 0);
+  EXPECT_EQ(got.dense_dispatches, steps * conv_layers);
+  expect_bitwise_equal(dense.spike_counts, got.spike_counts);
+  expect_records_equal(dense.stats, got.stats);
 }
 
-TEST(InferParity, LinearOnlyModelHasNoDispatchesAtAnyCrossover) {
+TEST(InferParity, LinearOnlyModelHasNoDispatches) {
   snn::MlpConfig cfg;
   cfg.in_features = 40;
   cfg.hidden = 20;
@@ -206,17 +191,12 @@ TEST(InferParity, LinearOnlyModelHasNoDispatchesAtAnyCrossover) {
   auto window = random_window(5, Shape{4, 40}, 0.5, rng);
   const auto dense = net->forward(window, {.record_stats = true});
   const auto model = CompiledModel::compile(*net, Shape{40});
-  for (double crossover : {-1.0, 0.35, 1.5}) {
-    SCOPED_TRACE("crossover=" + std::to_string(crossover));
-    InferenceSession session(model, {.max_batch = 4,
-                                     .sparse_crossover = crossover,
-                                     .record_stats = true});
-    const auto got = session.run(window);
-    EXPECT_EQ(got.sparse_dispatches, 0);
-    EXPECT_EQ(got.dense_dispatches, 0);
-    expect_bitwise_equal(dense.spike_counts, got.spike_counts);
-    expect_records_equal(dense.stats, got.stats);
-  }
+  InferenceSession session(model, {.max_batch = 4, .record_stats = true});
+  const auto got = session.run(window);
+  EXPECT_EQ(got.sparse_dispatches, 0);
+  EXPECT_EQ(got.dense_dispatches, 0);
+  expect_bitwise_equal(dense.spike_counts, got.spike_counts);
+  expect_records_equal(dense.stats, got.stats);
 }
 
 TEST(InferSession, ReusesStateAcrossWindowsAndGrowsPastMaxBatch) {
@@ -319,7 +299,12 @@ TEST(InferCompile, MetadataMirrorsNetwork) {
   auto net = snn::make_svhn_csnn(cfg);
   const auto model = CompiledModel::compile(*net, Shape{3, 12, 12});
   EXPECT_EQ(model.num_layers(), net->num_layers());
-  EXPECT_EQ(model.num_parameters(), net->num_parameters());
+  std::int64_t net_params = 0;
+  for (const snn::Param* p : net->params()) net_params += p->numel();
+  std::int64_t model_params = 0;
+  for (const CompiledLayer& l : model.layers())
+    model_params += l.weight.numel() + l.bias.numel();
+  EXPECT_EQ(model_params, net_params);
   EXPECT_EQ(model.input_shape(), Shape({3, 12, 12}));
   EXPECT_EQ(model.output_shape(), net->output_shape(Shape{3, 12, 12}));
 

@@ -490,7 +490,7 @@ std::vector<obs::ParsedLedger> synthetic_runs(std::size_t n) {
 
 TEST(Dashboard, RendersSelfContainedHtml) {
   const auto runs = synthetic_runs(2);
-  const std::string html = obs::render_dashboard_html(runs, {});
+  const std::string html = obs::render_dashboard_html(runs, {}, {}, {});
   EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
   EXPECT_NE(html.find("<svg"), std::string::npos);
   EXPECT_NE(html.find("<polyline"), std::string::npos);
@@ -511,7 +511,7 @@ TEST(Dashboard, EscapesUserStrings) {
   runs[0].manifest.run_id = "<script>alert(1)</script>";
   obs::DashboardOptions options;
   options.title = "a < b & c";
-  const std::string html = obs::render_dashboard_html(runs, options);
+  const std::string html = obs::render_dashboard_html(runs, {}, {}, options);
   EXPECT_EQ(html.find("<script>alert"), std::string::npos);
   EXPECT_NE(html.find("&lt;script&gt;alert"), std::string::npos);
   EXPECT_NE(html.find("a &lt; b &amp; c"), std::string::npos);
@@ -519,13 +519,13 @@ TEST(Dashboard, EscapesUserStrings) {
 
 TEST(Dashboard, FoldsBeyondPaletteIntoOther) {
   const auto runs = synthetic_runs(10);  // 10 > the 8-color palette
-  const std::string html = obs::render_dashboard_html(runs, {});
+  const std::string html = obs::render_dashboard_html(runs, {}, {}, {});
   EXPECT_NE(html.find("var(--other)"), std::string::npos);
   EXPECT_NE(html.find("other (3 runs)"), std::string::npos);
 }
 
 TEST(Dashboard, RejectsEmptyInput) {
-  EXPECT_THROW(obs::render_dashboard_html({}, {}), InvalidArgument);
+  EXPECT_THROW(obs::render_dashboard_html({}, {}, {}, {}), InvalidArgument);
 }
 
 TEST(Dashboard, WritesCsvRows) {
@@ -601,7 +601,7 @@ TEST(LedgerEndToEnd, SmokeExperimentWritesFullTrajectory) {
 
   // And the dashboard renders the directory.
   const std::string out = dir + "/dash.html";
-  obs::write_dashboard_html(out, obs::parse_ledger_dir(dir), {});
+  obs::write_dashboard_html(out, obs::parse_ledger_dir(dir), {}, {}, {});
   std::ifstream in(out);
   EXPECT_TRUE(in.good());
 }

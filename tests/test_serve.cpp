@@ -227,10 +227,25 @@ TEST(ServeProtocol, RequestDeadlineRoundTrip) {
   ASSERT_EQ(back.data.size(), r.data.size());
 }
 
+// A reply frame as the server writes it: the header, then exactly the
+// payload encoder's bytes.  RequestBuilder frames only the client's side.
+std::vector<std::uint8_t> reply_frame(
+    FrameKind kind, std::uint64_t id,
+    const std::vector<std::uint8_t>& payload) {
+  FrameHeader h;
+  h.kind = kind;
+  h.request_id = id;
+  h.payload_bytes = static_cast<std::uint32_t>(payload.size());
+  std::vector<std::uint8_t> out(kHeaderBytes);
+  encode_header(h, out.data());
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
 // Decodes `payload` as a frame of `h.kind` (throwing InvalidArgument when
 // the decoder refuses it) and returns a thunk that re-encodes the decoded
-// message through RequestBuilder.  `reply` picks the STREAM_CLOSE layout,
-// the one kind whose payload depends on the direction.
+// message through RequestBuilder or reply_frame.  `reply` picks the
+// STREAM_CLOSE layout, the one kind whose payload depends on the direction.
 std::function<std::vector<std::uint8_t>()> decode_frame(
     const FrameHeader& h, const std::vector<std::uint8_t>& payload,
     bool reply) {
@@ -242,16 +257,21 @@ std::function<std::vector<std::uint8_t>()> decode_frame(
         return b.infer_request(m);
       };
     case FrameKind::kInferResponse:
-      return [b, m = decode_response(id, payload)] {
-        return b.infer_response(m);
+      return [id, m = decode_response(id, payload)] {
+        return reply_frame(FrameKind::kInferResponse, id,
+                           detail::encode_response_payload(m));
       };
     case FrameKind::kError:
-      return [b, m = decode_error(id, payload)] { return b.error(m); };
+      return [id, m = decode_error(id, payload)] {
+        return reply_frame(FrameKind::kError, id,
+                           detail::encode_error_payload(m));
+      };
     case FrameKind::kStatRequest:
       return [b, id] { return b.stat_request(id); };
     case FrameKind::kStatResponse:
-      return [b, id, m = decode_stat(payload)] {
-        return b.stat_response(id, m);
+      return [id, m = decode_stat(payload)] {
+        return reply_frame(FrameKind::kStatResponse, id,
+                           detail::encode_stat_payload(m));
       };
     case FrameKind::kStreamOpen:
       return [b, m = decode_stream_control(id, payload)] {
@@ -263,8 +283,9 @@ std::function<std::vector<std::uint8_t>()> decode_frame(
       };
     case FrameKind::kStreamClose:
       if (reply) {
-        return [b, m = decode_stream_close_reply(id, payload)] {
-          return b.stream_close_reply(m);
+        return [id, m = decode_stream_close_reply(id, payload)] {
+          return reply_frame(FrameKind::kStreamClose, id,
+                             detail::encode_stream_close_reply_payload(m));
         };
       }
       return [b, m = decode_stream_control(id, payload)] {
@@ -340,14 +361,26 @@ TEST(ServeProtocol, FrameMutantsAreRejectedOrReencodeExactly) {
   };
   const Case cases[] = {
       {"infer_request", b.infer_request(req), false},
-      {"infer_response", b.infer_response(resp), true},
-      {"error", b.error(err), true},
+      {"infer_response",
+       reply_frame(FrameKind::kInferResponse, resp.request_id,
+                   detail::encode_response_payload(resp)),
+       true},
+      {"error",
+       reply_frame(FrameKind::kError, err.request_id,
+                   detail::encode_error_payload(err)),
+       true},
       {"stat_request", b.stat_request(14), false},
-      {"stat_response", b.stat_response(14, "{\"served\":3}"), true},
+      {"stat_response",
+       reply_frame(FrameKind::kStatResponse, 14,
+                   detail::encode_stat_payload("{\"served\":3}")),
+       true},
       {"stream_open", b.stream_open({15, 9}), false},
       {"stream_step", b.stream_step({9, req}), false},
       {"stream_close", b.stream_close({16, 9}), false},
-      {"stream_close_reply", b.stream_close_reply(totals), true},
+      {"stream_close_reply",
+       reply_frame(FrameKind::kStreamClose, totals.request_id,
+                   detail::encode_stream_close_reply_payload(totals)),
+       true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

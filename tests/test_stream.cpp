@@ -101,27 +101,21 @@ TEST(StreamParity, StepByStepMatchesWholeWindowBitwise) {
   const std::vector<float> want(dense.spike_counts.data(),
                                 dense.spike_counts.data() + out);
 
-  // Sparse-forced, dense-forced, and the default heuristic must all agree,
-  // at 1 and 4 threads.
-  for (double crossover : {1.5, -1.0, 0.35}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("crossover=" + std::to_string(crossover) +
-                   " threads=" + std::to_string(threads));
-      ThreadGuard guard(threads);
-      InferenceSession session(model, {.max_batch = 1,
-                                       .sparse_crossover = crossover});
-      StreamState stream = session.make_stream();
-      std::vector<float> per_step_total(static_cast<std::size_t>(out), 0.0f);
-      for (const Tensor& events : window) {
-        const Tensor spikes = session.step(stream, events);
-        ASSERT_EQ(spikes.numel(), out);
-        for (std::int64_t i = 0; i < out; ++i)
-          per_step_total[static_cast<std::size_t>(i)] += spikes.data()[i];
-      }
-      EXPECT_EQ(stream.steps_done(), 7);
-      expect_counts_equal(want, stream.cumulative_counts(), "cumulative");
-      expect_counts_equal(want, per_step_total, "sum of per-step outputs");
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadGuard guard(threads);
+    InferenceSession session(model, {.max_batch = 1});
+    StreamState stream = session.make_stream();
+    std::vector<float> per_step_total(static_cast<std::size_t>(out), 0.0f);
+    for (const Tensor& events : window) {
+      const Tensor spikes = session.step(stream, events);
+      ASSERT_EQ(spikes.numel(), out);
+      for (std::int64_t i = 0; i < out; ++i)
+        per_step_total[static_cast<std::size_t>(i)] += spikes.data()[i];
     }
+    EXPECT_EQ(stream.steps_done(), 7);
+    expect_counts_equal(want, stream.cumulative_counts(), "cumulative");
+    expect_counts_equal(want, per_step_total, "sum of per-step outputs");
   }
 }
 
@@ -491,9 +485,8 @@ TEST(StreamProtocol, ControlStepAndCloseReplyRoundTrip) {
 }
 
 TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
-  // RequestBuilder replaced the four hand-paired encode_header +
-  // encode_<payload> call sites; the frames it emits must be the header
-  // bytes plus EXACTLY the detail:: payload bytes, or old peers break.
+  // The frames RequestBuilder emits must be the header bytes plus EXACTLY
+  // the detail:: payload bytes, or old peers break.
   const RequestBuilder b(kProtocolVersion);
 
   InferRequest req;
@@ -502,15 +495,7 @@ TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
   req.elems_per_step = 2;
   req.deadline_us = 99;
   req.data = {1.0f, 0.0f, 0.0f, 1.0f};
-  InferResponse resp;
-  resp.request_id = 77;
-  resp.out_features = 2;
-  resp.batch = 3;
-  resp.spike_counts = {4.0f, 0.0f};
-  ErrorResponse err;
-  err.request_id = 77;
-  err.code = ErrorCode::kOverloaded;
-  err.message = "busy";
+  const StreamControl control{77, 9};
 
   struct Case {
     const char* name;
@@ -521,13 +506,13 @@ TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
   const Case cases[] = {
       {"infer_request", b.infer_request(req), FrameKind::kInferRequest,
        detail::encode_request_payload(req)},
-      {"infer_response", b.infer_response(resp), FrameKind::kInferResponse,
-       detail::encode_response_payload(resp)},
-      {"error", b.error(err), FrameKind::kError,
-       detail::encode_error_payload(err)},
-      {"stat_response", b.stat_response(77, "{}"), FrameKind::kStatResponse,
-       detail::encode_stat_payload("{}")},
       {"stat_request", b.stat_request(77), FrameKind::kStatRequest, {}},
+      {"stream_open", b.stream_open(control), FrameKind::kStreamOpen,
+       detail::encode_stream_control_payload(control)},
+      {"stream_step", b.stream_step({9, req}), FrameKind::kStreamStep,
+       detail::encode_stream_step_payload({9, req})},
+      {"stream_close", b.stream_close(control), FrameKind::kStreamClose,
+       detail::encode_stream_control_payload(control)},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
